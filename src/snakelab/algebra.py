@@ -18,6 +18,8 @@ series expansion of Jacobi- and Stieltjes-type continued fractions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping
 
 Key = tuple[int, int, int]
@@ -275,13 +277,35 @@ def _require_tq(p: Poly) -> None:
 
 
 def q_derivative(p: Poly) -> Poly:
-    """The q-derivative D with D(t^n) = [n]_q t^(n-1)."""
-    _require_tq(p)
+    """The q-derivative D with D(t^n) = [n]_q t^(n-1).
+
+    Works one t-row at a time.  Sorted, the terms of each t^et row form one
+    run from the row's lowest q exponent lo (which may be negative) to its
+    highest, and the row is laid out densely from lo.  Since
+    D(t^et q^e) = t^(et-1) (q^e + ... + q^(e+et-1)), the output coefficient
+    of t^(et-1) q^(lo+e) is the sum of the width-et window of dense entries
+    ending at e, kept as a running sum.  The cost is one sort of the terms
+    plus time linear in the size of the output, not terms times t-degree.
+    """
+    keys = sorted(p.terms)
+    if keys and keys[-1][0]:  # keys sort by ey first, so a y term is last
+        raise ValueError("operator domain is t,q polynomials")
     acc: dict[Key, int] = {}
-    for (_, et, eq), c in p.terms.items():
-        for k in range(et):
-            key = (0, et - 1, eq + k)
-            acc[key] = acc.get(key, 0) + c
+    for et, row in groupby(keys, itemgetter(1)):
+        if not et:
+            continue
+        row = list(row)
+        lo = row[0][2]
+        dense = [0] * (row[-1][2] - lo + et)
+        for key in row:
+            dense[key[2] - lo] = p.terms[key]
+        window = 0
+        for e, c in enumerate(dense):
+            window += c
+            if e >= et:
+                window -= dense[e - et]
+            if window:
+                acc[(0, et - 1, lo + e)] = window
     return Poly(acc)
 
 

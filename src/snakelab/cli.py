@@ -10,19 +10,13 @@ Subcommands:
       for indices 0..K in canonical order, byte-for-byte deterministic.
   list-checks
       Print the catalog of check ids with default ceilings.
-
-The environment variable SNAKELAB_THREADS caps the size of the worker pool
-used by `verify` (default 1, i.e. sequential); results are collected and
-printed in catalog order either way.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
 from snakelab import checks as checklib
@@ -103,24 +97,6 @@ def emit_table(obj: str, n_max: int, fmt: str) -> str:
     return "\n".join(f"{_row_label(obj, n)} = {value}" for n, value in rows)
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("SNAKELAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _run_many(ids: Sequence[str], n_max: int | None) -> list[CheckResult]:
-    cap = min(_thread_cap(), max(1, len(ids)))
-    if cap == 1:
-        return [checklib.run_check(check_id, n_max) for check_id in ids]
-    with ThreadPoolExecutor(max_workers=cap) as pool:
-        futures = {check_id: pool.submit(checklib.run_check, check_id, n_max)
-                   for check_id in ids}
-    return [futures[check_id].result() for check_id in ids]
-
-
 def _print_results(results: list[CheckResult], fmt: str, out: Callable[[str], None]) -> int:
     failures = sum(1 for r in results if r.status == "fail")
     if fmt == "json":
@@ -164,6 +140,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"{check.id:<24} {ceiling:<8} {check.description}")
         return 0
 
+    if args.n is not None and args.n < 0:
+        print(f"error: --n must be >= 0, got {args.n}", file=sys.stderr)
+        return USAGE_EXIT
+
     if args.command == "compute":
         print(emit_table(args.object, args.n, args.format))
         return 0
@@ -179,7 +159,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         ids = [args.check]
     else:
         ids = [check.id for check in checklib.CHECKS]
-    results = _run_many(ids, args.n)
+    results = [checklib.run_check(check_id, args.n) for check_id in ids]
     failures = _print_results(results, args.format, print)
     return min(failures, MAX_FAILURE_EXIT)
 

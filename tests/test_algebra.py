@@ -18,6 +18,7 @@ from snakelab.algebra import (
     sfraction_series,
     u_multiply,
 )
+from snakelab.eulerians import Q_poly, R_poly
 
 Q2 = ONE + (ONE + Q) * T ** 2  # 1 + (1+q)t^2
 
@@ -33,6 +34,32 @@ polys = st.builds(
         max_size=6,
     ),
 )
+
+# wide enough for windows of width up to 12 and q-rows with gaps
+tq_polys = st.builds(
+    Poly.from_quadruples,
+    st.lists(
+        st.tuples(
+            st.integers(-50, 50),
+            st.integers(0, 3),
+            st.integers(0, 12),
+            st.integers(-6, 12),
+        ),
+        max_size=12,
+    ),
+)
+
+
+def _q_derivative_reference(p: Poly) -> Poly:
+    """Schoolbook D: expand each t^et q^eq into its et terms, O(terms * et)."""
+    if any(ey for (ey, _, _) in p.terms):
+        raise ValueError("operator domain is t,q polynomials")
+    acc = {}
+    for (_, et, eq), c in p.terms.items():
+        for k in range(et):
+            key = (0, et - 1, eq + k)
+            acc[key] = acc.get(key, 0) + c
+    return Poly(acc)
 
 
 class TestRingOps:
@@ -119,6 +146,8 @@ class TestOperators:
         with pytest.raises(ValueError, match="t,q polynomials"):
             q_derivative(Y)
         with pytest.raises(ValueError, match="t,q polynomials"):
+            q_derivative(T ** 3 + Y * Q)
+        with pytest.raises(ValueError, match="t,q polynomials"):
             u_multiply(Y * T)
 
     @pytest.mark.parametrize("k", range(13))
@@ -128,7 +157,25 @@ class TestOperators:
         lhs = q_derivative(u_multiply(p)) - Q * u_multiply(q_derivative(p))
         assert lhs == p
 
-    @given(polys)
+    def test_derivative_laurent(self):
+        # D(t^5 q^-3) = [5]_q t^4 q^-3
+        got = q_derivative(Poly.monomial(et=5, eq=-3))
+        assert got == q_int(5) * Poly.monomial(et=4, eq=-3)
+
+    @pytest.mark.parametrize("n", range(16))
+    @pytest.mark.parametrize("k", range(3))
+    def test_derivative_matches_reference_on_q_r(self, n, k):
+        for f in (Q_poly(n), R_poly(n)):
+            for _ in range(k):
+                f = u_multiply(f)
+            assert q_derivative(f) == _q_derivative_reference(f)
+
+    @given(tq_polys)
+    def test_derivative_matches_reference(self, p):
+        f = p.subst("y", 1)
+        assert q_derivative(f) == _q_derivative_reference(f)
+
+    @given(tq_polys)
     def test_derivative_matches_difference_quotient(self, p):
         # (q-1)*t*D(f) == f(qt) - f(t) on the t,q subring
         f = p.subst("y", 1)

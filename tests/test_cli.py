@@ -70,13 +70,6 @@ class TestVerify:
         _, second, _ = run_cli(capsys, "verify", "--all", "--n", "2")
         assert first == second
 
-    def test_thread_cap_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("SNAKELAB_THREADS", "4")
-        _, threaded, _ = run_cli(capsys, "verify", "--all", "--n", "2")
-        monkeypatch.delenv("SNAKELAB_THREADS")
-        _, sequential, _ = run_cli(capsys, "verify", "--all", "--n", "2")
-        assert threaded == sequential
-
 
 class TestRunCheck:
     def test_known_ids_present(self):
@@ -148,6 +141,13 @@ class TestUsageErrors:
 
     def test_bad_object(self, capsys):
         assert run_cli(capsys, "compute", "X", "--n", "2")[0] == USAGE_EXIT
+
+    @pytest.mark.parametrize("argv", [("compute", "Q"), ("verify", "--all")])
+    def test_negative_n(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--n", "-1")
+        assert code == USAGE_EXIT
+        assert out == ""
+        assert err.startswith("error:") and "--n" in err
 
 
 class TestListChecks:
