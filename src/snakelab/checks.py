@@ -17,15 +17,12 @@ from typing import Callable
 
 from snakelab import bijections, eulerians, motzkin, permstats, snakes
 from snakelab.algebra import (
-    ONE,
     Q,
     T,
     Y,
-    CoefficientSchedule,
     Poly,
     jfraction_series,
     q_derivative,
-    q_int,
     u_multiply,
 )
 
@@ -367,25 +364,8 @@ def _check_corteel(n_max: int) -> str | None:
     return None
 
 
-def _corteel_schedule() -> CoefficientSchedule:
-    def mu(h: int) -> Poly:
-        qh = Poly.monomial(eq=h)
-        return Y ** 2 * q_int(h + 1) + q_int(h) + Y * T * qh * (
-            q_int(h) + q_int(h + 1)
-        )
-
-    def lam(h: int) -> Poly:
-        return (
-            q_int(h) ** 2
-            * (Y ** 2 + Y * T * Poly.monomial(eq=h - 1))
-            * (ONE + Y * T * Poly.monomial(eq=h))
-        )
-
-    return CoefficientSchedule(mu, lam)
-
-
 def _check_corteel_cf(n_max: int) -> str | None:
-    series = jfraction_series(_corteel_schedule(), n_max)
+    series = jfraction_series(permstats.corteel_schedule(), n_max)
     for n in range(0, n_max + 1):
         rhs = permstats.signed_enumerator(n, "B", "FULL_YTQ")
         if series[n] != rhs:

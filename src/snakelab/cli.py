@@ -8,6 +8,10 @@ Subcommands:
   compute OBJECT --n K [--format text|json|csv]
       Print Q, R, B (polynomials), E, S (integers) or Eq (q-polynomials)
       for indices 0..K in canonical order, byte-for-byte deterministic.
+      Every table takes a polynomial-time route: Q and R by the operators
+      (D + UDU)^n 1 and (D + DUU)^n 1, B by the Corteel J-fraction, E by the
+      Seidel boustrophedon, S by (D + UDU)^n 1 at q = 1 on integer
+      coefficient lists, Eq by the q-secant/q-tangent S-fractions.
   list-checks
       Print the catalog of check ids with default ceilings.
 """
@@ -21,6 +25,7 @@ from typing import Callable, Sequence
 
 from snakelab import checks as checklib
 from snakelab import eulerians, permstats
+from snakelab.algebra import jfraction_series
 from snakelab.checks import CheckResult
 
 USAGE_EXIT = 126
@@ -60,19 +65,25 @@ def _build_parser() -> _Parser:
 
 
 def _row_value(obj: str, n: int):
+    """Value of object n, for the objects computed index by index."""
     if obj == "Q":
         return str(eulerians.Q_poly(n))
     if obj == "R":
         return str(eulerians.R_poly(n))
-    if obj == "B":
-        return str(permstats.signed_enumerator(n, "B", "FULL_YTQ"))
-    if obj == "E":
-        return eulerians.euler_number(n)
     if obj == "Eq":
         return str(eulerians.q_euler(n))
-    if obj == "S":
-        return eulerians.springer_number(n)
     raise ValueError(f"unknown object {obj!r}")
+
+
+def _table(obj: str, n_max: int) -> list:
+    """Values of objects 0..n_max; B, E and S are built in one pass."""
+    if obj == "B":
+        return [str(p) for p in jfraction_series(permstats.corteel_schedule(), n_max)]
+    if obj == "E":
+        return eulerians.seidel_numbers(n_max)
+    if obj == "S":
+        return eulerians.springer_numbers(n_max)
+    return [_row_value(obj, n) for n in range(n_max + 1)]
 
 
 def _row_label(obj: str, n: int) -> str:
@@ -85,7 +96,7 @@ def emit_table(obj: str, n_max: int, fmt: str) -> str:
     """Render objects 0..n_max; identical inputs give identical bytes."""
     if n_max < 0:
         raise ValueError("n must be >= 0")
-    rows = [(n, _row_value(obj, n)) for n in range(n_max + 1)]
+    rows = list(enumerate(_table(obj, n_max)))
     if fmt == "csv":
         return "\n".join(f"{n},{value}" for n, value in rows)
     if fmt == "json":

@@ -11,6 +11,13 @@ Both are also obtainable as coefficients of Jacobi-type continued fractions;
 `q_fraction_schedule` and `r_fraction_schedule` provide the schedules so the
 two routes can be checked against each other.
 
+Integer tables take polynomial-time routes: `seidel_numbers` runs the
+Seidel boustrophedon for E_0..E_n, and `springer_numbers` applies D + UDU at
+q = 1 to integer coefficient lists in t, since S_n = Q_n(1,1).  The
+brute-force counters `count_alternating` and `springer_number` enumerate
+permutations and snakes; they are kept as independent oracles for the
+checks, not as routes.
+
 All results are memoized; everything here is pure and safe for concurrent
 readers.
 """
@@ -33,8 +40,6 @@ from snakelab.algebra import (
     u_multiply,
 )
 
-_DIRECT_COUNT_LIMIT = 9
-
 
 def _is_alternating(perm: tuple[int, ...]) -> bool:
     # sigma_1 > sigma_2 < sigma_3 > ...
@@ -48,7 +53,8 @@ def _is_alternating(perm: tuple[int, ...]) -> bool:
 
 
 def count_alternating(n: int) -> int:
-    """Brute-force count of alternating permutations of [n]."""
+    """Brute-force count of alternating permutations of [n]; an oracle for
+    checking `seidel_numbers`, exponential in n."""
     return sum(1 for p in itertools.permutations(range(1, n + 1)) if _is_alternating(p))
 
 
@@ -71,17 +77,33 @@ def euler_number(n: int) -> int:
     """The zigzag number E_n (1, 1, 1, 2, 5, 16, 61, ...)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n <= _DIRECT_COUNT_LIMIT:
-        return count_alternating(n)
     return seidel_numbers(n)[n]
 
 
 @lru_cache(maxsize=None)
 def springer_number(n: int) -> int:
-    """S_n: the number of snakes of size n with positive first entry."""
+    """S_n: the number of snakes of size n with positive first entry,
+    counted one by one; an oracle for checking `springer_numbers` and
+    Q_n(1,1), exponential in n."""
     from snakelab import snakes  # local import; snakes needs no symbol from here
 
     return sum(1 for _ in snakes.generate_snakes(n, "S0"))
+
+
+def springer_numbers(n_max: int) -> list[int]:
+    """S_0..S_n_max as Q_n(1,1): (D + UDU)^n 1 at q = 1, where D is d/dt and
+    U is multiplication by t, on integer coefficient lists in t."""
+    out = [1]
+    row = [1]  # row[k] = coefficient of t^k in Q_m(t,1)
+    for _ in range(n_max):
+        new = [0] * (len(row) + 1)
+        for k, c in enumerate(row):
+            if k:
+                new[k - 1] += k * c
+            new[k + 1] += (k + 1) * c
+        row = new
+        out.append(sum(row))
+    return out
 
 
 @lru_cache(maxsize=None)

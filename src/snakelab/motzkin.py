@@ -144,14 +144,6 @@ def step_heights(steps: tuple[str, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def is_valid_shape(steps: tuple[str, ...]) -> bool:
-    try:
-        step_heights(steps)
-    except ValueError:
-        return False
-    return True
-
-
 @lru_cache(maxsize=None)
 def matching_pairs(steps: tuple[str, ...]) -> tuple[tuple[int, int], ...]:
     """Facing (rise, fall) index pairs, 0-based, ordered by rise index.
@@ -208,15 +200,11 @@ def _pair_ok(rule: str, h: int, wu: Monomial, wd: Monomial) -> bool:
     """Admissible facing-pair weights for the fixed-point families,
     h being the rise height.  Exponent ranges are already enforced by the
     per-step menus; only the branch coupling is decided here."""
-    u_y2 = wu.ey == 2
-    d_q = wd.ey == 0
-    if rule == "F":
-        # (y^2 q^a, q^b) or (yt q^(h+1+a), yt q^(h+1+b))
-        return u_y2 == d_q
-    if rule == "G":
-        # (y^2 q^a, q^b) or (yt q^(h+a), yt q^(h+1+b))
-        return u_y2 == d_q
-    raise ValueError(f"unknown pair rule {rule!r}")
+    if rule not in ("F", "G"):
+        raise ValueError(f"unknown pair rule {rule!r}")
+    # F: (y^2 q^a, q^b) or (yt q^(h+1+a), yt q^(h+1+b))
+    # G: (y^2 q^a, q^b) or (yt q^(h+a), yt q^(h+1+b))
+    return (wu.ey == 2) == (wd.ey == 0)
 
 
 def gen_shapes(n: int, forbid_wavy_on_axis: bool = False) -> Iterator[tuple[str, ...]]:

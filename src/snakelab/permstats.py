@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from snakelab.algebra import Key, Poly
+from snakelab.algebra import ONE, T, Y, CoefficientSchedule, Key, Poly, q_int
 
 FAMILIES = ("A", "A*", "B", "D", "B*", "D*")
 
@@ -172,6 +172,28 @@ def signed_enumerator(n: int, family: str, scheme: str) -> Poly:
         else:  # FULL_YTQ
             add((s.fwex, s.neg, s.cro_b), 1)
     return Poly(acc)
+
+
+def corteel_schedule() -> CoefficientSchedule:
+    """J-fraction schedule whose series coefficients are the trivariate
+    enumerators signed_enumerator(n, "B", "FULL_YTQ") (Corteel 2007):
+    mu_h = y^2 [h+1] + [h] + y t q^h ([h] + [h+1]),
+    lam_h = [h]^2 (y^2 + y t q^(h-1)) (1 + y t q^h)."""
+
+    def mu(h: int) -> Poly:
+        qh = Poly.monomial(eq=h)
+        return Y ** 2 * q_int(h + 1) + q_int(h) + Y * T * qh * (
+            q_int(h) + q_int(h + 1)
+        )
+
+    def lam(h: int) -> Poly:
+        return (
+            q_int(h) ** 2
+            * (Y ** 2 + Y * T * Poly.monomial(eq=h - 1))
+            * (ONE + Y * T * Poly.monomial(eq=h))
+        )
+
+    return CoefficientSchedule(mu, lam)
 
 
 def _decreasing_runs(window: tuple[int, ...]) -> list[int]:

@@ -1,5 +1,6 @@
 """CLI behavior: subcommands, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -123,6 +124,17 @@ class TestCompute:
         assert first == second
         payload = json.loads(first)
         assert payload["rows"][1] == [1, "t + t*q"]
+
+    # the stdout digests that perfbench/expected.json gates on
+    @pytest.mark.parametrize("argv, digest", [
+        (("S", "--n", "8"), "8a31a5b4214dbb9776faa1be8cab24155f588b4b3c16cc749015c3a462bd7baa"),
+        (("B", "--n", "6"), "ebf1db94355904624986a3fe953d7d5c0a9427a9b6bc3dda469aaf9bb2f458a8"),
+        (("E", "--n", "300"), "b1961036d352e9333eb8acd068e205968f2cd10a1c281deced2328863a7ca6a9"),
+    ])
+    def test_stdout_digest(self, capsys, argv, digest):
+        code, out, _ = run_cli(capsys, "compute", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_emit_table_rejects_negative(self):
         with pytest.raises(ValueError):

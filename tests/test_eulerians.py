@@ -14,10 +14,11 @@ from snakelab.eulerians import (
     r_fraction_schedule,
     seidel_numbers,
     springer_number,
+    springer_numbers,
 )
 
 EULER = [1, 1, 1, 2, 5, 16, 61, 272, 1385, 7936]
-SPRINGER = [1, 1, 3, 11, 57, 361, 2763]
+SPRINGER = [1, 1, 3, 11, 57, 361, 2763, 24611, 250737]  # OEIS A001586
 
 
 class TestEulerNumbers:
@@ -51,11 +52,20 @@ class TestSpringerNumbers:
         assert springer_number(3) == 11
 
     def test_known_values(self):
-        assert [springer_number(n) for n in range(7)] == SPRINGER
+        assert [springer_number(n) for n in range(7)] == SPRINGER[:7]
 
     @pytest.mark.parametrize("n", range(7))
     def test_q_poly_at_one_one(self, n):
         assert Q_poly(n)(t=1, q=1).as_int() == springer_number(n)
+
+    def test_table_oeis_literal(self):
+        assert springer_numbers(8) == SPRINGER
+
+    def test_table_matches_snake_count(self):
+        assert springer_numbers(7) == [springer_number(n) for n in range(8)]
+
+    def test_table_matches_q_poly_at_one_one(self):
+        assert springer_numbers(20) == [Q_poly(n)(t=1, q=1).as_int() for n in range(21)]
 
     @pytest.mark.parametrize("n", range(8))
     def test_r_poly_at_one_one(self, n):

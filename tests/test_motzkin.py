@@ -2,7 +2,7 @@
 
 import pytest
 
-from snakelab.algebra import Monomial, Poly, jfraction_series, q_int, ONE, Q, T, Y
+from snakelab.algebra import Monomial, jfraction_series, ONE, Q, T, Y
 from snakelab.eulerians import Q_poly, R_poly, euler_number, q_fraction_schedule, r_fraction_schedule
 from snakelab.motzkin import (
     EMPTY_PATH,
@@ -16,7 +16,7 @@ from snakelab.motzkin import (
     step_heights,
     weight_menu,
 )
-from snakelab.permstats import signed_enumerator
+from snakelab.permstats import corteel_schedule, signed_enumerator
 
 
 def mono(ey=0, et=0, eq=0):
@@ -190,22 +190,13 @@ class TestFlajolet:
                 assert mine.lam(h) == ref.lam(h)
 
     def test_m_schedule_closed_form(self):
-        # mu_h = y^2 [h+1] + [h] + y t q^h ([h] + [h+1])
-        # lam_h = [h]^2 (y^2 + y t q^(h-1)) (1 + y t q^h)
+        # the menu-induced schedule of scheme M is Corteel's closed form
         sched = flajolet_schedule("M")
+        closed = corteel_schedule()
         for h in range(6):
-            qh = Poly.monomial(eq=h)
-            expected_mu = Y ** 2 * q_int(h + 1) + q_int(h) + Y * T * qh * (
-                q_int(h) + q_int(h + 1)
-            )
-            assert sched.mu(h) == expected_mu
+            assert sched.mu(h) == closed.mu(h)
             if h >= 1:
-                expected_lam = (
-                    q_int(h) ** 2
-                    * (Y ** 2 + Y * T * Poly.monomial(eq=h - 1))
-                    * (ONE + Y * T * qh)
-                )
-                assert sched.lam(h) == expected_lam
+                assert sched.lam(h) == closed.lam(h)
 
     @pytest.mark.parametrize("n", range(5))
     def test_jfraction_route_equals_path_route(self, n):

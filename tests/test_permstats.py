@@ -5,8 +5,9 @@ from collections import Counter
 
 import pytest
 
-from snakelab.algebra import ONE, Poly, Q, T, Y, q_int
+from snakelab.algebra import ONE, Poly, Q, T, Y, jfraction_series, q_int
 from snakelab.permstats import (
+    corteel_schedule,
     cro_type_a,
     gamma_coeffs,
     generate,
@@ -158,6 +159,10 @@ class TestSignedEnumerators:
     def test_jv_derange_n2(self):
         # single derangement (2,1): wex=1, cro=0 -> -q^-1
         assert signed_enumerator(2, "A*", "JV_DERANGE") == Poly.monomial(-1, 0, 0, -1)
+
+    def test_corteel_fraction_matches_enumeration(self):
+        series = jfraction_series(corteel_schedule(), 5)
+        assert series == [signed_enumerator(n, "B", "FULL_YTQ") for n in range(6)]
 
 
 class TestEquidistribution:
