@@ -12,6 +12,11 @@ between the plain-q and y^2 branches, or failing that the first facing pair
 between its mixed branch forms; its weight changes by exactly y^(+-2) and
 its fixed points are scheme F.  `psi2` is the analogue on scheme MSTAR with
 weight factor (y^2 q)^(+-1) and fixed points scheme G.
+
+Each map checks its input and raises ValueError on a path outside its
+domain scheme; none re-checks its output.  That its images land in the
+target scheme is verified by the catalog (prop-3.2, prop-3.6, prop-4.4 in
+`snakelab.checks`), so the claim survives `python -O`.
 """
 
 from __future__ import annotations
@@ -44,10 +49,7 @@ def phi(path: WeightedPath) -> tuple[Monomial, WeightedPath]:
         for j in range(n - 1)
     )
     out = WeightedPath(steps, path.weights[1:])
-    head = path.weights[0]
-    assert head in (HEAD_Y2, HEAD_YT)
-    assert in_family("H", out), out.text()
-    return head, out
+    return path.weights[0], out
 
 
 def phi_inverse(head: Monomial, path: WeightedPath) -> WeightedPath:
@@ -61,9 +63,7 @@ def phi_inverse(head: Monomial, path: WeightedPath) -> WeightedPath:
         halves.extend(_ENCODE[s])
     halves.append("D")
     steps = tuple(_DECODE[(halves[2 * i], halves[2 * i + 1])] for i in range(n))
-    out = WeightedPath(steps, (head, *path.weights))
-    assert in_family("M", out), out.text()
-    return out
+    return WeightedPath(steps, (head, *path.weights))
 
 
 def _is_q_power(w: Monomial) -> bool:
@@ -111,9 +111,7 @@ def psi1(path: WeightedPath) -> WeightedPath:
                 weights[u] = Monomial(1, 2, 0, a)
                 weights[d] = Monomial(1, 1, 1, h + 1 + b)
                 break
-    out = WeightedPath(tuple(steps), tuple(weights))
-    assert in_family("H", out), out.text()
-    return out
+    return WeightedPath(tuple(steps), tuple(weights))
 
 
 def is_fixed_f(path: WeightedPath) -> bool:
@@ -154,9 +152,7 @@ def psi2(path: WeightedPath) -> WeightedPath:
                 weights[u] = Monomial(1, 2, 0, a)
                 weights[d] = Monomial(1, 1, 1, h + 1 + b)
                 break
-    out = WeightedPath(tuple(steps), tuple(weights))
-    assert in_family("MSTAR", out), out.text()
-    return out
+    return WeightedPath(tuple(steps), tuple(weights))
 
 
 def is_fixed_g(path: WeightedPath) -> bool:

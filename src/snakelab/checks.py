@@ -395,18 +395,21 @@ def _check_restructure(n_max: int) -> str | None:
             head, out = bijections.phi(p)
             if head * out.weight() != p.weight():
                 return f"n={n}: weight not preserved for {p.text()}"
-            if bijections.phi_inverse(head, out) != p:
-                return f"n={n}: round trip failed for {p.text()}"
-            heads[out].append(head)
+            heads[out].append((head, p))
         expected = set(motzkin.gen_weighted("H", n - 1))
         if set(heads) != expected:
             missing = expected - set(heads)
             extra = set(heads) - expected
             sample = next(iter(missing or extra))
             return f"n={n}: cover mismatch at {sample.text()}"
+        # phi_inverse rejects a path outside H, so images are compared with
+        # the family before any round trip
         for out, seen in heads.items():
-            if sorted(m.text() for m in seen) != ["y*t", "y^2"]:
-                return f"n={n}: heads over {out.text()} are {[m.text() for m in seen]}"
+            if sorted(m.text() for m, _ in seen) != ["y*t", "y^2"]:
+                return f"n={n}: heads over {out.text()} are {[m.text() for m, _ in seen]}"
+            for head, p in seen:
+                if bijections.phi_inverse(head, out) != p:
+                    return f"n={n}: round trip failed for {p.text()}"
         lhs = motzkin.rho("M", n)
         rhs = (Y ** 2 + Y * T) * motzkin.rho("H", n - 1)
         if lhs != rhs:
@@ -431,6 +434,8 @@ def _check_psi1(n_max: int) -> str | None:
         fixed = set()
         for p in motzkin.gen_weighted("H", n):
             image = bijections.psi1(p)
+            if not motzkin.in_family("H", image):
+                return f"n={n}: image leaves H at {p.text()}: {image.text()}"
             if bijections.psi1(image) != p:
                 return f"n={n}: not an involution at {p.text()}"
             wp, wi = p.weight(), image.weight()
@@ -473,6 +478,8 @@ def _check_psi2(n_max: int) -> str | None:
         fixed = set()
         for p in motzkin.gen_weighted("MSTAR", n):
             image = bijections.psi2(p)
+            if not motzkin.in_family("MSTAR", image):
+                return f"n={n}: image leaves MSTAR at {p.text()}: {image.text()}"
             if bijections.psi2(image) != p:
                 return f"n={n}: not an involution at {p.text()}"
             wp, wi = p.weight(), image.weight()
@@ -535,10 +542,11 @@ def _check_lambda1(n_max: int) -> str | None:
             if path in images:
                 return f"n={n}: {s.text()} and {images[path].text()} collide"
             images[path] = s
-            if snakes.lambda1_inv(path) != s:
-                return f"n={n}: round trip failed for {s.text()}"
         if set(images) != set(motzkin.gen_weighted("TSTAR", n)):
             return f"n={n}: image is not the whole path family"
+        for path, s in images.items():  # lambda1_inv rejects a path outside TSTAR
+            if snakes.lambda1_inv(path) != s:
+                return f"n={n}: round trip failed for {s.text()}"
         lhs = snakes.snake_enumerator(n, "Q")
         rhs = eulerians.Q_poly(n)
         if lhs != rhs:
@@ -554,10 +562,11 @@ def _check_lambda2(n_max: int) -> str | None:
             if path in images:
                 return f"n={n}: {s.text()} and {images[path].text()} collide"
             images[path] = s
-            if snakes.lambda2_inv(path) != s:
-                return f"n={n}: round trip failed for {s.text()}"
         if set(images) != set(motzkin.gen_weighted("T", n)):
             return f"n={n}: image is not the whole path family"
+        for path, s in images.items():  # lambda2_inv rejects a path outside T
+            if snakes.lambda2_inv(path) != s:
+                return f"n={n}: round trip failed for {s.text()}"
         lhs = snakes.snake_enumerator(n, "R")
         rhs = eulerians.R_poly(n)
         if lhs != rhs:

@@ -11,7 +11,7 @@ Subcommands:
       Every table takes a polynomial-time route: Q and R by the operators
       (D + UDU)^n 1 and (D + DUU)^n 1, B by the Corteel J-fraction, E by the
       Seidel boustrophedon, S by (D + UDU)^n 1 at q = 1 on integer
-      coefficient lists, Eq by the q-secant/q-tangent S-fractions.
+      coefficient lists, Eq by one q-secant and one q-tangent S-fraction.
   list-checks
       Print the catalog of check ids with default ceilings.
 """
@@ -70,13 +70,13 @@ def _row_value(obj: str, n: int):
         return str(eulerians.Q_poly(n))
     if obj == "R":
         return str(eulerians.R_poly(n))
-    if obj == "Eq":
-        return str(eulerians.q_euler(n))
     raise ValueError(f"unknown object {obj!r}")
 
 
 def _table(obj: str, n_max: int) -> list:
-    """Values of objects 0..n_max; B, E and S are built in one pass."""
+    """Values of objects 0..n_max; B, E, Eq and S are built in one pass."""
+    if obj == "Eq":
+        return [str(p) for p in eulerians.q_euler_numbers(n_max)]
     if obj == "B":
         return [str(p) for p in jfraction_series(permstats.corteel_schedule(), n_max)]
     if obj == "E":

@@ -12,8 +12,9 @@ Both are also obtainable as coefficients of Jacobi-type continued fractions;
 two routes can be checked against each other.
 
 Integer tables take polynomial-time routes: `seidel_numbers` runs the
-Seidel boustrophedon for E_0..E_n, and `springer_numbers` applies D + UDU at
-q = 1 to integer coefficient lists in t, since S_n = Q_n(1,1).  The
+Seidel boustrophedon for E_0..E_n, `springer_numbers` applies D + UDU at
+q = 1 to integer coefficient lists in t, since S_n = Q_n(1,1), and
+`q_euler_numbers` reads E_0(q)..E_n(q) off one S-fraction per parity.  The
 brute-force counters `count_alternating` and `springer_number` enumerate
 permutations and snakes; they are kept as independent oracles for the
 checks, not as routes.
@@ -106,6 +107,14 @@ def springer_numbers(n_max: int) -> list[int]:
     return out
 
 
+def _secant_weight(h: int) -> Poly:
+    return q_int(h) ** 2
+
+
+def _tangent_weight(h: int) -> Poly:
+    return q_int(h) * q_int(h + 1)
+
+
 @lru_cache(maxsize=None)
 def q_euler(n: int) -> Poly:
     """The q-analog E_n(q): coefficient n//2 of the Stieltjes fraction with
@@ -113,9 +122,17 @@ def q_euler(n: int) -> Poly:
     if n < 0:
         raise ValueError("n must be >= 0")
     m = n // 2
-    if n % 2 == 0:
-        return sfraction_series(lambda h: q_int(h) ** 2, m)[m]
-    return sfraction_series(lambda h: q_int(h) * q_int(h + 1), m)[m]
+    return sfraction_series(_tangent_weight if n % 2 else _secant_weight, m)[m]
+
+
+def q_euler_numbers(n_max: int) -> list[Poly]:
+    """E_0(q)..E_n_max(q) from one S-fraction pass per parity: E_n(q) is
+    entry n//2 of the secant series (n even) or the tangent series (n odd)."""
+    if n_max < 0:
+        raise ValueError("n must be >= 0")
+    secant = sfraction_series(_secant_weight, n_max // 2)
+    tangent = sfraction_series(_tangent_weight, (n_max - 1) // 2) if n_max else []
+    return [tangent[n // 2] if n % 2 else secant[n // 2] for n in range(n_max + 1)]
 
 
 @lru_cache(maxsize=None)

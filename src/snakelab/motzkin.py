@@ -25,6 +25,11 @@ monomial weights.  Implemented schemes:
 plus the parity slices MPRIME, MSTARPRIME (even powers of t in the path
 weight) and H1, H2 (odd and even powers of t).
 
+Each menu is stored as at most two exponent ranges (ey, et, eq_lo, eq_hi),
+one per (ey, et) branch, so membership is O(1) per step: `in_family` looks
+up the ranges of the path's whole shape once (cached) and tests each weight
+by its branch and two comparisons, with no scan of the menu's monomials.
+`weight_menu` expands the ranges into monomials for the generators.
 Empty menu ranges (upper exponent below the lower one) yield empty menus,
 not errors; a fall step at height 0 is an error.
 """
@@ -61,67 +66,76 @@ _SCHEME_INFO = {
 }
 
 
-def _mons(ey: int, et: int, lo: int, hi: int) -> tuple[Monomial, ...]:
-    return tuple(Monomial(1, ey, et, e) for e in range(lo, hi + 1))
-
-
 @lru_cache(maxsize=None)
-def weight_menu(scheme: str, step: str, h: int) -> tuple[Monomial, ...]:
-    """Admissible weights for a step starting at height h.
-
-    For F and G the rise/fall menus list every weight that can occur; which
-    combinations may face each other is the pair rule checked separately.
-    """
-    if scheme not in _SCHEME_INFO:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    if step not in STEPS:
-        raise ValueError(f"unknown step {step!r}")
-    table = _SCHEME_INFO[scheme][0]
+def _menu_ranges(table: str, step: str, h: int) -> tuple[tuple[int, int, int, int], ...]:
+    """The menu of a step starting at height h as at most two exponent
+    ranges (ey, et, eq_lo, eq_hi), each standing for the weights
+    y^ey t^et q^eq with eq_lo <= eq <= eq_hi."""
     if step == "D":
         if h < 1:
             raise ValueError("down step below axis")
         g = h - 1  # menus for a fall are indexed by the landing height
         if table == "T":
-            return _mons(0, 0, 0, g + 1)
-        if table == "TSTAR":
-            return _mons(0, 0, 0, g)
-        # M, MSTAR, H, F, G share the fall menu of their parent table
-        return _mons(0, 0, 0, g) + _mons(1, 1, g + 1, 2 * g + 1)
-    if step == "U":
+            ranges = ((0, 0, 0, g + 1),)
+        elif table == "TSTAR":
+            ranges = ((0, 0, 0, g),)
+        else:  # M, MSTAR, H, F, G share the fall menu of their parent table
+            ranges = ((0, 0, 0, g), (1, 1, g + 1, 2 * g + 1))
+    elif step == "U":
         if table == "T":
-            return _mons(0, 0, 0, h) + _mons(0, 2, 2 * h + 2, 3 * h + 2)
-        if table == "TSTAR":
-            return _mons(0, 0, 0, h) + _mons(0, 2, 2 * h + 1, 3 * h + 1)
-        if table in ("M", "MSTAR", "G"):
-            return _mons(2, 0, 0, h) + _mons(1, 1, h, 2 * h)
-        # H, F
-        return _mons(2, 0, 0, h + 1) + _mons(1, 1, h + 1, 2 * h + 2)
-    if step == "L":
+            ranges = ((0, 0, 0, h), (0, 2, 2 * h + 2, 3 * h + 2))
+        elif table == "TSTAR":
+            ranges = ((0, 0, 0, h), (0, 2, 2 * h + 1, 3 * h + 1))
+        elif table in ("M", "MSTAR", "G"):
+            ranges = ((2, 0, 0, h), (1, 1, h, 2 * h))
+        else:  # H, F
+            ranges = ((2, 0, 0, h + 1), (1, 1, h + 1, 2 * h + 2))
+    elif step == "L":
         if table == "T":
-            return _mons(0, 1, h + 1, 2 * h + 1)
-        if table == "TSTAR":
-            return _mons(0, 1, h, 2 * h)
-        if table == "M":
-            return _mons(2, 0, 0, h) + _mons(1, 1, h, 2 * h)
-        if table == "MSTAR":
-            return _mons(2, 0, 1, h) + _mons(1, 1, h, 2 * h)
-        if table == "H":
-            return _mons(0, 0, 0, h) + _mons(1, 1, h + 1, 2 * h + 1)
-        if table == "F":
-            return _mons(1, 1, h + 1, 2 * h + 1)
-        return _mons(1, 1, h, 2 * h)  # G
-    # step == "W"
-    if table == "T":
-        return _mons(0, 1, h, 2 * h)
-    if table == "TSTAR":
-        return _mons(0, 1, h, 2 * h - 1)
-    if table in ("M", "MSTAR"):
-        return _mons(0, 0, 0, h - 1) + _mons(1, 1, h, 2 * h - 1)
-    if table == "H":
-        return _mons(2, 0, 0, h) + _mons(1, 1, h, 2 * h)
-    if table == "F":
-        return _mons(1, 1, h, 2 * h)
-    return _mons(1, 1, h, 2 * h - 1)  # G
+            ranges = ((0, 1, h + 1, 2 * h + 1),)
+        elif table == "TSTAR":
+            ranges = ((0, 1, h, 2 * h),)
+        elif table == "M":
+            ranges = ((2, 0, 0, h), (1, 1, h, 2 * h))
+        elif table == "MSTAR":
+            ranges = ((2, 0, 1, h), (1, 1, h, 2 * h))
+        elif table == "H":
+            ranges = ((0, 0, 0, h), (1, 1, h + 1, 2 * h + 1))
+        elif table == "F":
+            ranges = ((1, 1, h + 1, 2 * h + 1),)
+        else:  # G
+            ranges = ((1, 1, h, 2 * h),)
+    else:  # W
+        if table == "T":
+            ranges = ((0, 1, h, 2 * h),)
+        elif table == "TSTAR":
+            ranges = ((0, 1, h, 2 * h - 1),)
+        elif table in ("M", "MSTAR"):
+            ranges = ((0, 0, 0, h - 1), (1, 1, h, 2 * h - 1))
+        elif table == "H":
+            ranges = ((2, 0, 0, h), (1, 1, h, 2 * h))
+        elif table == "F":
+            ranges = ((1, 1, h, 2 * h),)
+        else:  # G
+            ranges = ((1, 1, h, 2 * h - 1),)
+    return ranges
+
+
+@lru_cache(maxsize=None)
+def weight_menu(scheme: str, step: str, h: int) -> tuple[Monomial, ...]:
+    """Admissible weights for a step starting at height h, in range order.
+
+    For F and G the rise/fall menus list every weight that can occur; which
+    combinations may face each other is the pair rule checked separately.
+    """
+    table = _scheme_info(scheme)[0]
+    if step not in STEPS:
+        raise ValueError(f"unknown step {step!r}")
+    return tuple(
+        Monomial(1, ey, et, eq)
+        for ey, et, lo, hi in _menu_ranges(table, step, h)
+        for eq in range(lo, hi + 1)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -181,10 +195,13 @@ class WeightedPath:
         return step_heights(self.steps)
 
     def weight(self) -> Monomial:
-        out = Monomial()
+        coeff, ey, et, eq = 1, 0, 0, 0
         for w in self.weights:
-            out = out * w
-        return out
+            coeff *= w.coeff
+            ey += w.ey
+            et += w.et
+            eq += w.eq
+        return Monomial(coeff, ey, et, eq)
 
     def t_degree(self) -> int:
         return sum(w.et for w in self.weights)
@@ -265,18 +282,30 @@ def _scheme_info(scheme: str):
         raise ValueError(f"unknown scheme {scheme!r}") from None
 
 
+@lru_cache(maxsize=None)
+def _shape_ranges(table: str, steps: tuple[str, ...]) -> tuple[tuple, ...]:
+    """The menu ranges of every step of a valid shape, in step order."""
+    return tuple(_menu_ranges(table, s, h) for s, h in zip(steps, step_heights(steps)))
+
+
 def in_family(scheme: str, path: WeightedPath) -> bool:
-    """Full membership test: shape, per-step menus, parity, pair rule."""
-    _, parity, pair_rule = _scheme_info(scheme)
-    heights = path.heights()
-    for s, h, w in zip(path.steps, heights, path.weights):
-        if s == "D" and h == 0:
+    """Full membership test: shape, per-step menus, parity, pair rule.
+
+    The shape is valid by construction of the path; each weight is then
+    matched against the at most two ranges of its step."""
+    table, parity, pair_rule = _scheme_info(scheme)
+    for w, ranges in zip(path.weights, _shape_ranges(table, path.steps)):
+        if w.coeff != 1:
             return False
-        if w not in weight_menu(scheme, s, h):
+        for ey, et, lo, hi in ranges:
+            if w.ey == ey and w.et == et and lo <= w.eq <= hi:
+                break
+        else:
             return False
     if parity is not None and path.t_degree() % 2 != parity:
         return False
     if pair_rule:
+        heights = path.heights()
         for u, d in matching_pairs(path.steps):
             if not _pair_ok(pair_rule, heights[u], path.weights[u], path.weights[d]):
                 return False

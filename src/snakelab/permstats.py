@@ -86,21 +86,19 @@ def generate(n: int, family: str) -> Iterator[tuple[int, ...]]:
 def cro_b(window: tuple[int, ...]) -> int:
     """Number of crossings: ordered pairs (i, j), i, j >= 1, with
     i < j <= sigma_i < sigma_j, or -i < j <= -sigma_i < sigma_j, or
-    i > j > sigma_i > sigma_j.  A pair can satisfy at most one condition
-    (asserted, not assumed)."""
+    i > j > sigma_i > sigma_j.  The three conditions are mutually
+    exclusive, so their sum counts each crossing once."""
     n = len(window)
     total = 0
     for i in range(1, n + 1):
         si = window[i - 1]
         for j in range(1, n + 1):
             sj = window[j - 1]
-            hits = (
+            total += (
                 (i < j <= si < sj)
                 + (-i < j <= -si < sj)
                 + (i > j > si > sj)
             )
-            assert hits <= 1, (window, i, j)
-            total += hits
     return total
 
 

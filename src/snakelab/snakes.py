@@ -322,45 +322,35 @@ def _lambda_steps(snake: Snake, offset: int) -> WeightedPath:
     S00 snake of size n+1 as n steps (the largest element is skipped).  The
     step for element j is U at a valley, L at a double ascent, W at a double
     descent and D at a peak; exponents are produced by the block profile,
-    shifted by the offset.  Step heights and exponent ranges are asserted
-    against the block counts as the path is built.
+    shifted by the offset.  That the result lies in the target scheme is
+    verified by the catalog (thm-5.8, thm-5.12), not here.
     """
     word = snake.abs_extended()
     ext = snake.extended()
     profile = block_profile(tuple(abs(v) for v in snake.window), snake.variant)
     alpha, beta = profile.alpha, profile.beta
     pos = {word[i]: i for i in range(1, len(word) - 1)}
-    n_steps = snake.size() - offset
     steps = []
     weights = []
-    height = 0
-    for j in range(1, n_steps + 1):
+    for j in range(1, snake.size() - offset + 1):
         i = pos[j]
         left, right = word[i - 1], word[i + 1]
         a, b = alpha[j], beta[j]
-        assert height == alpha[j - 1] - 1 - offset, snake.text()
         if left > j < right:
             steps.append("U")
             if _changes(ext[i - 1], ext[i]):
                 weights.append(Monomial(1, 0, 2, b + 2 * a - 3 - 2 * offset))
             else:
                 weights.append(Monomial(1, 0, 0, b - offset))
-            assert offset <= b <= height + offset
-            height += 1
         elif left < j < right:
             steps.append("L")
             weights.append(Monomial(1, 0, 1, b + a - 1 - offset))
-            assert offset <= b <= height + offset
         elif left > j > right:
             steps.append("W")
             weights.append(Monomial(1, 0, 1, b + a - 1 - offset))
-            assert height >= 1 - offset and 0 <= b <= height - 1 + offset
         else:
             steps.append("D")
             weights.append(Monomial(1, 0, 0, b))
-            assert height >= 1 and 0 <= b <= height - 1 + offset
-            height -= 1
-    assert height == 0
     return WeightedPath(tuple(steps), tuple(weights))
 
 
@@ -370,9 +360,7 @@ def lambda1(snake: Snake) -> WeightedPath:
     The weight collects t^cs(snake) q^(2-31 + pat_q)."""
     if snake.variant != "S0":
         raise ValueError("lambda1 expects an S0 snake")
-    path = _lambda_steps(snake, offset=0)
-    assert in_family("TSTAR", path), (snake.text(), path.text())
-    return path
+    return _lambda_steps(snake, offset=0)
 
 
 def lambda2(snake: Snake) -> WeightedPath:
@@ -383,9 +371,7 @@ def lambda2(snake: Snake) -> WeightedPath:
         raise ValueError("lambda2 expects an S00 snake")
     if snake.size() < 1:
         raise ValueError("lambda2 needs a snake of size >= 1")
-    path = _lambda_steps(snake, offset=1)
-    assert in_family("T", path), (snake.text(), path.text())
-    return path
+    return _lambda_steps(snake, offset=1)
 
 
 def _rebuild_word(path: WeightedPath, offset: int) -> tuple[list[int], list[int]]:

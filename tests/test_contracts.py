@@ -1,0 +1,87 @@
+"""Library maps state contracts; the catalog verifies their images.
+
+No invariant may live in an `assert`, which `python -O` strips, and a check
+must report a map whose image leaves the target family as a failure with a
+witness, not as an exception from the next call.
+"""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import snakelab
+from snakelab import bijections, snakes
+from snakelab.algebra import Monomial
+from snakelab.checks import run_check
+from snakelab.motzkin import WeightedPath
+
+PACKAGE_DIR = Path(snakelab.__file__).resolve().parent
+
+
+def _bump_first(path: WeightedPath, by: int) -> WeightedPath:
+    """The path with its first weight's q-exponent shifted past any menu."""
+    if not path.weights:
+        return path
+    w = path.weights[0]
+    bumped = Monomial(w.coeff, w.ey, w.et, w.eq + by)
+    return WeightedPath(path.steps, (bumped, *path.weights[1:]))
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE_DIR.glob("*.py")))
+def test_no_assert_statements(module):
+    tree = ast.parse((PACKAGE_DIR / module).read_text(), filename=module)
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == [], f"{module}: assert at lines {lines}"
+
+
+@pytest.mark.parametrize("check_id", ["prop-3.2", "prop-3.6", "prop-4.4", "thm-5.8", "thm-5.12"])
+def test_checks_pass_under_optimize(check_id):
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "snakelab.cli", "verify", "--check", check_id],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "1 checks: 1 passed, 0 failed"
+
+
+@pytest.mark.parametrize(
+    "check_id, name, scheme",
+    [("prop-3.6", "psi1", "H"), ("prop-4.4", "psi2", "MSTAR")],
+)
+def test_involution_check_catches_bad_image(monkeypatch, check_id, name, scheme):
+    real = getattr(bijections, name)
+    monkeypatch.setattr(bijections, name, lambda p: _bump_first(real(p), 100))
+    result = run_check(check_id)
+    assert result.status == "fail"
+    assert f"image leaves {scheme}" in result.witness
+
+
+def test_cover_check_catches_bad_image(monkeypatch):
+    # the head absorbs the shift, so the weight is preserved and only the
+    # comparison with scheme H can see the bad image
+    real = bijections.phi
+
+    def bad_phi(p):
+        head, out = real(p)
+        if not out.weights:
+            return head, out
+        return Monomial(1, head.ey, head.et, head.eq - 100), _bump_first(out, 100)
+
+    monkeypatch.setattr(bijections, "phi", bad_phi)
+    result = run_check("prop-3.2")
+    assert result.status == "fail"
+    assert "cover mismatch" in result.witness
+
+
+@pytest.mark.parametrize("check_id, name", [("thm-5.8", "lambda1"), ("thm-5.12", "lambda2")])
+def test_snake_check_catches_bad_image(monkeypatch, check_id, name):
+    real = getattr(snakes, name)
+    monkeypatch.setattr(snakes, name, lambda s: _bump_first(real(s), 100))
+    result = run_check(check_id)
+    assert result.status == "fail"
+    assert "image is not the whole path family" in result.witness

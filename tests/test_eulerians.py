@@ -2,13 +2,14 @@
 
 import pytest
 
-from snakelab.algebra import ONE, Q, T, jfraction_series, q_int
+from snakelab.algebra import ONE, Q, T, jfraction_series, q_int, sfraction_series
 from snakelab.eulerians import (
     Q_poly,
     R_poly,
     count_alternating,
     euler_number,
     q_euler,
+    q_euler_numbers,
     q_fraction_schedule,
     qr_series,
     r_fraction_schedule,
@@ -81,6 +82,25 @@ class TestQEuler:
     @pytest.mark.parametrize("n", range(9))
     def test_specializes_to_euler_numbers(self, n):
         assert q_euler(n)(q=1).as_int() == euler_number(n)
+
+    def test_table_matches_per_index_fractions(self):
+        # each E_n(q) from its own S-fraction run to depth n//2
+        want = []
+        for n in range(21):
+            m = n // 2
+            if n % 2:
+                want.append(sfraction_series(lambda h: q_int(h) * q_int(h + 1), m)[m])
+            else:
+                want.append(sfraction_series(lambda h: q_int(h) ** 2, m)[m])
+        assert q_euler_numbers(20) == want
+
+    @pytest.mark.parametrize("n_max", range(4))
+    def test_short_tables(self, n_max):
+        assert q_euler_numbers(n_max) == [q_euler(n) for n in range(n_max + 1)]
+
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError):
+            q_euler_numbers(-1)
 
 
 class TestQRPolynomials:

@@ -1,17 +1,25 @@
 """Path shapes, weight menus, weighted generation and rho-sums."""
 
+import functools
+import itertools
+import operator
+
 import pytest
 
 from snakelab.algebra import Monomial, jfraction_series, ONE, Q, T, Y
 from snakelab.eulerians import Q_poly, R_poly, euler_number, q_fraction_schedule, r_fraction_schedule
 from snakelab.motzkin import (
     EMPTY_PATH,
+    SCHEMES,
+    STEPS,
     WeightedPath,
     flajolet_schedule,
     gen_shapes,
     gen_weighted,
     in_family,
     matching_pairs,
+    _pair_ok,
+    _scheme_info,
     rho,
     step_heights,
     weight_menu,
@@ -52,6 +60,67 @@ class TestMenus:
             weight_menu("X", "L", 0)
         with pytest.raises(ValueError):
             weight_menu("M", "Z", 0)
+
+
+def _in_family_reference(scheme, path):
+    """Membership by scanning each step's menu of monomials, as `in_family`
+    did before menus became exponent ranges."""
+    _, parity, pair_rule = _scheme_info(scheme)
+    heights = path.heights()
+    for s, h, w in zip(path.steps, heights, path.weights):
+        if s == "D" and h == 0:
+            return False
+        if w not in weight_menu(scheme, s, h):
+            return False
+    if parity is not None and path.t_degree() % 2 != parity:
+        return False
+    if pair_rule:
+        for u, d in matching_pairs(path.steps):
+            if not _pair_ok(pair_rule, heights[u], path.weights[u], path.weights[d]):
+                return False
+    return True
+
+
+def _path_through(scheme, step, h):
+    """A path U^h, step, then falls back to the axis, each other step taking
+    the first weight of its menu; returns the path and the index of step."""
+    end = h + {"U": 1, "D": -1}.get(step, 0)
+    steps = ("U",) * h + (step,) + ("D",) * end
+    heights = step_heights(steps)
+    weights = tuple((weight_menu(scheme, s, k) or (Monomial(),))[0] for s, k in zip(steps, heights))
+    return WeightedPath(steps, weights), h
+
+
+# every monomial with coeff in {1, -1, 2}, ey 0..3, et 0..3, eq -2..16
+_PROBES = [
+    Monomial(c, ey, et, eq)
+    for c, ey, et, eq in itertools.product((1, -1, 2), range(4), range(4), range(-2, 17))
+]
+
+
+class TestMembership:
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_range_lookup_matches_menu_scan(self, scheme):
+        for step, h in itertools.product(STEPS, range(8)):
+            if step == "D" and h == 0:
+                continue
+            base, i = _path_through(scheme, step, h)
+            for m in _PROBES:
+                changed = WeightedPath(base.steps, base.weights[:i] + (m,) + base.weights[i + 1:])
+                want = _in_family_reference(scheme, changed)
+                assert in_family(scheme, changed) == want, (scheme, changed.text())
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_weight_is_product_of_step_weights(self, n):
+        for p in gen_weighted("H", n):
+            assert p.weight() == functools.reduce(operator.mul, p.weights, Monomial())
+
+    def test_weight_multiplies_coefficients(self):
+        p = WeightedPath(
+            ("U", "L", "D"),
+            (Monomial(-1, 2, 0, 1), Monomial(2, 0, 1, -3), Monomial(-1, 1, 1, 0)),
+        )
+        assert p.weight() == Monomial(2, 3, 2, -2)
 
 
 class TestShapes:

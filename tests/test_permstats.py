@@ -1,5 +1,6 @@
 """Signed permutation generation, statistics, and signed enumerators."""
 
+import itertools
 import math
 from collections import Counter
 
@@ -102,6 +103,17 @@ class TestStats:
 
     def test_window_text(self):
         assert window_text((3, -4, -2, 5, 1)) == "(3,-4,-2,5,1)"
+
+
+class TestCroB:
+    @pytest.mark.parametrize("n", range(6))
+    def test_each_pair_meets_at_most_one_condition(self, n):
+        # cro_b sums the three crossing conditions; they must be exclusive
+        for window in generate(n, "B"):
+            for i, j in itertools.product(range(1, n + 1), repeat=2):
+                si, sj = window[i - 1], window[j - 1]
+                hits = (i < j <= si < sj) + (-i < j <= -si < sj) + (i > j > si > sj)
+                assert hits <= 1, (window, i, j)
 
 
 class TestCroTypeA:
