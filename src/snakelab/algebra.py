@@ -11,16 +11,18 @@ terms in canonical order as ``c*y^a*t^b*q^e`` with unit parts omitted, e.g.::
     1 + t^2 + t^2*q
 
 The module also provides the q-derivative operator D with (Df)(t) =
-(f(qt) - f(t)) / ((q-1)t), the multiplication-by-t operator U, and truncated
-series expansion of Jacobi- and Stieltjes-type continued fractions.
+(f(qt) - f(t)) / ((q-1)t), the multiplication-by-t operator U, the fused
+step `operator_step` (D + UDU or D + DUU in one pass, from window sums of
+each t-row), and truncated series expansion of Jacobi- and Stieltjes-type
+continued fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
-from operator import itemgetter
-from typing import Callable, Iterable, Mapping
+from itertools import accumulate, chain, groupby
+from operator import itemgetter, sub
+from typing import Callable, Iterable, Iterator, Mapping
 
 Key = tuple[int, int, int]
 
@@ -42,15 +44,10 @@ class Poly:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Key, int] | None = None):
-        clean: dict[Key, int] = {}
-        if terms:
-            for key, coeff in terms.items():
-                if coeff == 0:
-                    continue
-                ey, et, eq = key
-                if ey < 0 or et < 0:
-                    raise ValueError(f"negative exponent of y or t: {key}")
-                clean[(ey, et, eq)] = coeff
+        clean = {key: c for key, c in terms.items() if c} if terms else {}
+        for ey, et, eq in clean:
+            if ey < 0 or et < 0:
+                raise ValueError(f"negative exponent of y or t: {(ey, et, eq)}")
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, name, value):
@@ -200,21 +197,17 @@ class Poly:
         if not self.terms:
             return "0"
         out = []
-        for n, key in enumerate(sorted(self.terms)):
-            c = self.terms[key]
-            body = _monomial_body(key)
-            mag = abs(c)
-            if not body:
-                txt = str(mag)
-            elif mag == 1:
-                txt = body
-            else:
-                txt = f"{mag}*{body}"
-            if n == 0:
-                out.append(f"-{txt}" if c < 0 else txt)
-            else:
-                out.append(f"{'-' if c < 0 else '+'} {txt}")
-        return " ".join(out)
+        for (ey, et), row in groupby(sorted(self.terms), itemgetter(0, 1)):
+            head = _monomial_body((ey, et, 0))  # shared by the whole row
+            joint = f"{head}*" if head else ""
+            for key in row:
+                c, eq = self.terms[key], key[2]
+                body = head if not eq else f"{joint}q" if eq == 1 else f"{joint}q^{eq}"
+                mag = abs(c)
+                txt = (body if mag == 1 else f"{mag}*{body}") if body else str(mag)
+                out.append(f"- {txt}" if c < 0 else f"+ {txt}")
+        text = " ".join(out)
+        return text[2:] if text[0] == "+" else f"-{text[2:]}"
 
     def __repr__(self) -> str:
         return f"Poly({self})"
@@ -276,36 +269,58 @@ def _require_tq(p: Poly) -> None:
         raise ValueError("operator domain is t,q polynomials")
 
 
-def q_derivative(p: Poly) -> Poly:
-    """The q-derivative D with D(t^n) = [n]_q t^(n-1).
-
-    Works one t-row at a time.  Sorted, the terms of each t^et row form one
-    run from the row's lowest q exponent lo (which may be negative) to its
-    highest, and the row is laid out densely from lo.  Since
-    D(t^et q^e) = t^(et-1) (q^e + ... + q^(e+et-1)), the output coefficient
-    of t^(et-1) q^(lo+e) is the sum of the width-et window of dense entries
-    ending at e, kept as a running sum.  The cost is one sort of the terms
-    plus time linear in the size of the output, not terms times t-degree.
-    """
+def _dense_rows(p: Poly) -> Iterator[tuple[int, int, list[int]]]:
+    """(et, lo, dense) for each t-row of a t,q polynomial, by et: dense[e]
+    is the coefficient of t^et q^(lo+e), lo being the row's lowest q
+    exponent (it may be negative)."""
     keys = sorted(p.terms)
     if keys and keys[-1][0]:  # keys sort by ey first, so a y term is last
         raise ValueError("operator domain is t,q polynomials")
-    acc: dict[Key, int] = {}
     for et, row in groupby(keys, itemgetter(1)):
-        if not et:
-            continue
         row = list(row)
         lo = row[0][2]
-        dense = [0] * (row[-1][2] - lo + et)
+        dense = [0] * (row[-1][2] - lo + 1)
         for key in row:
             dense[key[2] - lo] = p.terms[key]
-        window = 0
-        for e, c in enumerate(dense):
-            window += c
-            if e >= et:
-                window -= dense[e - et]
-            if window:
-                acc[(0, et - 1, lo + e)] = window
+        yield et, lo, dense
+
+
+def _add_windows(acc: dict[Key, int], et: int, lo: int, dense: list[int],
+                 width: int) -> None:
+    """Add D(t^width * row) to acc as row t^et, where the row is dense from q^lo.
+
+    D(t^w q^e) = t^(w-1) (q^e + ... + q^(e+w-1)), so the coefficient of
+    q^(lo+e) is the sum of the width-w window of dense ending at e, taken
+    from the prefix sums of the row padded with w-1 zeros on each side.
+    """
+    pad = [0] * (width - 1)
+    pre = list(accumulate(chain(pad, dense, pad), initial=0))
+    for eq, c in enumerate(map(sub, pre[width:], pre[:-width]), lo):
+        if c:
+            key = (0, et, eq)
+            acc[key] = acc.get(key, 0) + c
+
+
+def q_derivative(p: Poly) -> Poly:
+    """The q-derivative D with D(t^n) = [n]_q t^(n-1), one t-row at a time,
+    in one sort plus time linear in the size of the output."""
+    acc: dict[Key, int] = {}
+    for et, lo, dense in _dense_rows(p):
+        if et:
+            _add_windows(acc, et - 1, lo, dense, et)
+    return Poly(acc)
+
+
+def operator_step(p: Poly, shift: int) -> Poly:
+    """D p + U^(2-shift) D U^shift p: (D + UDU) p for shift 1, the step of
+    Q_n, and (D + DUU) p for shift 2, the step of R_n.  One pass over the
+    t-rows of p: row t^et sends its width-et window sums to row et-1 and
+    its width-(et+shift) window sums to row et+1, all into one dict."""
+    acc: dict[Key, int] = {}
+    for et, lo, dense in _dense_rows(p):
+        if et:
+            _add_windows(acc, et - 1, lo, dense, et)
+        _add_windows(acc, et + 1, lo, dense, et + shift)
     return Poly(acc)
 
 

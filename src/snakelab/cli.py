@@ -2,16 +2,18 @@
 
 Subcommands:
 
-  verify [--all | --check ID] [--n K] [--format text|json]
-      Run identity checks.  Exit status is the number of failing checks
-      (capped at 125); unknown ids and bad usage exit with 126.
+  verify [--all | --check ID [--check ID ...]] [--n K] [--format text|json]
+      Run every check, or the given ids in the order given.  Exit status
+      is the number of failing checks (capped at 125); unknown ids and bad
+      usage exit with 126 before any check runs.
   compute OBJECT --n K [--format text|json|csv]
       Print Q, R, B (polynomials), E, S (integers) or Eq (q-polynomials)
       for indices 0..K in canonical order, byte-for-byte deterministic.
       Every table takes a polynomial-time route: Q and R by the operators
-      (D + UDU)^n 1 and (D + DUU)^n 1, B by the Corteel J-fraction, E by the
-      Seidel boustrophedon, S by (D + UDU)^n 1 at q = 1 on integer
-      coefficient lists, Eq by one q-secant and one q-tangent S-fraction.
+      (D + UDU)^n 1 and (D + DUU)^n 1, one fused pass per step, B by the
+      Corteel J-fraction, E by the Seidel boustrophedon, S by (D + UDU)^n 1
+      at q = 1 on integer coefficient lists, Eq by one q-secant and one
+      q-tangent S-fraction.
   list-checks
       Print the catalog of check ids with default ceilings.
 """
@@ -48,7 +50,8 @@ def _build_parser() -> _Parser:
     verify = sub.add_parser("verify", help="run identity checks")
     group = verify.add_mutually_exclusive_group(required=True)
     group.add_argument("--all", action="store_true", help="run every check")
-    group.add_argument("--check", metavar="ID", help="run one check by id")
+    group.add_argument("--check", metavar="ID", action="append",
+                       help="run a check by id (repeatable)")
     verify.add_argument("--n", type=int, default=None, metavar="K",
                         help="override the size ceiling")
     verify.add_argument("--format", choices=("text", "json"), default="text")
@@ -161,13 +164,15 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     # verify
     if args.check is not None:
-        if args.check not in checklib.CHECKS_BY_ID:
-            print(f"error: unknown check id {args.check!r}", file=sys.stderr)
+        unknown = [i for i in args.check if i not in checklib.CHECKS_BY_ID]
+        if unknown:
+            for check_id in unknown:
+                print(f"error: unknown check id {check_id!r}", file=sys.stderr)
             print("valid ids:", file=sys.stderr)
             for check in checklib.CHECKS:
                 print(f"  {check.id}", file=sys.stderr)
             return USAGE_EXIT
-        ids = [args.check]
+        ids = args.check
     else:
         ids = [check.id for check in checklib.CHECKS]
     results = [checklib.run_check(check_id, args.n) for check_id in ids]

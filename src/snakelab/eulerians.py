@@ -7,9 +7,11 @@ D and the multiplication operator U:
 
     Q_n(t,q) = (D + UDU)^n 1        R_n(t,q) = (D + DUU)^n 1
 
-Both are also obtainable as coefficients of Jacobi-type continued fractions;
-`q_fraction_schedule` and `r_fraction_schedule` provide the schedules so the
-two routes can be checked against each other.
+Each step is one fused `algebra.operator_step` pass over the t-rows, with no
+intermediate polynomial.  Both are also obtainable as coefficients of
+Jacobi-type continued fractions; `q_fraction_schedule` and
+`r_fraction_schedule` provide the schedules so the two routes can be checked
+against each other.
 
 Integer tables take polynomial-time routes: `seidel_numbers` runs the
 Seidel boustrophedon for E_0..E_n, `springer_numbers` applies D + UDU at
@@ -35,10 +37,9 @@ from snakelab.algebra import (
     CoefficientSchedule,
     Poly,
     jfraction_series,
-    q_derivative,
+    operator_step,
     q_int,
     sfraction_series,
-    u_multiply,
 )
 
 
@@ -142,8 +143,7 @@ def Q_poly(n: int) -> Poly:
         raise ValueError("n must be >= 0")
     if n == 0:
         return ONE
-    f = Q_poly(n - 1)
-    return q_derivative(f) + u_multiply(q_derivative(u_multiply(f)))
+    return operator_step(Q_poly(n - 1), 1)
 
 
 @lru_cache(maxsize=None)
@@ -153,8 +153,7 @@ def R_poly(n: int) -> Poly:
         raise ValueError("n must be >= 0")
     if n == 0:
         return ONE
-    f = R_poly(n - 1)
-    return q_derivative(f) + q_derivative(u_multiply(u_multiply(f)))
+    return operator_step(R_poly(n - 1), 2)
 
 
 def q_fraction_schedule() -> CoefficientSchedule:

@@ -13,6 +13,7 @@ from snakelab.algebra import (
     Monomial,
     Poly,
     jfraction_series,
+    operator_step,
     q_derivative,
     q_int,
     sfraction_series,
@@ -62,6 +63,36 @@ def _q_derivative_reference(p: Poly) -> Poly:
     return Poly(acc)
 
 
+def _str_reference(p: Poly) -> str:
+    """Term-by-term printer: each monomial's y/t/q text built anew."""
+    if not p.terms:
+        return "0"
+    out = []
+    for n, key in enumerate(sorted(p.terms)):
+        c = p.terms[key]
+        body = "*".join(name if e == 1 else f"{name}^{e}"
+                        for name, e in zip("ytq", key) if e)
+        mag = abs(c)
+        if not body:
+            txt = str(mag)
+        elif mag == 1:
+            txt = body
+        else:
+            txt = f"{mag}*{body}"
+        if n == 0:
+            out.append(f"-{txt}" if c < 0 else txt)
+        else:
+            out.append(f"{'-' if c < 0 else '+'} {txt}")
+    return " ".join(out)
+
+
+# D f + U^(2-shift) D U^shift f, composed from the separate operators
+_STEP_REFERENCE = {
+    1: lambda f: q_derivative(f) + u_multiply(q_derivative(u_multiply(f))),
+    2: lambda f: q_derivative(f) + q_derivative(u_multiply(u_multiply(f))),
+}
+
+
 class TestRingOps:
     def test_additive_inverse(self):
         assert T + (-T) == ZERO
@@ -98,6 +129,18 @@ class TestRingOps:
     def test_negative_y_exponent_rejected(self):
         with pytest.raises(ValueError):
             Poly({(-1, 0, 0): 1})
+
+    def test_negative_t_exponent_rejected(self):
+        with pytest.raises(ValueError, match="negative exponent"):
+            Poly({(0, -2, 1): 3})
+
+    def test_zero_coefficients_dropped(self):
+        p = Poly({(0, 1, 0): 0, (1, 0, -1): 2, (0, -1, 0): 0})
+        assert p.terms == {(1, 0, -1): 2}
+
+    def test_malformed_key_rejected(self):
+        with pytest.raises(ValueError):
+            Poly({(0, 1): 1})
 
 
 class TestSubstitution:
@@ -175,6 +218,30 @@ class TestOperators:
         f = p.subst("y", 1)
         assert q_derivative(f) == _q_derivative_reference(f)
 
+    @pytest.mark.parametrize("n", range(16))
+    @pytest.mark.parametrize("shift", (1, 2))
+    def test_operator_step_matches_composition_on_q_r(self, n, shift):
+        for f in (Q_poly(n), R_poly(n)):
+            assert operator_step(f, shift) == _STEP_REFERENCE[shift](f)
+
+    @given(tq_polys, st.sampled_from((1, 2)))
+    def test_operator_step_matches_composition(self, p, shift):
+        f = p.subst("y", 1)
+        assert operator_step(f, shift) == _STEP_REFERENCE[shift](f)
+
+    def test_operator_step_domain_error(self):
+        for shift in (1, 2):
+            with pytest.raises(ValueError, match="t,q polynomials"):
+                operator_step(T ** 3 + Y * Q, shift)
+            with pytest.raises(ValueError, match="t,q polynomials"):
+                operator_step(Y, shift)
+
+    def test_operator_step_first_rows(self):
+        assert operator_step(ONE, 1) == T
+        assert operator_step(T, 1) == ONE + (ONE + Q) * T ** 2
+        assert operator_step(ONE, 2) == (ONE + Q) * T
+        assert operator_step(ZERO, 1) == ZERO
+
     @given(tq_polys)
     def test_derivative_matches_difference_quotient(self, p):
         # (q-1)*t*D(f) == f(qt) - f(t) on the t,q subring
@@ -237,11 +304,34 @@ class TestSerialization:
     def test_negative_q_exponent(self):
         assert str(Poly.monomial(-1, 0, 1, -2)) == "-t*q^-2"
 
+    @pytest.mark.parametrize("p", [
+        ZERO, ONE, -ONE, 7 * ONE, -7 * ONE,
+        T, -T, Y, -Y, Q, -Q, Q ** 2, -(Q ** 2),
+        Poly.monomial(eq=-1), Poly.monomial(-1, eq=-3), Poly.monomial(3, 0, 2, -4),
+        -ONE + T, -T + Q, -3 * Y * T + Q - 1, -(Q2 * (Y + T)),
+        Poly.monomial(-1, 2, 1, 1) + Poly.monomial(5, 2, 1, -1) - Y * T,
+    ])
+    def test_printer_matches_reference_edge_cases(self, p):
+        assert str(p) == _str_reference(p)
+
+    @given(polys)
+    def test_printer_matches_reference(self, p):
+        assert str(p) == _str_reference(p)
+
+    @pytest.mark.parametrize("n", (0, 1, 7, 15))
+    def test_printer_matches_reference_on_q_r(self, n):
+        for p in (Q_poly(n), R_poly(n), Y ** 2 * Q_poly(n) - R_poly(n)):
+            assert str(p) == _str_reference(p)
+
     def test_quadruples_roundtrip(self):
         p = Q2 * Y - Poly.monomial(2, 0, 0, -1)
         rows = p.to_quadruples()
         assert rows == sorted(rows, key=lambda r: (r[1], r[2], r[3]))
         assert Poly.from_quadruples(rows) == p
+
+    def test_from_quadruples_sums_repeats(self):
+        rows = [[1, 0, 1, 0], [2, 0, 1, 0], [4, 1, 0, -1], [-4, 1, 0, -1]]
+        assert Poly.from_quadruples(rows) == 3 * T
 
     def test_monomial_text(self):
         assert Monomial().text() == "1"

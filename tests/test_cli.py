@@ -28,6 +28,21 @@ class TestVerify:
         assert "unknown check id" in err
         assert "thm-1.3-i" in err
 
+    def test_repeated_check_runs_each_in_order(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--check", "q1-golden",
+                               "--check", "q0-golden")
+        assert code == 0
+        lines = out.splitlines()
+        assert [line.split()[1] for line in lines[:2]] == ["q1-golden", "q0-golden"]
+        assert lines[-1] == "2 checks: 2 passed, 0 failed"
+
+    def test_unknown_among_repeated_checks_runs_none(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--check", "q0-golden",
+                                 "--check", "nope")
+        assert code == USAGE_EXIT
+        assert out == ""
+        assert err.startswith("error: unknown check id 'nope'")
+
     def test_all_small_ceiling(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--all", "--n", "2")
         assert code == 0
@@ -130,6 +145,9 @@ class TestCompute:
         (("S", "--n", "8"), "8a31a5b4214dbb9776faa1be8cab24155f588b4b3c16cc749015c3a462bd7baa"),
         (("B", "--n", "6"), "ebf1db94355904624986a3fe953d7d5c0a9427a9b6bc3dda469aaf9bb2f458a8"),
         (("E", "--n", "300"), "b1961036d352e9333eb8acd068e205968f2cd10a1c281deced2328863a7ca6a9"),
+        (("Q", "--n", "40"), "c0cf1a9977415628769e38656ef83c87f03279023899c02b4cbf5e2eaa876f2a"),
+        (("R", "--n", "40"), "93bd00fa1a567168b2ccab93f497001b4c1ec5975b487023be92c433305d83ad"),
+        (("Eq", "--n", "30"), "2de7d1f04a18750fb036a30547ffb50b359fa6f2c563a5881452978986fd7a7f"),
     ])
     def test_stdout_digest(self, capsys, argv, digest):
         code, out, _ = run_cli(capsys, "compute", *argv)
@@ -150,6 +168,16 @@ class TestUsageErrors:
 
     def test_verify_needs_selector(self, capsys):
         assert run_cli(capsys, "verify")[0] == USAGE_EXIT
+
+    @pytest.mark.parametrize("argv", [
+        ("--all", "--check", "q0-golden"),
+        ("--check", "q0-golden", "--all"),
+    ])
+    def test_all_and_check_exclusive(self, capsys, argv):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == USAGE_EXIT
+        assert out == ""
+        assert "not allowed with" in err
 
     def test_bad_object(self, capsys):
         assert run_cli(capsys, "compute", "X", "--n", "2")[0] == USAGE_EXIT

@@ -6,6 +6,7 @@ witness, not as an exception from the next call.
 """
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import snakelab
-from snakelab import bijections, snakes
+from snakelab import bijections, checks, cli, eulerians, snakes
 from snakelab.algebra import Monomial
 from snakelab.checks import run_check
 from snakelab.motzkin import WeightedPath
@@ -85,3 +86,47 @@ def test_snake_check_catches_bad_image(monkeypatch, check_id, name):
     result = run_check(check_id)
     assert result.status == "fail"
     assert "image is not the whole path family" in result.witness
+
+
+# -- names the benchmark tracer looks up ---------------------------------------
+
+TRACE_CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "trace_child.py"
+
+
+def _traced_module(node) -> str | None:
+    """"x" for `sys.modules[PACKAGE + ".x"]`, else None."""
+    if (isinstance(node, ast.Subscript) and isinstance(node.slice, ast.BinOp)
+            and isinstance(node.slice.right, ast.Constant)):
+        return node.slice.right.value.lstrip(".")
+    return None
+
+
+def _tracer_lookups() -> set[tuple[str, str]]:
+    """(module, attribute) for every package attribute trace_child.py names."""
+    tree = ast.parse(TRACE_CHILD.read_text())
+    aliases = {node.targets[0].id: mod for node in ast.walk(tree)
+               if isinstance(node, ast.Assign)
+               and (mod := _traced_module(node.value))}
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            base = node.value
+            mod = aliases.get(base.id) if isinstance(base, ast.Name) else _traced_module(base)
+            if mod:
+                found.add((mod, node.attr))
+    return found
+
+
+def test_tracer_lookups_exist():
+    lookups = _tracer_lookups()
+    assert {("cli", "_row_value"), ("checks", "run_check"), ("algebra", "Poly")} <= lookups
+    for mod, attr in sorted(lookups):
+        assert hasattr(importlib.import_module(f"snakelab.{mod}"), attr), f"{mod}.{attr}"
+
+
+def test_tracer_call_shapes():
+    # the tracer spans these by their positional arguments
+    assert cli._row_value("Q", 3) == str(eulerians.Q_poly(3))
+    assert cli._row_value("R", 2) == str(eulerians.R_poly(2))
+    assert callable(checks.run_check)
+    assert checks.run_check("q0-golden", None).status == "pass"
