@@ -13,10 +13,16 @@ between its mixed branch forms; its weight changes by exactly y^(+-2) and
 its fixed points are scheme F.  `psi2` is the analogue on scheme MSTAR with
 weight factor (y^2 q)^(+-1) and fixed points scheme G.
 
-Each map checks its input and raises ValueError on a path outside its
-domain scheme; none re-checks its output.  That its images land in the
+Each public map checks its input and raises ValueError on a path outside
+its domain scheme; none re-checks its output.  That its images land in the
 target scheme is verified by the catalog (prop-3.2, prop-3.6, prop-4.4 in
 `snakelab.checks`), so the claim survives `python -O`.
+
+Both involutions are one move table, `_toggle`, read with psi1's or psi2's
+level shift and pair offset.  The catalog applies the unguarded moves
+`_psi1_move` and `_psi2_move`, which skip the membership test, and only to
+paths that come from `motzkin.gen_weighted` or have just passed
+`motzkin.in_family`; the public maps keep their guards.
 """
 
 from __future__ import annotations
@@ -78,6 +84,51 @@ def _is_yt(w: Monomial) -> bool:
     return w.ey == 1 and w.et == 1
 
 
+def _toggle(path: WeightedPath, y2_step: str, y2_shift: int, up_offset: int) -> WeightedPath:
+    """The first applicable move of psi1 or psi2, with no check of the input.
+
+    Level toggle: a plain q^a level step of the other letter becomes
+    y2_step[y^2 q^(a+y2_shift)], and back.  Pair toggle at rise height h:
+    (y^2 q^a, yt q^(h+1+b)) <-> (yt q^(h+up_offset+a), q^b).
+    """
+    plain_step = "L" if y2_step == "W" else "W"
+    steps = list(path.steps)
+    weights = list(path.weights)
+    for i, (s, w) in enumerate(zip(steps, weights)):
+        if s == plain_step and _is_q_power(w):
+            steps[i], weights[i] = y2_step, Monomial(1, 2, 0, w.eq + y2_shift)
+            break
+        if s == y2_step and _is_y2(w):
+            steps[i], weights[i] = plain_step, Monomial(1, 0, 0, w.eq - y2_shift)
+            break
+    else:
+        heights = path.heights()
+        for u, d in matching_pairs(path.steps):
+            h = heights[u]
+            wu, wd = weights[u], weights[d]
+            if _is_y2(wu) and _is_yt(wd):
+                a, b = wu.eq, wd.eq - (h + 1)
+                weights[u] = Monomial(1, 1, 1, h + up_offset + a)
+                weights[d] = Monomial(1, 0, 0, b)
+                break
+            if _is_yt(wu) and _is_q_power(wd):
+                a, b = wu.eq - (h + up_offset), wd.eq
+                weights[u] = Monomial(1, 2, 0, a)
+                weights[d] = Monomial(1, 1, 1, h + 1 + b)
+                break
+    return WeightedPath(tuple(steps), tuple(weights))
+
+
+def _psi1_move(path: WeightedPath) -> WeightedPath:
+    """psi1 without its input guard, for a path already known to be in H."""
+    return _toggle(path, "W", 0, 1)
+
+
+def _psi2_move(path: WeightedPath) -> WeightedPath:
+    """psi2 without its input guard, for a path already known to be in MSTAR."""
+    return _toggle(path, "L", 1, 0)
+
+
 def psi1(path: WeightedPath) -> WeightedPath:
     """Sign-reversing involution on scheme H.
 
@@ -87,31 +138,7 @@ def psi1(path: WeightedPath) -> WeightedPath:
     Fixed points are exactly the scheme-F paths.
     """
     _require("H", path)
-    steps = list(path.steps)
-    weights = list(path.weights)
-    heights = path.heights()
-    for i, (s, w) in enumerate(zip(steps, weights)):
-        if s == "L" and _is_q_power(w):
-            steps[i], weights[i] = "W", Monomial(1, 2, 0, w.eq)
-            break
-        if s == "W" and _is_y2(w):
-            steps[i], weights[i] = "L", Monomial(1, 0, 0, w.eq)
-            break
-    else:
-        for u, d in matching_pairs(path.steps):
-            h = heights[u]
-            wu, wd = weights[u], weights[d]
-            if _is_y2(wu) and _is_yt(wd):
-                a, b = wu.eq, wd.eq - (h + 1)
-                weights[u] = Monomial(1, 1, 1, h + 1 + a)
-                weights[d] = Monomial(1, 0, 0, b)
-                break
-            if _is_yt(wu) and _is_q_power(wd):
-                a, b = wu.eq - (h + 1), wd.eq
-                weights[u] = Monomial(1, 2, 0, a)
-                weights[d] = Monomial(1, 1, 1, h + 1 + b)
-                break
-    return WeightedPath(tuple(steps), tuple(weights))
+    return _psi1_move(path)
 
 
 def is_fixed_f(path: WeightedPath) -> bool:
@@ -128,31 +155,7 @@ def psi2(path: WeightedPath) -> WeightedPath:
     The weight changes by exactly (y^2 q)^(+-1); fixed points are scheme G.
     """
     _require("MSTAR", path)
-    steps = list(path.steps)
-    weights = list(path.weights)
-    heights = path.heights()
-    for i, (s, w) in enumerate(zip(steps, weights)):
-        if s == "L" and _is_y2(w):
-            steps[i], weights[i] = "W", Monomial(1, 0, 0, w.eq - 1)
-            break
-        if s == "W" and _is_q_power(w):
-            steps[i], weights[i] = "L", Monomial(1, 2, 0, w.eq + 1)
-            break
-    else:
-        for u, d in matching_pairs(path.steps):
-            h = heights[u]
-            wu, wd = weights[u], weights[d]
-            if _is_y2(wu) and _is_yt(wd):
-                a, b = wu.eq, wd.eq - (h + 1)
-                weights[u] = Monomial(1, 1, 1, h + a)
-                weights[d] = Monomial(1, 0, 0, b)
-                break
-            if _is_yt(wu) and _is_q_power(wd):
-                a, b = wu.eq - h, wd.eq
-                weights[u] = Monomial(1, 2, 0, a)
-                weights[d] = Monomial(1, 1, 1, h + 1 + b)
-                break
-    return WeightedPath(tuple(steps), tuple(weights))
+    return _psi2_move(path)
 
 
 def is_fixed_g(path: WeightedPath) -> bool:

@@ -6,6 +6,18 @@ catalog stays within minutes on one core.  Exhaustive checks over signed
 permutations or weighted paths default to n <= 5; purely polynomial checks
 default to n <= 8.  A check function receives the ceiling and returns None
 on success or a witness string describing the smallest counterexample.
+
+Checks that read the same family at the same n share one pass over it:
+- the permutation checks read the cached `permstats.a_table` and
+  `permstats.b_table` (through `signed_enumerator` and `family_table`),
+  so the first check to touch an n pays for its table;
+- prop-3.6 and lemma-3.8 read one cached psi1 walk of H_n,
+  `_psi1_walk(n)`, which records the first witness of each claim, so either
+  check still runs alone;
+- the involution checks apply the unguarded moves `bijections._psi1_move`
+  and `_psi2_move`, only to generated paths or to images that have just
+  passed `motzkin.in_family`.
+Clearing those caches is needed only where a test patches what fills them.
 """
 
 from __future__ import annotations
@@ -13,6 +25,7 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 from snakelab import bijections, eulerians, motzkin, permstats, snakes
@@ -104,8 +117,8 @@ def _check_jv2(n_max: int) -> str | None:
 
 def _exc_distribution(n: int, family: str) -> Counter:
     out: Counter = Counter()
-    for w in permstats.generate(n, family):
-        out[sum(1 for i, v in enumerate(w, start=1) if v > i)] += 1
+    for (exc, _), count in permstats.family_table(n, family).items():
+        out[exc] += count
     return out
 
 
@@ -139,10 +152,9 @@ def _check_des_b_equidistribution(n_max: int) -> str | None:
     for n in range(0, n_max + 1):
         des = Counter()
         half = Counter()
-        for w in permstats.generate(n, "B"):
-            s = permstats.stats(w)
-            des[s.des_b] += 1
-            half[s.fwex // 2] += 1
+        for (fwex, _, _, des_b, _), count in permstats.family_table(n, "B").items():
+            des[des_b] += count
+            half[fwex // 2] += count
         if des != half:
             return f"n={n}: des_b distribution {dict(des)} != floor(fwex/2) {dict(half)}"
     return None
@@ -290,12 +302,10 @@ def _check_fwex_dstar(n_max: int) -> str | None:
 
 
 def _half_fwex_sum(n: int, family: str) -> int:
-    total = 0
-    for w in permstats.generate(n, family):
-        wex = sum(1 for i, v in enumerate(w, start=1) if v >= i)
-        neg = sum(1 for v in w if v < 0)
-        total += _sign((2 * wex + neg) // 2)
-    return total
+    return sum(
+        _sign(fwex // 2) * count
+        for (fwex, *_), count in permstats.family_table(n, family).items()
+    )
 
 
 def _check_eval_b(n_max: int) -> str | None:
@@ -429,58 +439,79 @@ def _check_fixed_sum(scheme: str, shifted) -> Callable[[int], str | None]:
     return fn
 
 
-def _check_psi1(n_max: int) -> str | None:
-    for n in range(0, n_max + 1):
-        fixed = set()
-        for p in motzkin.gen_weighted("H", n):
-            image = bijections.psi1(p)
-            if not motzkin.in_family("H", image):
-                return f"n={n}: image leaves H at {p.text()}: {image.text()}"
-            if bijections.psi1(image) != p:
-                return f"n={n}: not an involution at {p.text()}"
-            wp, wi = p.weight(), image.weight()
-            if image == p:
+def _psi1_claims(n: int, p, image, in_h: bool, wp, wi) -> str | None:
+    """prop-3.6's claims on one H path and its image, in order; wp and wi
+    are their weights."""
+    if not in_h:
+        return f"n={n}: image leaves H at {p.text()}: {image.text()}"
+    if bijections._psi1_move(image) != p:
+        return f"n={n}: not an involution at {p.text()}"
+    if image == p:
+        if not bijections.is_fixed_f(p):
+            return f"n={n}: unexpected fixed point {p.text()}"
+        return None
+    if bijections.is_fixed_f(p):
+        return f"n={n}: moved point satisfies the fixed-set menus: {p.text()}"
+    if abs(wi.ey - wp.ey) != 2 or wi.et != wp.et or wi.eq != wp.eq:
+        return f"n={n}: weight law broken at {p.text()}: {wp.text()} -> {wi.text()}"
+    return None
+
+
+@lru_cache(maxsize=None)
+def _psi1_walk(n: int) -> dict[str, str]:
+    """One psi1 walk of H_n for prop-3.6 and lemma-3.8: the first witness of
+    each failing claim, keyed "involution" and "fixed-set" (prop-3.6), "H1",
+    "H2" and "fixed-parity" (lemma-3.8).  The slices are read off each path's
+    t-degree, so neither is held as a set."""
+    found: dict[str, str] = {}
+    fixed = set()
+    for p in motzkin.gen_weighted("H", n):
+        image = bijections._psi1_move(p)
+        in_h = motzkin.in_family("H", image)
+        wp, wi = p.weight(), image.weight()
+        piece = "H1" if wp.et % 2 else "H2"
+        if piece not in found and not (in_h and (wi.et - wp.et) % 2 == 0):
+            found[piece] = f"n={n}: psi1 leaves the {piece} slice at {p.text()}"
+        if "involution" not in found:
+            witness = _psi1_claims(n, p, image, in_h, wp, wi)
+            if witness is not None:
+                found["involution"] = witness
+            elif image == p:
                 fixed.add(p)
-                if not bijections.is_fixed_f(p):
-                    return f"n={n}: unexpected fixed point {p.text()}"
-            else:
-                if bijections.is_fixed_f(p):
-                    return f"n={n}: moved point satisfies the fixed-set menus: {p.text()}"
-                if (
-                    abs(wi.ey - wp.ey) != 2
-                    or wi.et != wp.et
-                    or wi.eq != wp.eq
-                ):
-                    return (
-                        f"n={n}: weight law broken at {p.text()}:"
-                        f" {wp.text()} -> {wi.text()}"
-                    )
-        if fixed != set(motzkin.gen_weighted("F", n)):
-            return f"n={n}: fixed set differs from the restricted path family"
-    return None
+    family_f = set()
+    for p in motzkin.gen_weighted("F", n):
+        family_f.add(p)
+        if "fixed-parity" not in found and p.t_degree() % 2 != n % 2:
+            found["fixed-parity"] = f"n={n}: fixed path with t-degree {p.t_degree()}: {p.text()}"
+    if fixed != family_f:
+        found["fixed-set"] = f"n={n}: fixed set differs from the restricted path family"
+    return found
 
 
-def _check_psi1_slices(n_max: int) -> str | None:
-    for n in range(0, n_max + 1):
-        for scheme, parity in (("H1", 1), ("H2", 0)):
-            members = set(motzkin.gen_weighted(scheme, n))
-            for p in members:
-                if bijections.psi1(p) not in members:
-                    return f"n={n}: psi1 leaves the {scheme} slice at {p.text()}"
-        for p in motzkin.gen_weighted("F", n):
-            if p.t_degree() % 2 != n % 2:
-                return f"n={n}: fixed path with t-degree {p.t_degree()}: {p.text()}"
-    return None
+def _walk_witness(claims: tuple[str, ...]) -> Callable[[int], str | None]:
+    def fn(n_max: int) -> str | None:
+        for n in range(0, n_max + 1):
+            found = _psi1_walk(n)
+            for claim in claims:
+                if claim in found:
+                    return found[claim]
+        return None
+
+    return fn
+
+
+_check_psi1 = _walk_witness(("involution", "fixed-set"))
+_check_psi1_slices = _walk_witness(("H1", "H2", "fixed-parity"))
 
 
 def _check_psi2(n_max: int) -> str | None:
     for n in range(0, n_max + 1):
         fixed = set()
         for p in motzkin.gen_weighted("MSTAR", n):
-            image = bijections.psi2(p)
+            image = bijections._psi2_move(p)
             if not motzkin.in_family("MSTAR", image):
                 return f"n={n}: image leaves MSTAR at {p.text()}: {image.text()}"
-            if bijections.psi2(image) != p:
+            if bijections._psi2_move(image) != p:
                 return f"n={n}: not an involution at {p.text()}"
             wp, wi = p.weight(), image.weight()
             if image == p:

@@ -11,13 +11,26 @@ Families:
   B*  signed permutations without fixed points (sigma_i = i)
   D   signed permutations with an even number of negative entries
   D*  fixed-point-free members of D
+
+Each family has one statistics pass per n.  `b_table(n)` walks B_n once and
+counts the joint distribution of (fwex, neg, cro_b, des_b, fixed); D, B*
+and D* are its rows with even neg, no fixed point, or both.  `a_table(n)`
+walks A_n once and counts (exc, fixed).  Both are cached per n and shared
+by every caller: `signed_enumerator` projects the EULER_EXC scheme and the
+three type-B schemes from them, and `family_table` hands the family's rows
+to the catalog.  Crossings of type A stay out of `a_table` (they would
+triple its cost), so the JV schemes keep their own per-window loop.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Iterator, Mapping
 
 from snakelab.algebra import ONE, T, Y, CoefficientSchedule, Key, Poly, q_int
 
@@ -67,17 +80,19 @@ def generate(n: int, family: str) -> Iterator[tuple[int, ...]]:
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    signed = family in ("B", "D", "B*", "D*")
+    if n < 0:
+        raise ValueError("n must be >= 0")
     derangements = family.endswith("*")
     even_neg = family.startswith("D")
+    # D keeps the sign vectors with an even number of minus signs
+    sign_vectors = [
+        signs
+        for signs in itertools.product((1, -1), repeat=n)
+        if not (even_neg and signs.count(-1) % 2)
+    ] if family in ("B", "D", "B*", "D*") else [(1,) * n]
     for absperm in itertools.permutations(range(1, n + 1)):
-        sign_vectors = (
-            itertools.product((1, -1), repeat=n) if signed else ((1,) * n,)
-        )
         for signs in sign_vectors:
-            window = tuple(s * a for s, a in zip(signs, absperm))
-            if even_neg and sum(1 for v in window if v < 0) % 2:
-                continue
+            window = tuple(map(operator.mul, signs, absperm))
             if derangements and any(v == i for i, v in enumerate(window, start=1)):
                 continue
             yield window
@@ -135,8 +150,54 @@ def cro_type_a(window: tuple[int, ...]) -> int:
     return total
 
 
+@lru_cache(maxsize=None)
+def b_table(n: int) -> Mapping[tuple[int, ...], int]:
+    """Joint distribution over B_n: window counts keyed by
+    (fwex, neg, cro_b, des_b, fixed_count), from one pass of `stats`.
+    Cached and shared, so read-only."""
+    out: Counter = Counter()
+    for window in generate(n, "B"):
+        s = stats(window)
+        out[s.fwex, s.neg, s.cro_b, s.des_b, s.fixed_count] += 1
+    return MappingProxyType(out)
+
+
+@lru_cache(maxsize=None)
+def a_table(n: int) -> Mapping[tuple[int, ...], int]:
+    """Joint distribution over A_n: permutation counts keyed by
+    (exc, fixed_count).  Cached and shared, so read-only."""
+    out: Counter = Counter()
+    for window in generate(n, "A"):
+        exc = fixed = 0
+        for i, v in enumerate(window, start=1):
+            exc += v > i
+            fixed += v == i
+        out[exc, fixed] += 1
+    return MappingProxyType(out)
+
+
+def family_table(n: int, family: str) -> dict[tuple[int, ...], int]:
+    """The family's rows of `a_table(n)` (A, A*) or `b_table(n)` (B, D, B*,
+    D*), in first-seen order: D keeps even neg, a starred family keeps
+    fixed_count 0."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    derangements = family.endswith("*")
+    if family in ("A", "A*"):
+        return {k: c for k, c in a_table(n).items() if not (derangements and k[1])}
+    even_neg = family.startswith("D")
+    return {
+        k: c
+        for k, c in b_table(n).items()
+        if not (derangements and k[4]) and not (even_neg and k[1] % 2)
+    }
+
+
 def signed_enumerator(n: int, family: str, scheme: str) -> Poly:
-    """Sum of the scheme's signed monomial over the family."""
+    """Sum of the scheme's signed monomial over the family.
+
+    EULER_EXC and the type-B schemes are projections of `family_table`; the
+    JV schemes walk the family window by window."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     type_a_family = family in ("A", "A*")
@@ -149,26 +210,25 @@ def signed_enumerator(n: int, family: str, scheme: str) -> Poly:
     def add(key: Key, c: int) -> None:
         acc[key] = acc.get(key, 0) + c
 
-    for window in generate(n, family):
-        if scheme == "EULER_EXC":
-            exc = sum(1 for i, v in enumerate(window, start=1) if v > i)
-            add((0, 0, 0), -1 if exc % 2 else 1)
-            continue
-        if scheme in ("JV_WEX_CRO", "JV_DERANGE"):
+    if scheme == "EULER_EXC":
+        for (exc, _), count in family_table(n, family).items():
+            add((0, 0, 0), -count if exc % 2 else count)
+    elif scheme in _TYPE_B_SCHEMES:
+        for (fwex, neg, cro, _, _), count in family_table(n, family).items():
+            half = fwex // 2
+            sign = -count if half % 2 else count
+            if scheme == "FWEX_SIGN":
+                add((0, neg, cro), sign)
+            elif scheme == "FWEX_SIGN_Q":
+                add((0, neg, cro - half), sign)
+            else:  # FULL_YTQ
+                add((fwex, neg, cro), count)
+    else:
+        for window in generate(n, family):
             wex = sum(1 for i, v in enumerate(window, start=1) if v >= i)
             cro = cro_type_a(window)
-            sign = -1 if wex % 2 else 1
             shift = -wex if scheme == "JV_DERANGE" else 0
-            add((0, 0, cro + shift), sign)
-            continue
-        s = stats(window)
-        half = s.fwex // 2
-        if scheme == "FWEX_SIGN":
-            add((0, s.neg, s.cro_b), -1 if half % 2 else 1)
-        elif scheme == "FWEX_SIGN_Q":
-            add((0, s.neg, s.cro_b - half), -1 if half % 2 else 1)
-        else:  # FULL_YTQ
-            add((s.fwex, s.neg, s.cro_b), 1)
+            add((0, 0, cro + shift), -1 if wex % 2 else 1)
     return Poly(acc)
 
 

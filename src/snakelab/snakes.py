@@ -15,6 +15,12 @@ an S00 snake of size n+1 as a scheme-T path of length n (summing to
 R_n(t,q) after the q^(-n-1) normalization).  Both inverses rebuild the
 absolute permutation block by block and then recover the signs from the
 cs-vector by the local alternation rules.
+
+`snake_enumerator` reads each snake's sign changes, element classes and
+per-element 13-2 and 2-31 counts from one scan of its boundary-extended
+word.  `pattern_counts`, `element_class`, `pat_q` and `pat_r` compute the
+same numbers one element at a time; they stay as the oracles the tests
+check that scan against, and lemma-pattern reads `pattern_counts`.
 """
 
 from __future__ import annotations
@@ -91,6 +97,8 @@ def generate_snakes(n: int, variant: str) -> Iterator[Snake]:
     increasing order (deterministic)."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
+    if n < 0:
+        raise ValueError("n must be >= 0")
     if n == 0:
         yield Snake((), variant)
         return
@@ -444,23 +452,45 @@ def lambda2_inv(path: WeightedPath) -> Snake:
     return arnold_recover(tuple(word[1:-1]), cs, "S00")
 
 
+def _scan(snake: Snake, x_shift: int, count_peaks: bool) -> tuple[int, int]:
+    """(sign changes, 2-31 total + pattern statistic) of a snake from one
+    scan of its extended word; `_pattern_stat` with the same x_shift and
+    count_peaks, plus `two_thirty_one_total`, element by element."""
+    ext = snake.extended()
+    word = tuple(abs(v) for v in ext)
+    pairs = list(zip(word, word[1:]))
+    changes = sum(1 for a, b in zip(ext, ext[1:]) if _changes(a, b))
+    exponent = 0
+    for i in range(1, len(word) - 1):
+        j, left, right = word[i], word[i - 1], word[i + 1]
+        thirteen_two = sum(1 for lo, hi in pairs[: i - 1] if lo < j < hi)
+        two_thirty_one = sum(1 for hi, lo in pairs[i + 1 :] if hi > j > lo)
+        exponent += two_thirty_one
+        if left > j < right:
+            if _changes(ext[i - 1], ext[i]):  # class X
+                exponent += 2 * (thirteen_two + two_thirty_one) + x_shift
+        elif left < j > right:  # class Z
+            exponent += count_peaks
+        else:  # class Y
+            exponent += thirteen_two + two_thirty_one
+    return changes, exponent
+
+
 def snake_enumerator(n: int, which: str) -> Poly:
     """Direct snake sums: for 'Q', sum of t^cs q^(2-31 + pat_q) over the S0
     snakes of size n; for 'R', sum of t^cs q^(2-31 + pat_r - n - 1) over the
     S00 snakes of size n+1."""
-    acc: dict[Key, int] = {}
     if which == "Q":
-        for snake in generate_snakes(n, "S0"):
-            word = tuple(abs(v) for v in snake.window)
-            e = two_thirty_one_total(word, "S0") + pat_q(snake)
-            key = (0, sign_changes(snake), e)
-            acc[key] = acc.get(key, 0) + 1
+        variant, size, x_shift, count_peaks, shift = "S0", n, -1, False, 0
     elif which == "R":
-        for snake in generate_snakes(n + 1, "S00"):
-            word = tuple(abs(v) for v in snake.window)
-            e = two_thirty_one_total(word, "S00") + pat_r(snake) - n - 1
-            key = (0, sign_changes(snake), e)
-            acc[key] = acc.get(key, 0) + 1
+        variant, size, x_shift, count_peaks, shift = "S00", n + 1, -2, True, -n - 1
     else:
         raise ValueError(f"which must be 'Q' or 'R', got {which!r}")
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    acc: dict[Key, int] = {}
+    for snake in generate_snakes(size, variant):
+        changes, exponent = _scan(snake, x_shift, count_peaks)
+        key = (0, changes, exponent + shift)
+        acc[key] = acc.get(key, 0) + 1
     return Poly(acc)

@@ -4,6 +4,7 @@ from collections import defaultdict
 
 import pytest
 
+from snakelab import bijections, checks, motzkin
 from snakelab.algebra import Monomial, Poly, T, Y
 from snakelab.bijections import (
     HEAD_Y2,
@@ -140,6 +141,78 @@ class TestPsi1:
             members = set(gen_weighted(scheme, n))
             for p in members:
                 assert psi1(p) in members
+
+
+def _psi1_check_reference(n_max):
+    """prop-3.6 as two separate calls of the guarded psi1 per path."""
+    for n in range(0, n_max + 1):
+        fixed = set()
+        for p in motzkin.gen_weighted("H", n):
+            image = bijections.psi1(p)
+            if not motzkin.in_family("H", image):
+                return f"n={n}: image leaves H at {p.text()}: {image.text()}"
+            if bijections.psi1(image) != p:
+                return f"n={n}: not an involution at {p.text()}"
+            wp, wi = p.weight(), image.weight()
+            if image == p:
+                fixed.add(p)
+                if not bijections.is_fixed_f(p):
+                    return f"n={n}: unexpected fixed point {p.text()}"
+            else:
+                if bijections.is_fixed_f(p):
+                    return f"n={n}: moved point satisfies the fixed-set menus: {p.text()}"
+                if abs(wi.ey - wp.ey) != 2 or wi.et != wp.et or wi.eq != wp.eq:
+                    return f"n={n}: weight law broken at {p.text()}: {wp.text()} -> {wi.text()}"
+        if fixed != set(motzkin.gen_weighted("F", n)):
+            return f"n={n}: fixed set differs from the restricted path family"
+    return None
+
+
+def _psi1_slices_reference(n_max):
+    """lemma-3.8 with both t-degree slices held as sets (walked in
+    generation order, so that a witness does not depend on the hash seed)."""
+    for n in range(0, n_max + 1):
+        for scheme in ("H1", "H2"):
+            members = set(motzkin.gen_weighted(scheme, n))
+            for p in motzkin.gen_weighted(scheme, n):
+                if bijections.psi1(p) not in members:
+                    return f"n={n}: psi1 leaves the {scheme} slice at {p.text()}"
+        for p in motzkin.gen_weighted("F", n):
+            if p.t_degree() % 2 != n % 2:
+                return f"n={n}: fixed path with t-degree {p.t_degree()}: {p.text()}"
+    return None
+
+
+class TestSharedPsi1Walk:
+    @pytest.fixture(autouse=True)
+    def fresh_walk(self):
+        checks._psi1_walk.cache_clear()
+        yield
+        checks._psi1_walk.cache_clear()
+
+    def _routes(self, n_max):
+        return (
+            (checks._check_psi1(n_max), _psi1_check_reference(n_max)),
+            (checks._check_psi1_slices(n_max), _psi1_slices_reference(n_max)),
+        )
+
+    @pytest.mark.parametrize("n_max", range(5))
+    def test_walk_agrees_with_per_check_loops(self, n_max):
+        for walk, reference in self._routes(n_max):
+            assert walk is None and reference is None
+
+    def test_pair_offset_mutation_fails_both_routes(self, monkeypatch):
+        # the pair toggle with offset h instead of h+1 (psi2's offset)
+        monkeypatch.setattr(bijections, "_psi1_move",
+                            lambda p: bijections._toggle(p, "W", 0, 0))
+        for walk, reference in self._routes(4):
+            assert walk is not None and walk == reference
+
+    def test_walk_is_shared(self):
+        checks._check_psi1(3)
+        checks._check_psi1_slices(3)
+        info = checks._psi1_walk.cache_info()
+        assert (info.misses, info.hits) == (4, 4)
 
 
 class TestPsi2:

@@ -81,6 +81,17 @@ class TestVerify:
         assert code == 0
         assert "skip" in out
 
+    # stdout of `verify --all` at the default ceilings, pinned before the
+    # permutation and path checks moved onto shared per-n passes
+    @pytest.mark.parametrize("fmt, digest", [
+        ("text", "c4f25aded1c9c009d31194c73801d7aa668ccbf25b9d98eb704f608e9772a279"),
+        ("json", "ffe4617f9544a9fbc01efe77702088e63151b148e09e3e685382880990e05774"),
+    ])
+    def test_all_stdout_digest(self, capsys, fmt, digest):
+        code, out, _ = run_cli(capsys, "verify", "--all", "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_deterministic_output(self, capsys):
         _, first, _ = run_cli(capsys, "verify", "--all", "--n", "2")
         _, second, _ = run_cli(capsys, "verify", "--all", "--n", "2")

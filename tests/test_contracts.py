@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import snakelab
-from snakelab import bijections, checks, cli, eulerians, snakes
+from snakelab import bijections, checks, cli, eulerians, motzkin, permstats, snakes
 from snakelab.algebra import Monomial
 from snakelab.checks import run_check
 from snakelab.motzkin import WeightedPath
@@ -39,7 +39,21 @@ def test_no_assert_statements(module):
     assert lines == [], f"{module}: assert at lines {lines}"
 
 
-@pytest.mark.parametrize("check_id", ["prop-3.2", "prop-3.6", "prop-4.4", "thm-5.8", "thm-5.12"])
+@pytest.fixture
+def fresh_caches():
+    """Empty the shared per-n passes before and after a test that patches
+    what fills them, so a pass filled elsewhere cannot hide the patch."""
+    caches = (permstats.a_table, permstats.b_table, checks._psi1_walk)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+@pytest.mark.parametrize("check_id", [
+    "prop-3.2", "prop-3.6", "prop-4.4", "thm-5.8", "thm-5.12", "lemma-3.8", "thm-1.3-i",
+])
 def test_checks_pass_under_optimize(check_id):
     env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
     proc = subprocess.run(
@@ -54,12 +68,31 @@ def test_checks_pass_under_optimize(check_id):
     "check_id, name, scheme",
     [("prop-3.6", "psi1", "H"), ("prop-4.4", "psi2", "MSTAR")],
 )
-def test_involution_check_catches_bad_image(monkeypatch, check_id, name, scheme):
-    real = getattr(bijections, name)
-    monkeypatch.setattr(bijections, name, lambda p: _bump_first(real(p), 100))
+def test_involution_check_catches_bad_image(monkeypatch, fresh_caches, check_id, name, scheme):
+    # the checks apply the unguarded move behind the public map
+    move = f"_{name}_move"
+    real = getattr(bijections, move)
+    monkeypatch.setattr(bijections, move, lambda p: _bump_first(real(p), 100))
     result = run_check(check_id)
     assert result.status == "fail"
     assert f"image leaves {scheme}" in result.witness
+
+
+@pytest.mark.parametrize("name, scheme", [("psi1", "H"), ("psi2", "MSTAR")])
+def test_public_involutions_guard_their_domain(name, scheme):
+    outside = next(p for p in motzkin.gen_weighted("M", 3) if not motzkin.in_family(scheme, p))
+    with pytest.raises(ValueError, match=f"not in scheme {scheme}"):
+        getattr(bijections, name)(outside)
+
+
+def test_table_checks_catch_bad_crossings(monkeypatch, fresh_caches):
+    real = permstats.cro_b
+    monkeypatch.setattr(permstats, "cro_b",
+                        lambda w: real(w) + (1 if any(v < 0 for v in w) else 0))
+    for check_id in ("thm-corteel", "thm-1.3-i"):
+        result = run_check(check_id)
+        assert result.status == "fail", check_id
+        assert result.witness.startswith("n=1: lhs - rhs = "), result.witness
 
 
 def test_cover_check_catches_bad_image(monkeypatch):
@@ -86,6 +119,28 @@ def test_snake_check_catches_bad_image(monkeypatch, check_id, name):
     result = run_check(check_id)
     assert result.status == "fail"
     assert "image is not the whole path family" in result.witness
+
+
+@pytest.mark.parametrize("call", [
+    lambda: list(permstats.generate(-1, "A")),
+    lambda: list(permstats.generate(-1, "B")),
+    lambda: permstats.a_table(-1),
+    lambda: permstats.b_table(-1),
+    lambda: permstats.signed_enumerator(-1, "A", "EULER_EXC"),
+    lambda: permstats.signed_enumerator(-1, "B", "FULL_YTQ"),
+    lambda: permstats.signed_enumerator(-1, "A", "JV_WEX_CRO"),
+    lambda: list(snakes.generate_snakes(-1, "S0")),
+    lambda: snakes.snake_enumerator(-1, "Q"),
+    lambda: snakes.snake_enumerator(-1, "R"),
+    lambda: eulerians.springer_number(-1),
+], ids=[
+    "generate-A", "generate-B", "a_table", "b_table", "euler-exc", "full-ytq",
+    "jv", "generate_snakes", "snake-Q", "snake-R", "springer_number",
+])
+def test_negative_n_is_rejected(call):
+    # a negative size is an error, never an empty family with a vacuous sum
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        call()
 
 
 # -- names the benchmark tracer looks up ---------------------------------------

@@ -8,8 +8,11 @@ import pytest
 
 from snakelab.algebra import ONE, Poly, Q, T, Y, jfraction_series, q_int
 from snakelab.permstats import (
+    FAMILIES,
+    SCHEMES,
     corteel_schedule,
     cro_type_a,
+    family_table,
     gamma_coeffs,
     generate,
     signed_enumerator,
@@ -20,7 +23,66 @@ from snakelab.permstats import (
 )
 
 
+def _signed_enumerator_reference(n, family, scheme):
+    """The per-window loop that `signed_enumerator` replaced by table
+    projections: one `stats` call per window of the family."""
+    acc = {}
+
+    def add(key, c):
+        acc[key] = acc.get(key, 0) + c
+
+    for window in generate(n, family):
+        if scheme == "EULER_EXC":
+            exc = sum(1 for i, v in enumerate(window, start=1) if v > i)
+            add((0, 0, 0), -1 if exc % 2 else 1)
+            continue
+        if scheme in ("JV_WEX_CRO", "JV_DERANGE"):
+            wex = sum(1 for i, v in enumerate(window, start=1) if v >= i)
+            cro = cro_type_a(window)
+            sign = -1 if wex % 2 else 1
+            shift = -wex if scheme == "JV_DERANGE" else 0
+            add((0, 0, cro + shift), sign)
+            continue
+        s = stats(window)
+        half = s.fwex // 2
+        if scheme == "FWEX_SIGN":
+            add((0, s.neg, s.cro_b), -1 if half % 2 else 1)
+        elif scheme == "FWEX_SIGN_Q":
+            add((0, s.neg, s.cro_b - half), -1 if half % 2 else 1)
+        else:  # FULL_YTQ
+            add((s.fwex, s.neg, s.cro_b), 1)
+    return Poly(acc)
+
+
+_TYPE_A_SCHEMES = ("EULER_EXC", "JV_WEX_CRO", "JV_DERANGE")
+_PAIRS = [
+    (family, scheme)
+    for family in FAMILIES
+    for scheme in SCHEMES
+    if (family in ("A", "A*")) == (scheme in _TYPE_A_SCHEMES)
+]
+
+
+def _generate_reference(n, family):
+    """Every sign vector over every permutation, filtered per family."""
+    for absperm in itertools.permutations(range(1, n + 1)):
+        for signs in itertools.product((1, -1), repeat=n):
+            window = tuple(s * a for s, a in zip(signs, absperm))
+            if family in ("A", "A*") and -1 in signs:
+                continue
+            if family.startswith("D") and signs.count(-1) % 2:
+                continue
+            if family.endswith("*") and any(v == i for i, v in enumerate(window, start=1)):
+                continue
+            yield window
+
+
 class TestGenerate:
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_matches_filtered_product(self, family):
+        for n in range(6):
+            assert list(generate(n, family)) == list(_generate_reference(n, family))
+
     def test_b1(self):
         assert set(generate(1, "B")) == {(1,), (-1,)}
 
@@ -175,6 +237,35 @@ class TestSignedEnumerators:
     def test_corteel_fraction_matches_enumeration(self):
         series = jfraction_series(corteel_schedule(), 5)
         assert series == [signed_enumerator(n, "B", "FULL_YTQ") for n in range(6)]
+
+
+class TestTables:
+    @pytest.mark.parametrize("family, scheme", _PAIRS)
+    def test_projection_matches_window_loop(self, family, scheme):
+        top = 6 if family in ("A", "A*") else 5
+        for n in range(top + 1):
+            assert signed_enumerator(n, family, scheme) == _signed_enumerator_reference(
+                n, family, scheme
+            ), (n, family, scheme)
+
+    def test_every_valid_pair_is_covered(self):
+        assert len(_PAIRS) == 2 * 3 + 4 * 3
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("n", range(5))
+    def test_family_rows_match_window_stats(self, n, family):
+        want = Counter()
+        for w in generate(n, family):
+            s = stats(w)
+            if family in ("A", "A*"):
+                want[s.exc, s.fixed_count] += 1
+            else:
+                want[s.fwex, s.neg, s.cro_b, s.des_b, s.fixed_count] += 1
+        assert Counter(family_table(n, family)) == want
+
+    def test_unknown_family(self):
+        with pytest.raises(ValueError):
+            family_table(2, "C")
 
 
 class TestEquidistribution:

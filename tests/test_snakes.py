@@ -6,6 +6,7 @@ import pytest
 from snakelab.algebra import Monomial, ONE, Q, T
 from snakelab.eulerians import Q_poly, R_poly, euler_number, springer_number
 from snakelab.motzkin import WeightedPath, gen_weighted, in_family
+from snakelab import snakes
 from snakelab.snakes import (
     Snake,
     arnold_recover,
@@ -281,3 +282,16 @@ class TestSnakeEnumerator:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             snake_enumerator(2, "X")
+
+    @pytest.mark.parametrize("variant, x_shift, count_peaks, pat", [
+        ("S0", -1, False, pat_q),
+        ("S00", -2, True, pat_r),
+    ])
+    @pytest.mark.parametrize("n", range(7))
+    def test_one_scan_matches_per_element_oracles(self, n, variant, x_shift, count_peaks, pat):
+        # the enumerator's scan against pattern_counts and element_class,
+        # called once per element through two_thirty_one_total and pat_q/pat_r
+        for s in generate_snakes(n, variant):
+            word = tuple(abs(v) for v in s.window)
+            want = (sign_changes(s), two_thirty_one_total(word, variant) + pat(s))
+            assert snakes._scan(s, x_shift, count_peaks) == want, s.text()
