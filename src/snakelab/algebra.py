@@ -12,17 +12,26 @@ terms in canonical order as ``c*y^a*t^b*q^e`` with unit parts omitted, e.g.::
 
 The module also provides the q-derivative operator D with (Df)(t) =
 (f(qt) - f(t)) / ((q-1)t), the multiplication-by-t operator U, the fused
-step `operator_step` (D + UDU or D + DUU in one pass, from window sums of
-each t-row), and truncated series expansion of Jacobi- and Stieltjes-type
-continued fractions.
+step `operator_step` (D + UDU or D + DUU in one pass), and truncated series
+expansion of Jacobi- and Stieltjes-type continued fractions.
+
+All of these run on one row kernel: the terms grouped as (ey, et) rows of
+dense q-coefficients, added into each other as shifted, scaled slices by
+`_add_row`, with one `Poly` built per result.  Per route, with r rows of
+width w in the input:
+- `q_derivative`, `u_multiply`, `operator_step`: one sort of the terms, then
+  one or two window-sum rows per input row, O(r w) list work in C;
+- `jfraction_series`, `sfraction_series`: each weight's terms are read
+  once, and each edge of the path sum adds one shifted, scaled copy of every
+  row of its source height per weight term, with no `Poly` product inside.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, chain, groupby
-from operator import itemgetter, sub
-from typing import Callable, Iterable, Iterator, Mapping
+from itertools import accumulate, chain, count, groupby, islice, repeat
+from operator import add, itemgetter, sub
+from typing import Callable, Iterable, Mapping
 
 Key = tuple[int, int, int]
 
@@ -261,73 +270,98 @@ class Monomial:
         return f"{self.coeff}*{body}"
 
 
-# -- operator algebra ---------------------------------------------------------
+# -- row kernel -----------------------------------------------------------------
+
+# (ey, et) -> [lo, dense]: dense[i] is the coefficient of y^ey t^et q^(lo+i)
+Rows = dict[tuple[int, int], list]
 
 
-def _require_tq(p: Poly) -> None:
-    if any(ey for (ey, _, _) in p.terms):
-        raise ValueError("operator domain is t,q polynomials")
-
-
-def _dense_rows(p: Poly) -> Iterator[tuple[int, int, list[int]]]:
-    """(et, lo, dense) for each t-row of a t,q polynomial, by et: dense[e]
-    is the coefficient of t^et q^(lo+e), lo being the row's lowest q
-    exponent (it may be negative)."""
-    keys = sorted(p.terms)
+def _tq_rows(p: Poly) -> Rows:
+    """The t-rows of a t,q polynomial, each dense from its lowest q exponent
+    (which may be negative), in t order."""
+    terms = p.terms
+    keys = sorted(terms)
     if keys and keys[-1][0]:  # keys sort by ey first, so a y term is last
         raise ValueError("operator domain is t,q polynomials")
-    for et, row in groupby(keys, itemgetter(1)):
+    rows: Rows = {}
+    for (ey, et), row in groupby(keys, itemgetter(0, 1)):
         row = list(row)
         lo = row[0][2]
-        dense = [0] * (row[-1][2] - lo + 1)
-        for key in row:
-            dense[key[2] - lo] = p.terms[key]
-        yield et, lo, dense
+        span = zip(repeat(ey), repeat(et), range(lo, row[-1][2] + 1))
+        rows[ey, et] = [lo, list(map(terms.get, span, repeat(0)))]
+    return rows
 
 
-def _add_windows(acc: dict[Key, int], et: int, lo: int, dense: list[int],
-                 width: int) -> None:
-    """Add D(t^width * row) to acc as row t^et, where the row is dense from q^lo.
+def _poly(rows: Rows) -> Poly:
+    """The Poly of rows, with its nonzero terms gathered in C.  Its keys need
+    no validation: they are sums of exponents of valid Polys, and an operator
+    only lowers et from et >= 1."""
+    terms: dict[Key, int] = {}
+    for (ey, et), (lo, dense) in sorted(rows.items()):
+        terms.update(filter(itemgetter(1), zip(zip(repeat(ey), repeat(et), count(lo)), dense)))
+    p = object.__new__(Poly)
+    object.__setattr__(p, "terms", terms)
+    return p
 
-    D(t^w q^e) = t^(w-1) (q^e + ... + q^(e+w-1)), so the coefficient of
-    q^(lo+e) is the sum of the width-w window of dense ending at e, taken
-    from the prefix sums of the row padded with w-1 zeros on each side.
-    """
+
+def _add_row(acc: Rows, key: tuple[int, int], lo: int, row: list[int], c: int = 1) -> None:
+    """acc[key] += c * q^lo * row, widening acc[key] on either side as needed;
+    acc never holds row itself, so row may be shared."""
+    if c != 1:
+        row = list(map(c.__mul__, row))
+    cur = acc.get(key)
+    if cur is None:
+        acc[key] = [lo, row[:]]
+        return
+    dense = cur[1]
+    if lo < cur[0]:
+        dense[:0] = [0] * (cur[0] - lo)
+        cur[0] = lo
+    i = lo - cur[0]
+    j = i + len(row)
+    dense += [0] * (j - len(dense))
+    dense[i:j] = map(add, dense[i:j], row)
+
+
+def _window_sums(dense: list[int], width: int) -> list[int]:
+    """Entry e is the sum of the width-`width` window of dense ending at e,
+    from the prefix sums of dense padded with width-1 zeros on each side: the
+    q-row of D(t^width * q^lo * dense) from q^lo up, since
+    D(t^w q^e) = t^(w-1) (q^e + ... + q^(e+w-1))."""
     pad = [0] * (width - 1)
     pre = list(accumulate(chain(pad, dense, pad), initial=0))
-    for eq, c in enumerate(map(sub, pre[width:], pre[:-width]), lo):
-        if c:
-            key = (0, et, eq)
-            acc[key] = acc.get(key, 0) + c
+    return list(map(sub, islice(pre, width, None), pre))
+
+
+# -- operator algebra ---------------------------------------------------------
 
 
 def q_derivative(p: Poly) -> Poly:
     """The q-derivative D with D(t^n) = [n]_q t^(n-1), one t-row at a time,
     in one sort plus time linear in the size of the output."""
-    acc: dict[Key, int] = {}
-    for et, lo, dense in _dense_rows(p):
+    acc: Rows = {}
+    for (_, et), (lo, dense) in _tq_rows(p).items():
         if et:
-            _add_windows(acc, et - 1, lo, dense, et)
-    return Poly(acc)
+            _add_row(acc, (0, et - 1), lo, _window_sums(dense, et))
+    return _poly(acc)
 
 
 def operator_step(p: Poly, shift: int) -> Poly:
     """D p + U^(2-shift) D U^shift p: (D + UDU) p for shift 1, the step of
     Q_n, and (D + DUU) p for shift 2, the step of R_n.  One pass over the
-    t-rows of p: row t^et sends its width-et window sums to row et-1 and
-    its width-(et+shift) window sums to row et+1, all into one dict."""
-    acc: dict[Key, int] = {}
-    for et, lo, dense in _dense_rows(p):
+    t-rows of p: row t^et adds its width-et window sums to row et-1 and its
+    width-(et+shift) window sums to row et+1, whole rows at a time."""
+    acc: Rows = {}
+    for (_, et), (lo, dense) in _tq_rows(p).items():
         if et:
-            _add_windows(acc, et - 1, lo, dense, et)
-        _add_windows(acc, et + 1, lo, dense, et + shift)
-    return Poly(acc)
+            _add_row(acc, (0, et - 1), lo, _window_sums(dense, et))
+        _add_row(acc, (0, et + 1), lo, _window_sums(dense, et + shift))
+    return _poly(acc)
 
 
 def u_multiply(p: Poly) -> Poly:
     """The operator U: multiplication by t."""
-    _require_tq(p)
-    return Poly({(0, et + 1, eq): c for (_, et, eq), c in p.terms.items()})
+    return _poly({(0, et + 1): row for (_, et), row in _tq_rows(p).items()})
 
 
 # -- continued fractions ------------------------------------------------------
@@ -342,30 +376,39 @@ class CoefficientSchedule:
     lam: Callable[[int], Poly]
 
 
+def _add_product(acc: Rows, rows: Rows, weight: Iterable[tuple[Key, int]]) -> None:
+    """acc += rows * weight, given weight's terms: one shifted, scaled copy
+    of each row per term."""
+    for (ey, et), (lo, dense) in rows.items():
+        for (wy, wt, wq), c in weight:
+            _add_row(acc, (ey + wy, et + wt), lo + wq, dense, c)
+
+
 def jfraction_series(schedule: CoefficientSchedule, n_max: int) -> list[Poly]:
     """Taylor coefficients of x^0..x^n_max of the J-fraction.
 
     Computed as weighted Motzkin path sums: coefficient n is the total weight
     of length-n paths with level weight mu(h) at height h, rise weight 1, and
-    fall weight lam(h) for a fall starting at height h.
+    fall weight lam(h) for a fall starting at height h.  Each height keeps
+    its path sum as rows, and each edge adds shifted, scaled copies of them.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    mu = [schedule.mu(h) for h in range(n_max + 1)]
-    lam = [ZERO] + [schedule.lam(h) for h in range(1, n_max + 1)]
+    mu = [schedule.mu(h).terms.items() for h in range(n_max + 1)]
+    lam = [ZERO.terms.items()] + [schedule.lam(h).terms.items() for h in range(1, n_max + 1)]
     out = []
-    state: dict[int, Poly] = {0: ONE}
+    state: dict[int, Rows] = {0: {(0, 0): [0, [1]]}}
     for step in range(n_max + 1):
-        out.append(state.get(0, ZERO))
+        out.append(_poly(state.get(0, {})))
         if step == n_max:
             break
-        new: dict[int, Poly] = {}
-        for h, w in state.items():
+        new: dict[int, Rows] = {}
+        for h, rows in state.items():
             if h <= n_max - step - 1:
-                new[h] = new.get(h, ZERO) + w * mu[h]
-                new[h + 1] = new.get(h + 1, ZERO) + w
+                _add_product(new.setdefault(h, {}), rows, mu[h])
+                _add_product(new.setdefault(h + 1, {}), rows, ONE.terms.items())
             if h >= 1:
-                new[h - 1] = new.get(h - 1, ZERO) + w * lam[h]
+                _add_product(new.setdefault(h - 1, {}), rows, lam[h])
         state = new
     return out
 
@@ -374,23 +417,24 @@ def sfraction_series(a: Callable[[int], Poly], n_max: int) -> list[Poly]:
     """Coefficients of x^0..x^n_max of 1/(1 - a(1)x/(1 - a(2)x/(...))).
 
     Coefficient n is the total weight of Dyck paths of semilength n where a
-    fall starting at height h carries weight a(h).
+    fall starting at height h carries weight a(h); the path sums are kept as
+    rows, as in `jfraction_series`.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    weights = [ZERO] + [a(h) for h in range(1, 2 * n_max + 1)]
+    weights = [ZERO.terms.items()] + [a(h).terms.items() for h in range(1, 2 * n_max + 1)]
     out = []
-    state: dict[int, Poly] = {0: ONE}
+    state: dict[int, Rows] = {0: {(0, 0): [0, [1]]}}
     for step in range(2 * n_max + 1):
         if step % 2 == 0:
-            out.append(state.get(0, ZERO))
+            out.append(_poly(state.get(0, {})))
         if step == 2 * n_max:
             break
-        new: dict[int, Poly] = {}
-        for h, w in state.items():
+        new: dict[int, Rows] = {}
+        for h, rows in state.items():
             if h <= 2 * n_max - step - 2:
-                new[h + 1] = new.get(h + 1, ZERO) + w
+                _add_product(new.setdefault(h + 1, {}), rows, ONE.terms.items())
             if h >= 1:
-                new[h - 1] = new.get(h - 1, ZERO) + w * weights[h]
+                _add_product(new.setdefault(h - 1, {}), rows, weights[h])
         state = new
     return out

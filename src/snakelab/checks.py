@@ -407,10 +407,11 @@ def _check_restructure(n_max: int) -> str | None:
                 return f"n={n}: weight not preserved for {p.text()}"
             heads[out].append((head, p))
         expected = set(motzkin.gen_weighted("H", n - 1))
-        if set(heads) != expected:
-            missing = expected - set(heads)
-            extra = set(heads) - expected
-            sample = next(iter(missing or extra))
+        if heads.keys() != expected:
+            # the first missing H path in generation order, else the first
+            # extra image in M order, so the witness does not depend on the hash seed
+            missing = [p for p in motzkin.gen_weighted("H", n - 1) if p not in heads]
+            sample = missing[0] if missing else next(p for p in heads if p not in expected)
             return f"n={n}: cover mismatch at {sample.text()}"
         # phi_inverse rejects a path outside H, so images are compared with
         # the family before any round trip

@@ -1,7 +1,7 @@
 """Laurent-polynomial arithmetic, operator algebra and continued fractions."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from snakelab.algebra import (
     ONE,
@@ -19,7 +19,8 @@ from snakelab.algebra import (
     sfraction_series,
     u_multiply,
 )
-from snakelab.eulerians import Q_poly, R_poly
+from snakelab.eulerians import Q_poly, R_poly, q_fraction_schedule, r_fraction_schedule
+from snakelab.permstats import corteel_schedule
 
 Q2 = ONE + (ONE + Q) * T ** 2  # 1 + (1+q)t^2
 
@@ -61,6 +62,72 @@ def _q_derivative_reference(p: Poly) -> Poly:
             key = (0, et - 1, eq + k)
             acc[key] = acc.get(key, 0) + c
     return Poly(acc)
+
+
+def _jfraction_reference(schedule: CoefficientSchedule, n_max: int) -> list[Poly]:
+    """Per-edge J-fraction: two Poly operations for each edge of the path sum."""
+    mu = [schedule.mu(h) for h in range(n_max + 1)]
+    lam = [ZERO] + [schedule.lam(h) for h in range(1, n_max + 1)]
+    out = []
+    state = {0: ONE}
+    for step in range(n_max + 1):
+        out.append(state.get(0, ZERO))
+        new = {}
+        for h, w in state.items():
+            if h <= n_max - step - 1:
+                new[h] = new.get(h, ZERO) + w * mu[h]
+                new[h + 1] = new.get(h + 1, ZERO) + w
+            if h >= 1:
+                new[h - 1] = new.get(h - 1, ZERO) + w * lam[h]
+        state = new
+    return out
+
+
+def _sfraction_reference(a, n_max: int) -> list[Poly]:
+    """Per-edge S-fraction over Dyck paths, as `_jfraction_reference`."""
+    weights = [ZERO] + [a(h) for h in range(1, 2 * n_max + 1)]
+    out = []
+    state = {0: ONE}
+    for step in range(2 * n_max + 1):
+        if step % 2 == 0:
+            out.append(state.get(0, ZERO))
+        new = {}
+        for h, w in state.items():
+            if h <= 2 * n_max - step - 2:
+                new[h + 1] = new.get(h + 1, ZERO) + w
+            if h >= 1:
+                new[h - 1] = new.get(h - 1, ZERO) + w * weights[h]
+        state = new
+    return out
+
+
+# fraction weights: y terms, negative coefficients, Laurent q exponents and
+# ZERO at some heights
+fraction_weights = st.one_of(
+    st.just(ZERO),
+    st.builds(
+        Poly.from_quadruples,
+        st.lists(
+            st.tuples(
+                st.integers(-3, 3),
+                st.integers(0, 2),
+                st.integers(0, 2),
+                st.integers(-3, 4),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+    ),
+)
+
+
+@st.composite
+def schedules(draw):
+    """(mu list, lam list, n_max) with n_max from 0 to 8."""
+    n_max = draw(st.integers(0, 8))
+    mu = draw(st.lists(fraction_weights, min_size=n_max + 1, max_size=n_max + 1))
+    lam = draw(st.lists(fraction_weights, min_size=n_max + 1, max_size=n_max + 1))
+    return mu, lam, n_max
 
 
 def _str_reference(p: Poly) -> str:
@@ -278,6 +345,29 @@ class TestContinuedFractions:
 
     def test_sfraction_zero(self):
         assert sfraction_series(lambda h: ZERO, 3) == [ONE, ZERO, ZERO, ZERO]
+
+    # negative coefficients, and a lower q exponent arriving after a higher one
+    @example(([Q ** 2 - 2 * Y * Poly.monomial(eq=-1)] * 4, [T * Poly.monomial(eq=-2) - 3] * 4, 3))
+    @given(schedules())
+    def test_jfraction_matches_reference(self, drawn):
+        mu, lam, n_max = drawn
+        schedule = CoefficientSchedule(mu.__getitem__, lam.__getitem__)
+        assert jfraction_series(schedule, n_max) == _jfraction_reference(schedule, n_max)
+
+    @given(schedules())
+    def test_sfraction_matches_reference(self, drawn):
+        mu, lam, n_max = drawn
+        a = mu + lam  # a(h) for h up to 2 * n_max + 1
+        assert sfraction_series(a.__getitem__, n_max) == _sfraction_reference(a.__getitem__, n_max)
+
+    @pytest.mark.parametrize("make", [q_fraction_schedule, r_fraction_schedule, corteel_schedule])
+    def test_jfraction_matches_reference_on_paper_schedules(self, make):
+        assert jfraction_series(make(), 12) == _jfraction_reference(make(), 12)
+
+    @pytest.mark.parametrize("a", [lambda h: q_int(h) ** 2, lambda h: q_int(h) * q_int(h + 1)],
+                             ids=["secant", "tangent"])
+    def test_sfraction_matches_reference_on_q_euler_weights(self, a):
+        assert sfraction_series(a, 12) == _sfraction_reference(a, 12)
 
     def test_sfraction_contraction_matches_jfraction(self):
         # the S-fraction with weights a_h equals the J-fraction with

@@ -10,12 +10,13 @@ import importlib
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
 import snakelab
-from snakelab import bijections, checks, cli, eulerians, motzkin, permstats, snakes
+from snakelab import algebra, bijections, checks, cli, eulerians, motzkin, permstats, snakes
 from snakelab.algebra import Monomial
 from snakelab.checks import run_check
 from snakelab.motzkin import WeightedPath
@@ -95,21 +96,43 @@ def test_table_checks_catch_bad_crossings(monkeypatch, fresh_caches):
         assert result.witness.startswith("n=1: lhs - rhs = "), result.witness
 
 
-def test_cover_check_catches_bad_image(monkeypatch):
+_REAL_PHI = bijections.phi
+
+
+def _bad_phi(p):
     # the head absorbs the shift, so the weight is preserved and only the
     # comparison with scheme H can see the bad image
-    real = bijections.phi
+    head, out = _REAL_PHI(p)
+    if not out.weights:
+        return head, out
+    return Monomial(1, head.ey, head.et, head.eq - 100), _bump_first(out, 100)
 
-    def bad_phi(p):
-        head, out = real(p)
-        if not out.weights:
-            return head, out
-        return Monomial(1, head.ey, head.et, head.eq - 100), _bump_first(out, 100)
 
-    monkeypatch.setattr(bijections, "phi", bad_phi)
+def test_cover_check_catches_bad_image(monkeypatch):
+    monkeypatch.setattr(bijections, "phi", _bad_phi)
     result = run_check("prop-3.2")
     assert result.status == "fail"
     assert "cover mismatch" in result.witness
+
+
+def test_cover_witness_ignores_hash_seed():
+    # the witness is picked in generation order, not from a set
+    child = (
+        "import test_contracts\n"
+        "from snakelab import bijections, checks\n"
+        "bijections.phi = test_contracts._bad_phi\n"
+        "print(checks.run_check('prop-3.2').witness)\n"
+    )
+    witnesses = []
+    for seed in ("1", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join((str(PACKAGE_DIR.parent), str(Path(__file__).parent))))
+        proc = subprocess.run([sys.executable, "-c", child], env=env,
+                              capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        witnesses.append(proc.stdout)
+    assert b"cover mismatch" in witnesses[0]
+    assert witnesses[0] == witnesses[1]
 
 
 @pytest.mark.parametrize("check_id, name", [("thm-5.8", "lambda1"), ("thm-5.12", "lambda2")])
@@ -177,6 +200,15 @@ def test_tracer_lookups_exist():
     assert {("cli", "_row_value"), ("checks", "run_check"), ("algebra", "Poly")} <= lookups
     for mod, attr in sorted(lookups):
         assert hasattr(importlib.import_module(f"snakelab.{mod}"), attr), f"{mod}.{attr}"
+
+
+@pytest.mark.parametrize("name", ["jfraction_series", "sfraction_series", "operator_step"])
+def test_series_routes_stay_traced(name):
+    # the tracer wraps public module-level functions only; the benchmark reads
+    # algebra.jfraction_series.self_s and algebra.sfraction_series.self_s
+    fn = getattr(algebra, name)
+    assert isinstance(fn, types.FunctionType)
+    assert fn.__module__ == algebra.__name__
 
 
 def test_tracer_call_shapes():

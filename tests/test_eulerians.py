@@ -94,6 +94,10 @@ class TestQEuler:
                 want.append(sfraction_series(lambda h: q_int(h) ** 2, m)[m])
         assert q_euler_numbers(20) == want
 
+    def test_table_matches_per_index_q_euler_to_30(self):
+        # the size `compute Eq` is benchmarked at
+        assert q_euler_numbers(30) == [q_euler(n) for n in range(31)]
+
     @pytest.mark.parametrize("n_max", range(4))
     def test_short_tables(self, n_max):
         assert q_euler_numbers(n_max) == [q_euler(n) for n in range(n_max + 1)]
@@ -131,6 +135,12 @@ class TestQRPolynomials:
         assert qr_series("R", 3) == [R_poly(n) for n in range(4)]
         with pytest.raises(ValueError):
             qr_series("X", 1)
+
+    @pytest.mark.parametrize("kind, poly", [("Q", Q_poly), ("R", R_poly)])
+    def test_series_route_matches_operators_to_20(self, kind, poly):
+        # the J-fraction kernel against the operator steps, at thm-1.2's
+        # benchmarked ceiling
+        assert qr_series(kind, 20) == [poly(n) for n in range(21)]
 
     @pytest.mark.parametrize("n", range(11))
     def test_t_exponent_parity(self, n):
