@@ -7,6 +7,17 @@ permutations or weighted paths default to n <= 5; purely polynomial checks
 default to n <= 8.  A check function receives the ceiling and returns None
 on success or a witness string describing the smallest counterexample.
 
+Most entries are series identities, "lhs(n) == rhs(n) for n = start,
+start + step, ..., n_max", each declared once as an `_identity_check` row of
+`CHECKS` whose `start` is also its `min_n`, and all run by one loop,
+`_identity`.  A left side given as `_Series(build)` is entry n of one table
+`build(n_max)`, built once per run.  A failing identity names its smallest n:
+- `n=N: lhs - rhs = <difference>` when the sides are polynomials;
+- `n=N: got X, want Y` when they are integers or distributions;
+- for a pair of sides (thm-1.2), the first component that differs.
+The exhaustive checks (prop-3.2, prop-3.6, lemma-3.8, prop-4.4 and the snake
+checks) and the goldens keep their own loops and witnesses.
+
 Checks that read the same family at the same n share one pass over it:
 - the permutation checks read the cached `permstats.a_table` and
   `permstats.b_table` (through `signed_enumerator` and `family_table`),
@@ -26,7 +37,7 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Sequence
 
 from snakelab import bijections, eulerians, motzkin, permstats, snakes
 from snakelab.algebra import (
@@ -60,116 +71,95 @@ class CheckResult:
     note: str | None = None
 
 
+# -- series identities -----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Series:
+    """A left side read off one table of entries 0..n_max, built once per run."""
+
+    build: Callable[[int], Sequence]
+
+
+def _witness(n: int, got, want) -> str:
+    if isinstance(got, tuple):  # several sides at one n: the first that differs
+        got, want = next((g, w) for g, w in zip(got, want) if g != w)
+    if isinstance(got, Poly):
+        return f"n={n}: lhs - rhs = {got - want}"
+    return f"n={n}: got {got}, want {want}"
+
+
+def _identity(lhs, rhs, start: int = 0, step: int = 1) -> Callable[[int], str | None]:
+    """The check that lhs(n) == rhs(n) for n = start, start + step, ...,
+    n_max; it returns the witness of the first n where they differ.  lhs is
+    a function of n or a `_Series`."""
+
+    def fn(n_max: int) -> str | None:
+        left = lhs.build(n_max).__getitem__ if isinstance(lhs, _Series) else lhs
+        for n in range(start, n_max + 1, step):
+            got, want = left(n), rhs(n)
+            if got != want:
+                return _witness(n, got, want)
+        return None
+
+    return fn
+
+
+def _identity_check(check_id: str, description: str, default_n: int, lhs, rhs,
+                    start: int = 0, step: int = 1, note: str | None = None) -> Check:
+    return Check(check_id, description, default_n, _identity(lhs, rhs, start, step),
+                 min_n=start, note=note)
+
+
 def _sign(k: int) -> int:
     return -1 if k % 2 else 1
 
 
-def _poly_diff(n: int, lhs: Poly, rhs: Poly) -> str:
-    return f"n={n}: lhs - rhs = {lhs - rhs}"
+def _minus_inv_q(k: int) -> Poly:
+    """(-1/q)^k."""
+    return Poly.monomial(_sign(k), 0, 0, -k)
 
 
-# -- classical signed countings ------------------------------------------------
+def _bracket(n: int) -> Poly:
+    return Poly.constant(_sign((n + 1) // 2)) + _sign(n // 2) * T
 
 
-def _check_eulercan1(n_max: int) -> str | None:
-    for n in range(1, n_max + 1):
-        got = permstats.signed_enumerator(n, "A", "EULER_EXC").as_int()
-        want = 0 if n % 2 == 0 else _sign((n - 1) // 2) * eulerians.euler_number(n)
-        if got != want:
-            return f"n={n}: got {got}, want {want}"
-    return None
+def _du_minus_qud(p: Poly) -> Poly:
+    return q_derivative(u_multiply(p)) - Q * u_multiply(q_derivative(p))
 
 
-def _check_eulercan2(n_max: int) -> str | None:
-    for n in range(1, n_max + 1):
-        got = permstats.signed_enumerator(n, "A*", "EULER_EXC").as_int()
-        want = _sign(n // 2) * eulerians.euler_number(n) if n % 2 == 0 else 0
-        if got != want:
-            return f"n={n}: got {got}, want {want}"
-    return None
+def _enumerator(family: str, scheme: str) -> Callable[[int], Poly]:
+    return lambda n: permstats.signed_enumerator(n, family, scheme)
 
 
-def _check_jv1(n_max: int) -> str | None:
-    for n in range(1, n_max + 1):
-        lhs = permstats.signed_enumerator(n, "A", "JV_WEX_CRO")
-        rhs = (
-            Poly()
-            if n % 2 == 0
-            else _sign((n + 1) // 2) * eulerians.q_euler(n)
-        )
-        if lhs != rhs:
-            return _poly_diff(n, lhs, rhs)
-    return None
+def _rho(scheme: str) -> Callable[[int], Poly]:
+    return lambda n: motzkin.rho(scheme, n)
 
 
-def _check_jv2(n_max: int) -> str | None:
-    for n in range(1, n_max + 1):
-        lhs = permstats.signed_enumerator(n, "A*", "JV_DERANGE")
-        if n % 2 == 0:
-            half = n // 2
-            rhs = Poly.monomial(_sign(half), 0, 0, -half) * eulerians.q_euler(n)
-        else:
-            rhs = Poly()
-        if lhs != rhs:
-            return _poly_diff(n, lhs, rhs)
-    return None
-
-
-def _exc_distribution(n: int, family: str) -> Counter:
+def _distribution(n: int, family: str, stat: Callable[[tuple], int]) -> dict[int, int]:
+    """Counts of stat(row) over the rows of `permstats.family_table(n, family)`."""
     out: Counter = Counter()
-    for (exc, _), count in permstats.family_table(n, family).items():
-        out[exc] += count
-    return out
+    for row, count in permstats.family_table(n, family).items():
+        out[stat(row)] += count
+    return dict(out)
 
 
-def _basis_expansion(coeffs: list[int], degree: int) -> Counter:
+def _basis_expansion(coeffs: list[int], degree: int) -> dict[int, int]:
     out: Counter = Counter()
     for i, c in enumerate(coeffs):
         for k in range(degree - 2 * i + 1):
             out[i + k] += c * math.comb(degree - 2 * i, k)
-    return +out
+    return dict(+out)
 
 
-def _check_gamma_expansion(n_max: int) -> str | None:
-    for n in range(1, n_max + 1):
-        lhs = _exc_distribution(n, "A")
-        rhs = _basis_expansion(permstats.gamma_coeffs(n), n - 1)
-        if lhs != rhs:
-            return f"n={n}: excedance distribution {dict(lhs)} != expansion {dict(rhs)}"
-    return None
+def _half_fwex_sum(n: int, family: str) -> int:
+    return sum(
+        _sign(fwex // 2) * count
+        for (fwex, *_), count in permstats.family_table(n, family).items()
+    )
 
 
-def _check_xi_expansion(n_max: int) -> str | None:
-    for n in range(0, n_max + 1):
-        lhs = _exc_distribution(n, "A*")
-        rhs = _basis_expansion(permstats.xi_coeffs(n), n)
-        if lhs != rhs:
-            return f"n={n}: excedance distribution {dict(lhs)} != expansion {dict(rhs)}"
-    return None
-
-
-def _check_des_b_equidistribution(n_max: int) -> str | None:
-    for n in range(0, n_max + 1):
-        des = Counter()
-        half = Counter()
-        for (fwex, _, _, des_b, _), count in permstats.family_table(n, "B").items():
-            des[des_b] += count
-            half[fwex // 2] += count
-        if des != half:
-            return f"n={n}: des_b distribution {dict(des)} != floor(fwex/2) {dict(half)}"
-    return None
-
-
-# -- operator algebra and continued fractions ---------------------------------
-
-
-def _check_commutation(n_max: int) -> str | None:
-    for k in range(0, n_max + 1):
-        p = T ** k
-        got = q_derivative(u_multiply(p)) - Q * u_multiply(q_derivative(p))
-        if got != p:
-            return f"k={k}: (DU - qUD)(t^{k}) = {got}"
-    return None
+# -- Q and R goldens -------------------------------------------------------------
 
 
 Q_LITERALS = {
@@ -194,202 +184,6 @@ def _golden_poly(kind: str, index: int) -> Callable[[int], str | None]:
         literal = Q_LITERALS[index] if kind == "Q" else R_LITERALS[index]
         if str(poly) != literal:
             return f"{kind}_{index} = {poly} != {literal}"
-        return None
-
-    return fn
-
-
-def _check_qr_jfraction(n_max: int) -> str | None:
-    q_series = eulerians.qr_series("Q", n_max)
-    r_series = eulerians.qr_series("R", n_max)
-    for n in range(n_max + 1):
-        if q_series[n] != eulerians.Q_poly(n):
-            return _poly_diff(n, q_series[n], eulerians.Q_poly(n))
-        if r_series[n] != eulerians.R_poly(n):
-            return _poly_diff(n, r_series[n], eulerians.R_poly(n))
-    return None
-
-
-def _check_q_secant_at_t0(n_max: int) -> str | None:
-    for n in range(0, n_max + 1, 2):
-        lhs = eulerians.Q_poly(n).subst("t", 0)
-        rhs = eulerians.q_euler(n)
-        if lhs != rhs:
-            return _poly_diff(n, lhs, rhs)
-    return None
-
-
-def _check_r_odd_at_t0(n_max: int) -> str | None:
-    for n in range(0, n_max + 1):
-        at_zero = eulerians.R_poly(n).subst("t", 0)
-        if n % 2 == 1:
-            if at_zero != 0:
-                return f"n={n}: R_{n}(0,q) = {at_zero}, expected 0"
-            if at_zero == eulerians.q_euler(n):
-                return f"n={n}: the odd-index identification unexpectedly holds"
-        elif at_zero != eulerians.q_euler(n + 1):
-            return _poly_diff(n, at_zero, eulerians.q_euler(n + 1))
-    return None
-
-
-def _check_q11_springer(n_max: int) -> str | None:
-    for n in range(0, n_max + 1):
-        got = eulerians.Q_poly(n)(t=1, q=1).as_int()
-        want = eulerians.springer_number(n)
-        if got != want:
-            return f"n={n}: Q_{n}(1,1) = {got}, snake count = {want}"
-    return None
-
-
-def _check_r11_tangent(n_max: int) -> str | None:
-    for n in range(0, n_max + 1):
-        got = eulerians.R_poly(n)(t=1, q=1).as_int()
-        want = 2 ** n * eulerians.euler_number(n + 1)
-        if got != want:
-            return f"n={n}: R_{n}(1,1) = {got}, want {want}"
-    return None
-
-
-# -- signed countings of types B and D -----------------------------------------
-
-
-def _bracket(n: int) -> Poly:
-    return Poly.constant(_sign((n + 1) // 2)) + _sign(n // 2) * T
-
-
-def _check_fwex_b(n_max: int) -> str | None:
-    for n in range(1, n_max + 1):
-        lhs = permstats.signed_enumerator(n, "B", "FWEX_SIGN")
-        rhs = _bracket(n) * eulerians.R_poly(n - 1)
-        if lhs != rhs:
-            return _poly_diff(n, lhs, rhs)
-    return None
-
-
-def _check_fwex_d(n_max: int) -> str | None:
-    for n in range(1, n_max + 1):
-        lhs = permstats.signed_enumerator(n, "D", "FWEX_SIGN")
-        if n % 2 == 0:
-            rhs = _sign(n // 2) * T * eulerians.R_poly(n - 1)
-        else:
-            rhs = _sign((n + 1) // 2) * eulerians.R_poly(n - 1)
-        if lhs != rhs:
-            return _poly_diff(n, lhs, rhs)
-    return None
-
-
-def _check_fwex_bstar(n_max: int) -> str | None:
-    for n in range(1, n_max + 1):
-        lhs = permstats.signed_enumerator(n, "B*", "FWEX_SIGN_Q")
-        half = n // 2
-        rhs = Poly.monomial(_sign(half), 0, 0, -half) * eulerians.Q_poly(n)
-        if lhs != rhs:
-            return _poly_diff(n, lhs, rhs)
-    return None
-
-
-def _check_fwex_dstar(n_max: int) -> str | None:
-    for n in range(1, n_max + 1):
-        lhs = permstats.signed_enumerator(n, "D*", "FWEX_SIGN_Q")
-        if n % 2 == 0:
-            half = n // 2
-            rhs = Poly.monomial(_sign(half), 0, 0, -half) * eulerians.Q_poly(n)
-        else:
-            rhs = Poly()
-        if lhs != rhs:
-            return _poly_diff(n, lhs, rhs)
-    return None
-
-
-def _half_fwex_sum(n: int, family: str) -> int:
-    return sum(
-        _sign(fwex // 2) * count
-        for (fwex, *_), count in permstats.family_table(n, family).items()
-    )
-
-
-def _check_eval_b(n_max: int) -> str | None:
-    for n in range(1, n_max + 1):
-        got = _half_fwex_sum(n, "B")
-        want = _sign(n // 2) * 2 ** n * eulerians.euler_number(n) if n % 2 == 0 else 0
-        if got != want:
-            return f"n={n}: got {got}, want {want}"
-    return None
-
-
-def _check_eval_d(n_max: int) -> str | None:
-    for n in range(1, n_max + 1):
-        got = _half_fwex_sum(n, "D")
-        want = _sign((n + 1) // 2) * 2 ** (n - 1) * eulerians.euler_number(n)
-        if got != want:
-            return f"n={n}: got {got}, want {want}"
-    return None
-
-
-def _check_eval_bstar(n_max: int) -> str | None:
-    for n in range(1, n_max + 1):
-        got = _half_fwex_sum(n, "B*")
-        want = _sign(n // 2) * eulerians.springer_number(n)
-        if got != want:
-            return f"n={n}: got {got}, want {want}"
-    return None
-
-
-def _check_eval_dstar(n_max: int) -> str | None:
-    for n in range(1, n_max + 1):
-        got = _half_fwex_sum(n, "D*")
-        want = _sign(n // 2) * eulerians.springer_number(n) if n % 2 == 0 else 0
-        if got != want:
-            return f"n={n}: got {got}, want {want}"
-    return None
-
-
-# -- weighted-path realizations -------------------------------------------------
-
-
-def _check_rho_t(n_max: int) -> str | None:
-    for n in range(0, n_max + 1):
-        lhs = motzkin.rho("T", n)
-        rhs = eulerians.R_poly(n)
-        if lhs != rhs:
-            return _poly_diff(n, lhs, rhs)
-    return None
-
-
-def _check_rho_tstar(n_max: int) -> str | None:
-    for n in range(0, n_max + 1):
-        lhs = motzkin.rho("TSTAR", n)
-        rhs = eulerians.Q_poly(n)
-        if lhs != rhs:
-            return _poly_diff(n, lhs, rhs)
-    return None
-
-
-def _check_corteel(n_max: int) -> str | None:
-    for n in range(0, n_max + 1):
-        lhs = motzkin.rho("M", n)
-        rhs = permstats.signed_enumerator(n, "B", "FULL_YTQ")
-        if lhs != rhs:
-            return _poly_diff(n, lhs, rhs)
-    return None
-
-
-def _check_corteel_cf(n_max: int) -> str | None:
-    series = jfraction_series(permstats.corteel_schedule(), n_max)
-    for n in range(0, n_max + 1):
-        rhs = permstats.signed_enumerator(n, "B", "FULL_YTQ")
-        if series[n] != rhs:
-            return _poly_diff(n, series[n], rhs)
-    return None
-
-
-def _check_rho_filtered(scheme: str, family: str) -> Callable[[int], str | None]:
-    def fn(n_max: int) -> str | None:
-        for n in range(0, n_max + 1):
-            lhs = motzkin.rho(scheme, n)
-            rhs = permstats.signed_enumerator(n, family, "FULL_YTQ")
-            if lhs != rhs:
-                return _poly_diff(n, lhs, rhs)
         return None
 
     return fn
@@ -424,20 +218,8 @@ def _check_restructure(n_max: int) -> str | None:
         lhs = motzkin.rho("M", n)
         rhs = (Y ** 2 + Y * T) * motzkin.rho("H", n - 1)
         if lhs != rhs:
-            return _poly_diff(n, lhs, rhs)
+            return _witness(n, lhs, rhs)
     return None
-
-
-def _check_fixed_sum(scheme: str, shifted) -> Callable[[int], str | None]:
-    def fn(n_max: int) -> str | None:
-        for n in range(0, n_max + 1):
-            lhs = motzkin.rho(scheme, n)
-            rhs = Y ** n * shifted(n)
-            if lhs != rhs:
-                return _poly_diff(n, lhs, rhs)
-        return None
-
-    return fn
 
 
 def _psi1_claims(n: int, p, image, in_h: bool, wp, wi) -> str | None:
@@ -582,7 +364,7 @@ def _check_lambda1(n_max: int) -> str | None:
         lhs = snakes.snake_enumerator(n, "Q")
         rhs = eulerians.Q_poly(n)
         if lhs != rhs:
-            return _poly_diff(n, lhs, rhs)
+            return _witness(n, lhs, rhs)
     return None
 
 
@@ -602,7 +384,7 @@ def _check_lambda2(n_max: int) -> str | None:
         lhs = snakes.snake_enumerator(n, "R")
         rhs = eulerians.R_poly(n)
         if lhs != rhs:
-            return _poly_diff(n, lhs, rhs)
+            return _witness(n, lhs, rhs)
     return None
 
 
@@ -691,39 +473,107 @@ CHECKS: list[Check] = [
     Check("r1-golden", "R_1 equals the literal '(1+q)t'", 0, _golden_poly("R", 1), scalable=False),
     Check("r2-golden", "R_2 equals the literal '(1+q) + (1+2q+2q^2+q^3)t^2'", 0, _golden_poly("R", 2), scalable=False),
     Check("r3-golden", "R_3 equals the literal '(2+5q+5q^2+3q^3+q^4)t + (1+3q+5q^2+6q^3+5q^4+3q^5+q^6)t^3'", 0, _golden_poly("R", 3), scalable=False),
-    Check("commutation-du-qud", "(DU - qUD) f = f on the basis t^k", 12, _check_commutation),
-    Check("thm-1.2", "operator-route Q_n, R_n equal their continued-fraction coefficients", 8, _check_qr_jfraction),
-    Check("q-secant-at-t0", "Q_(2m)(0,q) equals the 2m-th q-secant number", 8, _check_q_secant_at_t0),
-    Check("r-odd-at-t0", "R_n(0,q) vanishes for odd n; R_(2m)(0,q) is the q-tangent number E_(2m+1)(q)", 8, _check_r_odd_at_t0, note=R_ODD_NOTE),
-    Check("q11-springer", "Q_n(1,1) counts the snakes with positive first entry", 7, _check_q11_springer),
-    Check("r11-tangent", "R_n(1,1) = 2^n E_(n+1)", 7, _check_r11_tangent),
-    Check("eulercan1", "sum over all permutations of (-1)^exc is 0 or +-E_n by parity", 8, _check_eulercan1, min_n=1),
-    Check("eulercan2", "sum over derangements of (-1)^exc is +-E_n or 0 by parity", 8, _check_eulercan2, min_n=1),
-    Check("gamma-expansion", "excedance polynomial equals its gamma-basis expansion", 7, _check_gamma_expansion, min_n=1),
-    Check("xi-expansion", "derangement excedance polynomial equals its xi-basis expansion", 7, _check_xi_expansion),
-    Check("jv1", "sum over permutations of (-1)^wex q^cro is 0 or +-E_n(q) by parity", 7, _check_jv1, min_n=1),
-    Check("jv2", "sum over derangements of (-1/q)^wex q^cro is (-1/q)^(n/2) E_n(q) or 0", 7, _check_jv2, min_n=1),
-    Check("des-b-equidistribution", "des_b and floor(fwex/2) are equidistributed over the signed permutations", 5, _check_des_b_equidistribution),
-    Check("thm-1.3-i", "signed fwex/2 sum over B_n equals [(-1)^floor((n+1)/2) + (-1)^floor(n/2) t] R_(n-1)", 5, _check_fwex_b, min_n=1),
-    Check("thm-1.3-ii", "signed fwex/2 sum over D_n equals +-R_(n-1) or +-t R_(n-1) by parity", 5, _check_fwex_d, min_n=1),
-    Check("thm-1.4-i", "(-1/q)^floor(fwex/2) sum over fixed-point-free B_n equals (-1/q)^floor(n/2) Q_n", 5, _check_fwex_bstar, min_n=1),
-    Check("thm-1.4-ii", "(-1/q)^floor(fwex/2) sum over fixed-point-free D_n equals (-1/q)^(n/2) Q_n or 0", 5, _check_fwex_dstar, min_n=1),
-    Check("cor-1.5-i", "sum over B_n of (-1)^floor(fwex/2) is (-1)^(n/2) 2^n E_n or 0", 5, _check_eval_b, min_n=1),
-    Check("cor-1.5-ii", "sum over D_n of (-1)^floor(fwex/2) is (-1)^floor((n+1)/2) 2^(n-1) E_n", 5, _check_eval_d, min_n=1),
-    Check("cor-1.6-i", "sum over fixed-point-free B_n of (-1)^floor(fwex/2) is (-1)^floor(n/2) S_n", 5, _check_eval_bstar, min_n=1),
-    Check("cor-1.6-ii", "sum over fixed-point-free D_n of (-1)^floor(fwex/2) is (-1)^(n/2) S_n or 0", 5, _check_eval_dstar, min_n=1),
-    Check("prop-2.2", "path weights of scheme T sum to R_n", 5, _check_rho_t),
-    Check("prop-2.3", "path weights of scheme TSTAR sum to Q_n", 5, _check_rho_tstar),
-    Check("thm-corteel", "path weights of scheme M sum to the trivariate signed-permutation enumerator", 5, _check_corteel),
-    Check("thm-corteel-cf", "the trivariate enumerator equals its continued-fraction coefficients", 5, _check_corteel_cf),
-    Check("eqn-dn", "scheme M paths of even t-degree sum to the even-signed enumerator", 5, _check_rho_filtered("MPRIME", "D")),
-    Check("eqn-bstar", "scheme MSTAR paths sum to the fixed-point-free enumerator", 5, _check_rho_filtered("MSTAR", "B*")),
-    Check("eqn-dstar", "scheme MSTAR paths of even t-degree sum to the fixed-point-free even-signed enumerator", 5, _check_rho_filtered("MSTARPRIME", "D*")),
+    _identity_check(
+        "commutation-du-qud", "(DU - qUD) f = f on the basis t^k", 12,
+        lambda k: _du_minus_qud(Poly.monomial(et=k)), lambda k: Poly.monomial(et=k)),
+    _identity_check(
+        "thm-1.2", "operator-route Q_n, R_n equal their continued-fraction coefficients", 8,
+        _Series(lambda m: list(zip(eulerians.qr_series("Q", m), eulerians.qr_series("R", m)))),
+        lambda n: (eulerians.Q_poly(n), eulerians.R_poly(n))),
+    _identity_check(
+        "q-secant-at-t0", "Q_(2m)(0,q) equals the 2m-th q-secant number", 8,
+        lambda n: eulerians.Q_poly(n).subst("t", 0), eulerians.q_euler, step=2),
+    _identity_check(
+        "r-odd-at-t0", "R_n(0,q) vanishes for odd n; R_(2m)(0,q) is the q-tangent number E_(2m+1)(q)", 8,
+        lambda n: eulerians.R_poly(n).subst("t", 0),
+        lambda n: Poly() if n % 2 else eulerians.q_euler(n + 1), note=R_ODD_NOTE),
+    _identity_check(
+        "q11-springer", "Q_n(1,1) counts the snakes with positive first entry", 7,
+        lambda n: eulerians.Q_poly(n)(t=1, q=1).as_int(), eulerians.springer_number),
+    _identity_check(
+        "r11-tangent", "R_n(1,1) = 2^n E_(n+1)", 7,
+        lambda n: eulerians.R_poly(n)(t=1, q=1).as_int(), lambda n: 2 ** n * eulerians.euler_number(n + 1)),
+    _identity_check(
+        "eulercan1", "sum over all permutations of (-1)^exc is 0 or +-E_n by parity", 8,
+        lambda n: permstats.signed_enumerator(n, "A", "EULER_EXC").as_int(),
+        lambda n: 0 if n % 2 == 0 else _sign((n - 1) // 2) * eulerians.euler_number(n), start=1),
+    _identity_check(
+        "eulercan2", "sum over derangements of (-1)^exc is +-E_n or 0 by parity", 8,
+        lambda n: permstats.signed_enumerator(n, "A*", "EULER_EXC").as_int(),
+        lambda n: _sign(n // 2) * eulerians.euler_number(n) if n % 2 == 0 else 0, start=1),
+    _identity_check(
+        "gamma-expansion", "excedance polynomial equals its gamma-basis expansion", 7,
+        lambda n: _distribution(n, "A", lambda row: row[0]),
+        lambda n: _basis_expansion(permstats.gamma_coeffs(n), n - 1), start=1),
+    _identity_check(
+        "xi-expansion", "derangement excedance polynomial equals its xi-basis expansion", 7,
+        lambda n: _distribution(n, "A*", lambda row: row[0]), lambda n: _basis_expansion(permstats.xi_coeffs(n), n)),
+    _identity_check(
+        "jv1", "sum over permutations of (-1)^wex q^cro is 0 or +-E_n(q) by parity", 7,
+        _enumerator("A", "JV_WEX_CRO"),
+        lambda n: Poly() if n % 2 == 0 else _sign((n + 1) // 2) * eulerians.q_euler(n), start=1),
+    _identity_check(
+        "jv2", "sum over derangements of (-1/q)^wex q^cro is (-1/q)^(n/2) E_n(q) or 0", 7,
+        _enumerator("A*", "JV_DERANGE"),
+        lambda n: _minus_inv_q(n // 2) * eulerians.q_euler(n) if n % 2 == 0 else Poly(), start=1),
+    _identity_check(
+        "des-b-equidistribution", "des_b and floor(fwex/2) are equidistributed over the signed permutations", 5,
+        lambda n: _distribution(n, "B", lambda row: row[3]), lambda n: _distribution(n, "B", lambda row: row[0] // 2)),
+    _identity_check(
+        "thm-1.3-i", "signed fwex/2 sum over B_n equals [(-1)^floor((n+1)/2) + (-1)^floor(n/2) t] R_(n-1)", 5,
+        _enumerator("B", "FWEX_SIGN"), lambda n: _bracket(n) * eulerians.R_poly(n - 1), start=1),
+    _identity_check(
+        "thm-1.3-ii", "signed fwex/2 sum over D_n equals +-R_(n-1) or +-t R_(n-1) by parity", 5,
+        _enumerator("D", "FWEX_SIGN"),
+        lambda n: (_sign(n // 2) * T if n % 2 == 0 else _sign((n + 1) // 2)) * eulerians.R_poly(n - 1), start=1),
+    _identity_check(
+        "thm-1.4-i", "(-1/q)^floor(fwex/2) sum over fixed-point-free B_n equals (-1/q)^floor(n/2) Q_n", 5,
+        _enumerator("B*", "FWEX_SIGN_Q"), lambda n: _minus_inv_q(n // 2) * eulerians.Q_poly(n), start=1),
+    _identity_check(
+        "thm-1.4-ii", "(-1/q)^floor(fwex/2) sum over fixed-point-free D_n equals (-1/q)^(n/2) Q_n or 0", 5,
+        _enumerator("D*", "FWEX_SIGN_Q"),
+        lambda n: _minus_inv_q(n // 2) * eulerians.Q_poly(n) if n % 2 == 0 else Poly(), start=1),
+    _identity_check(
+        "cor-1.5-i", "sum over B_n of (-1)^floor(fwex/2) is (-1)^(n/2) 2^n E_n or 0", 5,
+        lambda n: _half_fwex_sum(n, "B"),
+        lambda n: _sign(n // 2) * 2 ** n * eulerians.euler_number(n) if n % 2 == 0 else 0, start=1),
+    _identity_check(
+        "cor-1.5-ii", "sum over D_n of (-1)^floor(fwex/2) is (-1)^floor((n+1)/2) 2^(n-1) E_n", 5,
+        lambda n: _half_fwex_sum(n, "D"),
+        lambda n: _sign((n + 1) // 2) * 2 ** (n - 1) * eulerians.euler_number(n), start=1),
+    _identity_check(
+        "cor-1.6-i", "sum over fixed-point-free B_n of (-1)^floor(fwex/2) is (-1)^floor(n/2) S_n", 5,
+        lambda n: _half_fwex_sum(n, "B*"), lambda n: _sign(n // 2) * eulerians.springer_number(n), start=1),
+    _identity_check(
+        "cor-1.6-ii", "sum over fixed-point-free D_n of (-1)^floor(fwex/2) is (-1)^(n/2) S_n or 0", 5,
+        lambda n: _half_fwex_sum(n, "D*"),
+        lambda n: _sign(n // 2) * eulerians.springer_number(n) if n % 2 == 0 else 0, start=1),
+    _identity_check("prop-2.2", "path weights of scheme T sum to R_n", 5, _rho("T"), eulerians.R_poly),
+    _identity_check("prop-2.3", "path weights of scheme TSTAR sum to Q_n", 5, _rho("TSTAR"), eulerians.Q_poly),
+    _identity_check(
+        "thm-corteel", "path weights of scheme M sum to the trivariate signed-permutation enumerator", 5,
+        _rho("M"), _enumerator("B", "FULL_YTQ")),
+    _identity_check(
+        "thm-corteel-cf", "the trivariate enumerator equals its continued-fraction coefficients", 5,
+        _Series(lambda m: jfraction_series(permstats.corteel_schedule(), m)), _enumerator("B", "FULL_YTQ")),
+    _identity_check(
+        "eqn-dn", "scheme M paths of even t-degree sum to the even-signed enumerator", 5,
+        _rho("MPRIME"), _enumerator("D", "FULL_YTQ")),
+    _identity_check(
+        "eqn-bstar", "scheme MSTAR paths sum to the fixed-point-free enumerator", 5,
+        _rho("MSTAR"), _enumerator("B*", "FULL_YTQ")),
+    _identity_check(
+        "eqn-dstar", "scheme MSTAR paths of even t-degree sum to the fixed-point-free even-signed enumerator", 5,
+        _rho("MSTARPRIME"), _enumerator("D*", "FULL_YTQ")),
     Check("prop-3.2", "the doubling map is a weight-preserving two-to-one cover of scheme H", 5, _check_restructure, min_n=1),
-    Check("lemma-3.5", "the psi1 fixed family sums to y^n R_n", 5, _check_fixed_sum("F", eulerians.R_poly)),
+    _identity_check(
+        "lemma-3.5", "the psi1 fixed family sums to y^n R_n", 5,
+        _rho("F"), lambda n: Y ** n * eulerians.R_poly(n)),
     Check("prop-3.6", "psi1 is an involution on H with weight factor y^(+-2) and fixed set F", 5, _check_psi1),
     Check("lemma-3.8", "psi1 preserves the t-degree slices; fixed weights have t-degree of the parity of n", 5, _check_psi1_slices),
-    Check("lemma-4.3", "the psi2 fixed family sums to y^n Q_n", 5, _check_fixed_sum("G", eulerians.Q_poly)),
+    _identity_check(
+        "lemma-4.3", "the psi2 fixed family sums to y^n Q_n", 5,
+        _rho("G"), lambda n: Y ** n * eulerians.Q_poly(n)),
     Check("prop-4.4", "psi2 is an involution on MSTAR with weight factor (y^2 q)^(+-1) and fixed set G", 5, _check_psi2),
     Check("lemma-sign-changes", "cs-vectors sum to the sign-change count and determine the snake", 5, _check_sign_changes),
     Check("lemma-pattern", "block statistics equal the 13-2 and 2-31 pattern counts", 5, _check_pattern_lemma, min_n=1),

@@ -16,12 +16,16 @@ Subcommands:
       q-tangent S-fraction.
   list-checks
       Print the catalog of check ids with default ceilings.
+
+A reader that closes standard output early ends the command quietly, with
+exit status 141 and no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Callable, Sequence
 
@@ -32,6 +36,7 @@ from snakelab.checks import CheckResult
 
 USAGE_EXIT = 126
 MAX_FAILURE_EXIT = 125
+CLOSED_PIPE_EXIT = 141  # 128 + SIGPIPE, as a shell reports a writer killed by it
 
 COMPUTE_OBJECTS = ("Q", "R", "B", "E", "Eq", "S")
 
@@ -181,7 +186,15 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early (`snakelab list-checks | head`); the exit-time
+        # flush would fail again, so it goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = CLOSED_PIPE_EXIT
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -62,16 +62,6 @@ class StatRecord:
     fixed_count: int  # positions with sigma_i = i
 
 
-def validate_window(window: tuple[int, ...]) -> None:
-    n = len(window)
-    if sorted(abs(v) for v in window) != list(range(1, n + 1)) or 0 in window:
-        raise ValueError(f"not a signed permutation window: {window}")
-
-
-def window_text(window: tuple[int, ...]) -> str:
-    return "(" + ",".join(str(v) for v in window) + ")"
-
-
 def generate(n: int, family: str) -> Iterator[tuple[int, ...]]:
     """All members of the family, each exactly once.
 

@@ -2,12 +2,19 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import snakelab
 from snakelab import checks as checklib
-from snakelab.checks import Check, CheckResult, run_check
-from snakelab.cli import USAGE_EXIT, emit_table, main
+from snakelab import eulerians
+from snakelab.algebra import ONE, T, Poly
+from snakelab.checks import Check, CheckResult, _identity, run_check
+from snakelab.cli import CLOSED_PIPE_EXIT, USAGE_EXIT, emit_table, main
 
 
 def run_cli(capsys, *argv):
@@ -92,6 +99,17 @@ class TestVerify:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    # the skip set: each series identity's min_n is its start; pinned at the
+    # ceilings where those starts decide what runs
+    @pytest.mark.parametrize("n, digest", [
+        ("0", "f4ce91d41fd515e690da16da5beacf58a036bc3230b08352debbf176f2f2d400"),
+        ("1", "94b92531f31d777e68f26e8fd52d44762d7b60e3926743b3eb127ad83ca56b81"),
+    ])
+    def test_small_ceiling_stdout_digest(self, capsys, n, digest):
+        code, out, _ = run_cli(capsys, "verify", "--all", "--n", n)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_deterministic_output(self, capsys):
         _, first, _ = run_cli(capsys, "verify", "--all", "--n", "2")
         _, second, _ = run_cli(capsys, "verify", "--all", "--n", "2")
@@ -118,6 +136,44 @@ class TestRunCheck:
     def test_every_catalog_entry_passes_small(self):
         for check in checklib.CHECKS:
             assert run_check(check.id, 2).status in ("pass", "skipped")
+
+
+class TestIdentity:
+    """The one loop behind every series identity of the catalog."""
+
+    def test_returns_smallest_failing_n(self):
+        check = _identity(lambda n: n, lambda n: n + (n >= 3))
+        assert check(2) is None
+        assert check(9) == "n=3: got 3, want 4"
+
+    def test_honours_start_and_step(self):
+        seen = []
+        check = _identity(lambda n: seen.append(n) or n, lambda n: n, start=3, step=2)
+        assert check(9) is None
+        assert seen == [3, 5, 7, 9]
+        seen.clear()
+        assert check(2) is None
+        assert seen == []
+
+    def test_poly_witness_is_a_difference(self):
+        check = _identity(lambda n: T ** n, lambda n: T ** n + (ONE if n == 2 else Poly()))
+        assert check(5) == "n=2: lhs - rhs = -1"
+
+    def test_pair_witness_names_the_first_differing_side(self):
+        check = _identity(lambda n: (ONE, T, T), lambda n: (ONE, T + ONE, T + T))
+        assert check(0) == "n=0: lhs - rhs = -1"
+
+    @pytest.mark.parametrize("check_id, module, name, builds", [
+        ("thm-corteel-cf", checklib, "jfraction_series", 1),
+        ("thm-1.2", eulerians, "qr_series", 2),  # one table of Q, one of R
+    ])
+    def test_table_is_built_once_per_run(self, monkeypatch, check_id, module, name, builds):
+        real = getattr(module, name)
+        calls = []
+        monkeypatch.setattr(module, name, lambda *args: calls.append(args) or real(*args))
+        assert run_check(check_id, 6).status == "pass"
+        assert len(calls) == builds
+        assert all(args[-1] == 6 for args in calls)
 
 
 class TestCompute:
@@ -209,6 +265,32 @@ class TestListChecks:
         assert len(lines) == len(checklib.CHECKS)
         assert any(line.startswith("thm-5.12") for line in lines)
 
+    def test_listing_digest(self, capsys):
+        code, out, _ = run_cli(capsys, "list-checks")
+        assert code == 0
+        digest = "044a3c337a6f0ec0165cb0a117ab524fc8bb95bf32fe06dae74de6e2a2729e3c"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_ids_are_unique(self):
         ids = [c.id for c in checklib.CHECKS]
         assert len(ids) == len(set(ids))
+
+
+class TestClosedPipe:
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [("list-checks",), ("verify", "--all", "--n", "1")])
+    def test_no_traceback_when_reader_leaves(self, argv, unbuffered):
+        # the read end is closed before the command writes its first line
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, PYTHONPATH=str(Path(snakelab.__file__).resolve().parents[1]))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        try:
+            proc = subprocess.run([sys.executable, "-m", "snakelab.cli", *argv], stdout=write_end,
+                                  stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == CLOSED_PIPE_EXIT
+        assert proc.stderr == ""  # no traceback, no "Exception ignored" report

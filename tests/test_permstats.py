@@ -17,8 +17,6 @@ from snakelab.permstats import (
     generate,
     signed_enumerator,
     stats,
-    validate_window,
-    window_text,
     xi_coeffs,
 )
 
@@ -155,16 +153,6 @@ class TestStats:
         assert stats((-1,)).des_b == 1
         assert stats((1,)).des_b == 0
         assert stats((-1, -2)).des_b == 2
-
-    def test_validate_window(self):
-        validate_window((2, -1))
-        with pytest.raises(ValueError):
-            validate_window((1, 1))
-        with pytest.raises(ValueError):
-            validate_window((0, 1))
-
-    def test_window_text(self):
-        assert window_text((3, -4, -2, 5, 1)) == "(3,-4,-2,5,1)"
 
 
 class TestCroB:
