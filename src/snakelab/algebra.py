@@ -21,9 +21,10 @@ dense q-coefficients, added into each other as shifted, scaled slices by
 width w in the input:
 - `q_derivative`, `u_multiply`, `operator_step`: one sort of the terms, then
   one or two window-sum rows per input row, O(r w) list work in C;
-- `jfraction_series`, `sfraction_series`: each weight's terms are read
-  once, and each edge of the path sum adds one shifted, scaled copy of every
-  row of its source height per weight term, with no `Poly` product inside.
+- `jfraction_series`: each weight's terms are read once, and each edge of
+  the path sum adds one shifted, scaled copy of every row of its source
+  height per weight term, with no `Poly` product inside; `sfraction_series`
+  is the J-fraction with no level weights, read at even lengths.
 """
 
 from __future__ import annotations
@@ -417,24 +418,8 @@ def sfraction_series(a: Callable[[int], Poly], n_max: int) -> list[Poly]:
     """Coefficients of x^0..x^n_max of 1/(1 - a(1)x/(1 - a(2)x/(...))).
 
     Coefficient n is the total weight of Dyck paths of semilength n where a
-    fall starting at height h carries weight a(h); the path sums are kept as
-    rows, as in `jfraction_series`.
+    fall starting at height h carries weight a(h).  Dyck paths are the
+    Motzkin paths without level steps, so these are the even entries of the
+    J-fraction with level weights 0 and fall weights a.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    weights = [ZERO.terms.items()] + [a(h).terms.items() for h in range(1, 2 * n_max + 1)]
-    out = []
-    state: dict[int, Rows] = {0: {(0, 0): [0, [1]]}}
-    for step in range(2 * n_max + 1):
-        if step % 2 == 0:
-            out.append(_poly(state.get(0, {})))
-        if step == 2 * n_max:
-            break
-        new: dict[int, Rows] = {}
-        for h, rows in state.items():
-            if h <= 2 * n_max - step - 2:
-                _add_product(new.setdefault(h + 1, {}), rows, ONE.terms.items())
-            if h >= 1:
-                _add_product(new.setdefault(h - 1, {}), rows, weights[h])
-        state = new
-    return out
+    return jfraction_series(CoefficientSchedule(mu=lambda h: ZERO, lam=a), 2 * n_max)[::2]

@@ -7,37 +7,42 @@ permutations or weighted paths default to n <= 5; purely polynomial checks
 default to n <= 8.  A check function receives the ceiling and returns None
 on success or a witness string describing the smallest counterexample.
 
-Most entries are series identities, "lhs(n) == rhs(n) for n = start,
-start + step, ..., n_max", each declared once as an `_identity_check` row of
-`CHECKS` whose `start` is also its `min_n`, and all run by one loop,
-`_identity`.  A left side given as `_Series(build)` is entry n of one table
-`build(n_max)`, built once per run.  A failing identity names its smallest n:
-- `n=N: lhs - rhs = <difference>` when the sides are polynomials;
-- `n=N: got X, want Y` when they are integers or distributions;
-- for a pair of sides (thm-1.2), the first component that differs.
-The exhaustive checks (prop-3.2, prop-3.6, lemma-3.8, prop-4.4 and the snake
-checks) and the goldens keep their own loops and witnesses.
+Each entry is one row of `CHECKS`, of one of three kinds:
+- a series identity "lhs(n) == rhs(n) for n = start, start + step, ...,
+  n_max", run by one loop, `_identity`; its start is also its `min_n`, and
+  a left side given as `_Series(build)` is entry n of one table built once
+  per run.  The witness names the smallest n: `n=N: lhs - rhs = <difference>`
+  for polynomials, `n=N: got X, want Y` otherwise, and for a pair of sides
+  (thm-1.2) the first component that differs;
+- a map between finite families: a bijection streamed by `_bijection`
+  (prop-3.2, lemma-sign-changes, thm-5.8, thm-5.12) or an involution read
+  off the cached `_involution_walk` (prop-3.6, lemma-3.8, prop-4.4);
+- a worked-example golden, `_golden_check`: got() equals the literal in its
+  row, else `got X, want Y`.
+lemma-pattern alone keeps its own loop.
 
-Checks that read the same family at the same n share one pass over it:
-- the permutation checks read the cached `permstats.a_table` and
-  `permstats.b_table` (through `signed_enumerator` and `family_table`),
-  so the first check to touch an n pays for its table;
-- prop-3.6 and lemma-3.8 read one cached psi1 walk of H_n,
-  `_psi1_walk(n)`, which records the first witness of each claim, so either
-  check still runs alone;
-- the involution checks apply the unguarded moves `bijections._psi1_move`
-  and `_psi2_move`, only to generated paths or to images that have just
-  passed `motzkin.in_family`.
-Clearing those caches is needed only where a test patches what fills them.
+No check holds a family whole.  A bijection walk checks that each image
+lands in the target and maps back to its source, so the map is injective,
+hence onto once the source count equals the target's, counted by streaming
+its generator.  An involution walk checks each fixed point to lie in the
+fixed-point scheme (F or G) and each moved point outside it, so the fixed
+set is that scheme once the two counts agree.  prop-3.6 and lemma-3.8 read
+one walk of H_n, which records the first witness of each claim, so either
+check still runs alone.  The walks apply the unguarded moves
+`bijections._psi1_move` and `_psi2_move`, only to generated paths or to
+images that have just passed `motzkin.in_family`.  The permutation checks
+read the cached `permstats.a_table` and `permstats.b_table`, so the first
+check to touch an n pays for its table.  Clearing those caches is needed
+only where a test patches what fills them.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from snakelab import bijections, eulerians, motzkin, permstats, snakes
 from snakelab.algebra import (
@@ -159,177 +164,156 @@ def _half_fwex_sum(n: int, family: str) -> int:
     )
 
 
-# -- Q and R goldens -------------------------------------------------------------
+# -- bijections and involutions --------------------------------------------------
 
 
-Q_LITERALS = {
-    0: "1",
-    1: "t",
-    2: "1 + t^2 + t^2*q",
-    3: "2*t + 2*t*q + t*q^2 + t^3 + 2*t^3*q + 2*t^3*q^2 + t^3*q^3",
-}
-
-R_LITERALS = {
-    0: "1",
-    1: "t + t*q",
-    2: "1 + q + t^2 + 2*t^2*q + 2*t^2*q^2 + t^2*q^3",
-    3: "2*t + 5*t*q + 5*t*q^2 + 3*t*q^3 + t*q^4"
-    " + t^3 + 3*t^3*q + 5*t^3*q^2 + 6*t^3*q^3 + 5*t^3*q^4 + 3*t^3*q^5 + t^3*q^6",
-}
+def _each_n(claim: Callable[[int], str | None], start: int = 0) -> Callable[[int], str | None]:
+    """The check that claim(n) is None for n = start, ..., n_max; it returns
+    the first witness."""
+    return lambda n_max: next(filter(None, map(claim, range(start, n_max + 1))), None)
 
 
-def _golden_poly(kind: str, index: int) -> Callable[[int], str | None]:
-    def fn(_: int) -> str | None:
-        poly = eulerians.Q_poly(index) if kind == "Q" else eulerians.R_poly(index)
-        literal = Q_LITERALS[index] if kind == "Q" else R_LITERALS[index]
-        if str(poly) != literal:
-            return f"{kind}_{index} = {poly} != {literal}"
-        return None
-
-    return fn
+def _equal(n: int, lhs, rhs) -> str | None:
+    return None if lhs == rhs else _witness(n, lhs, rhs)
 
 
-# -- restructuring map and involutions ------------------------------------------
-
-
-def _check_restructure(n_max: int) -> str | None:
-    for n in range(1, n_max + 1):
-        heads = defaultdict(list)
-        for p in motzkin.gen_weighted("M", n):
-            head, out = bijections.phi(p)
-            if head * out.weight() != p.weight():
-                return f"n={n}: weight not preserved for {p.text()}"
-            heads[out].append((head, p))
-        expected = set(motzkin.gen_weighted("H", n - 1))
-        if heads.keys() != expected:
-            # the first missing H path in generation order, else the first
-            # extra image in M order, so the witness does not depend on the hash seed
-            missing = [p for p in motzkin.gen_weighted("H", n - 1) if p not in heads]
-            sample = missing[0] if missing else next(p for p in heads if p not in expected)
-            return f"n={n}: cover mismatch at {sample.text()}"
-        # phi_inverse rejects a path outside H, so images are compared with
-        # the family before any round trip
-        for out, seen in heads.items():
-            if sorted(m.text() for m, _ in seen) != ["y*t", "y^2"]:
-                return f"n={n}: heads over {out.text()} are {[m.text() for m, _ in seen]}"
-            for head, p in seen:
-                if bijections.phi_inverse(head, out) != p:
-                    return f"n={n}: round trip failed for {p.text()}"
-        lhs = motzkin.rho("M", n)
-        rhs = (Y ** 2 + Y * T) * motzkin.rho("H", n - 1)
-        if lhs != rhs:
-            return _witness(n, lhs, rhs)
+def _bijection(n: int, sources: Iterable, forward: Callable, inverse: Callable, target: str,
+               lands: Callable[[object], bool], law=None, target_size: int | None = None) -> str | None:
+    """The first witness against `forward` being a bijection from the
+    sources onto the target: for each source x in order, lands(image),
+    inverse(image) == x and no witness from law(x, image); then the count."""
+    count = 0
+    for x in sources:
+        count += 1
+        image = forward(x)
+        if not lands(image):
+            return f"n={n}: image leaves {target} at {x.text()}"
+        if inverse(image) != x:
+            return f"n={n}: round trip failed for {x.text()}"
+        witness = law(x, image) if law else None
+        if witness:
+            return witness
+    if target_size is not None and count != target_size:
+        return f"n={n}: {count} sources, {target_size} in {target}"
     return None
 
 
-def _psi1_claims(n: int, p, image, in_h: bool, wp, wi) -> str | None:
-    """prop-3.6's claims on one H path and its image, in order; wp and wi
-    are their weights."""
-    if not in_h:
-        return f"n={n}: image leaves H at {p.text()}: {image.text()}"
-    if bijections._psi1_move(image) != p:
-        return f"n={n}: not an involution at {p.text()}"
-    if image == p:
-        if not bijections.is_fixed_f(p):
-            return f"n={n}: unexpected fixed point {p.text()}"
+def _restructure(n: int) -> str | None:
+    """prop-3.2 at n: phi maps M_n one to one onto {y^2, yt} x H_(n-1)."""
+
+    def lands(image):
+        return image[0] in (bijections.HEAD_Y2, bijections.HEAD_YT) and motzkin.in_family("H", image[1])
+
+    def law(p, image):
+        if image[0] * image[1].weight() != p.weight():
+            return f"n={n}: weight not preserved for {p.text()}"
         return None
-    if bijections.is_fixed_f(p):
-        return f"n={n}: moved point satisfies the fixed-set menus: {p.text()}"
-    if abs(wi.ey - wp.ey) != 2 or wi.et != wp.et or wi.eq != wp.eq:
-        return f"n={n}: weight law broken at {p.text()}: {wp.text()} -> {wi.text()}"
+
+    return _bijection(
+        n, motzkin.gen_weighted("M", n), bijections.phi, lambda image: bijections.phi_inverse(*image),
+        "{y^2, yt} x H", lands, law, 2 * sum(1 for _ in motzkin.gen_weighted("H", n - 1)),
+    ) or _equal(n, motzkin.rho("M", n), (Y ** 2 + Y * T) * motzkin.rho("H", n - 1))
+
+
+def _snake_code(variant: str, shift: int, scheme: str, which: str) -> Callable[[int], str | None]:
+    """thm-5.8 (lambda1, Q) or thm-5.12 (lambda2, R): the encoding maps the
+    variant's snakes of size n + shift one to one onto the scheme's paths of
+    length n, and the snake sums equal Q_n or R_n."""
+    name = "lambda1" if which == "Q" else "lambda2"
+    poly = eulerians.Q_poly if which == "Q" else eulerians.R_poly
+
+    def claim(n: int) -> str | None:
+        return _bijection(
+            n, snakes.generate_snakes(n + shift, variant), getattr(snakes, name),
+            getattr(snakes, name + "_inv"), scheme, lambda path: motzkin.in_family(scheme, path),
+            target_size=sum(1 for _ in motzkin.gen_weighted(scheme, n)),
+        ) or _equal(n, snakes.snake_enumerator(n, which), poly(n))
+
+    return _each_n(claim)
+
+
+def _check_sign_changes(n_max: int) -> str | None:
+    """lemma-sign-changes: s -> (|window|, cs-vector) is one to one on the
+    S0 and S00 snakes, with arnold_recover its inverse, and each cs-vector
+    sums to the snake's sign changes."""
+
+    def law(s, image):
+        if sum(image[1]) != snakes.sign_changes(s):
+            return f"{s.text()}: vector {image[1]} does not sum to the total"
+        return None
+
+    for variant in ("S0", "S00"):
+        for n in range(n_max + 1):
+            witness = _bijection(
+                n, snakes.generate_snakes(n, variant),
+                lambda s: (tuple(abs(x) for x in s.window), snakes.cs_vector(s)),
+                lambda image: snakes.arnold_recover(*image, variant),
+                "{0,1,2}^n", lambda image: all(c in (0, 1, 2) for c in image[1]), law)
+            if witness:
+                return witness
     return None
+
+
+# scheme -> (involution, fixed-point scheme, allowed (ey, eq) shifts of a moved path)
+_INVOLUTIONS = {
+    "H": ("psi1", "F", ((2, 0), (-2, 0))),
+    "MSTAR": ("psi2", "G", ((2, 1), (-2, -1))),
+}
 
 
 @lru_cache(maxsize=None)
-def _psi1_walk(n: int) -> dict[str, str]:
-    """One psi1 walk of H_n for prop-3.6 and lemma-3.8: the first witness of
-    each failing claim, keyed "involution" and "fixed-set" (prop-3.6), "H1",
-    "H2" and "fixed-parity" (lemma-3.8).  The slices are read off each path's
-    t-degree, so neither is held as a set."""
+def _involution_walk(scheme: str, n: int) -> dict[str, str]:
+    """One walk of the scheme's paths of length n under its involution: the
+    first witness of each failing claim, keyed "involution", "fixed-set",
+    "fixed-parity" and the t-degree slices "<scheme>1" (odd), "<scheme>2"."""
+    name, fixed_scheme, shifts = _INVOLUTIONS[scheme]
+    move = getattr(bijections, f"_{name}_move")
     found: dict[str, str] = {}
-    fixed = set()
-    for p in motzkin.gen_weighted("H", n):
-        image = bijections._psi1_move(p)
-        in_h = motzkin.in_family("H", image)
+    fixed = 0
+    for p in motzkin.gen_weighted(scheme, n):
+        image = move(p)
+        inside = motzkin.in_family(scheme, image)
         wp, wi = p.weight(), image.weight()
-        piece = "H1" if wp.et % 2 else "H2"
-        if piece not in found and not (in_h and (wi.et - wp.et) % 2 == 0):
-            found[piece] = f"n={n}: psi1 leaves the {piece} slice at {p.text()}"
-        if "involution" not in found:
-            witness = _psi1_claims(n, p, image, in_h, wp, wi)
-            if witness is not None:
-                found["involution"] = witness
-            elif image == p:
-                fixed.add(p)
-    family_f = set()
-    for p in motzkin.gen_weighted("F", n):
-        family_f.add(p)
+        piece = f"{scheme}{2 - wp.et % 2}"
+        if piece not in found and not (inside and (wi.et - wp.et) % 2 == 0):
+            found[piece] = f"n={n}: {name} leaves the {piece} slice at {p.text()}"
+        if "involution" in found:
+            continue
+        in_fixed, claim = motzkin.in_family(fixed_scheme, p), None
+        if not inside:
+            claim = f"image leaves {scheme} at {p.text()}: {image.text()}"
+        elif move(image) != p:
+            claim = f"not an involution at {p.text()}"
+        elif image == p:
+            fixed += in_fixed
+            claim = None if in_fixed else f"unexpected fixed point {p.text()}"
+        elif in_fixed:
+            claim = f"moved point satisfies the fixed-set menus: {p.text()}"
+        elif (wi.ey - wp.ey, wi.eq - wp.eq) not in shifts or wi.et != wp.et:
+            claim = f"weight law broken at {p.text()}: {wp.text()} -> {wi.text()}"
+        if claim:
+            found["involution"] = f"n={n}: {claim}"
+    size = 0
+    for p in motzkin.gen_weighted(fixed_scheme, n):
+        size += 1
         if "fixed-parity" not in found and p.t_degree() % 2 != n % 2:
             found["fixed-parity"] = f"n={n}: fixed path with t-degree {p.t_degree()}: {p.text()}"
-    if fixed != family_f:
+    if fixed != size:
         found["fixed-set"] = f"n={n}: fixed set differs from the restricted path family"
     return found
 
 
-def _walk_witness(claims: tuple[str, ...]) -> Callable[[int], str | None]:
-    def fn(n_max: int) -> str | None:
-        for n in range(0, n_max + 1):
-            found = _psi1_walk(n)
-            for claim in claims:
-                if claim in found:
-                    return found[claim]
-        return None
+def _walk(scheme: str, claims: tuple[str, ...]) -> Callable[[int], str | None]:
+    """The check that reads the first witness of the claims off each walk."""
 
-    return fn
+    def claim(n: int) -> str | None:
+        found = _involution_walk(scheme, n)
+        return next((found[c] for c in claims if c in found), None)
+
+    return _each_n(claim)
 
 
-_check_psi1 = _walk_witness(("involution", "fixed-set"))
-_check_psi1_slices = _walk_witness(("H1", "H2", "fixed-parity"))
-
-
-def _check_psi2(n_max: int) -> str | None:
-    for n in range(0, n_max + 1):
-        fixed = set()
-        for p in motzkin.gen_weighted("MSTAR", n):
-            image = bijections._psi2_move(p)
-            if not motzkin.in_family("MSTAR", image):
-                return f"n={n}: image leaves MSTAR at {p.text()}: {image.text()}"
-            if bijections._psi2_move(image) != p:
-                return f"n={n}: not an involution at {p.text()}"
-            wp, wi = p.weight(), image.weight()
-            if image == p:
-                fixed.add(p)
-                if not bijections.is_fixed_g(p):
-                    return f"n={n}: unexpected fixed point {p.text()}"
-                if wp.et % 2 != n % 2:
-                    return f"n={n}: fixed path with t-degree {wp.et}: {p.text()}"
-            else:
-                if bijections.is_fixed_g(p):
-                    return f"n={n}: moved point satisfies the fixed-set menus: {p.text()}"
-                if (wi.ey - wp.ey, wi.eq - wp.eq) not in ((2, 1), (-2, -1)) or wi.et != wp.et:
-                    return (
-                        f"n={n}: weight law broken at {p.text()}:"
-                        f" {wp.text()} -> {wi.text()}"
-                    )
-        if fixed != set(motzkin.gen_weighted("G", n)):
-            return f"n={n}: fixed set differs from the restricted path family"
-    return None
-
-
-# -- snakes ---------------------------------------------------------------------
-
-
-def _check_sign_changes(n_max: int) -> str | None:
-    for variant in ("S0", "S00"):
-        for n in range(0, n_max + 1):
-            for s in snakes.generate_snakes(n, variant):
-                v = snakes.cs_vector(s)
-                if sum(v) != snakes.sign_changes(s):
-                    return f"{s.text()}: vector {v} does not sum to the total"
-                abs_window = tuple(abs(x) for x in s.window)
-                if snakes.arnold_recover(abs_window, v, variant) != s:
-                    return f"{s.text()}: sign recovery failed"
-    return None
+# -- snakes and goldens ------------------------------------------------------------
 
 
 def _check_pattern_lemma(n_max: int) -> str | None:
@@ -348,110 +332,28 @@ def _check_pattern_lemma(n_max: int) -> str | None:
     return None
 
 
-def _check_lambda1(n_max: int) -> str | None:
-    for n in range(0, n_max + 1):
-        images = {}
-        for s in snakes.generate_snakes(n, "S0"):
-            path = snakes.lambda1(s)
-            if path in images:
-                return f"n={n}: {s.text()} and {images[path].text()} collide"
-            images[path] = s
-        if set(images) != set(motzkin.gen_weighted("TSTAR", n)):
-            return f"n={n}: image is not the whole path family"
-        for path, s in images.items():  # lambda1_inv rejects a path outside TSTAR
-            if snakes.lambda1_inv(path) != s:
-                return f"n={n}: round trip failed for {s.text()}"
-        lhs = snakes.snake_enumerator(n, "Q")
-        rhs = eulerians.Q_poly(n)
-        if lhs != rhs:
-            return _witness(n, lhs, rhs)
-    return None
+def _golden_check(check_id: str, description: str, got: Callable[[], object], want) -> Check:
+    """A worked example: got() equals the literal want."""
+
+    def fn(_: int) -> str | None:
+        value = got()
+        return None if value == want else f"got {value}, want {want}"
+
+    return Check(check_id, description, 0, fn, scalable=False)
 
 
-def _check_lambda2(n_max: int) -> str | None:
-    for n in range(0, n_max + 1):
-        images = {}
-        for s in snakes.generate_snakes(n + 1, "S00"):
-            path = snakes.lambda2(s)
-            if path in images:
-                return f"n={n}: {s.text()} and {images[path].text()} collide"
-            images[path] = s
-        if set(images) != set(motzkin.gen_weighted("T", n)):
-            return f"n={n}: image is not the whole path family"
-        for path, s in images.items():  # lambda2_inv rejects a path outside T
-            if snakes.lambda2_inv(path) != s:
-                return f"n={n}: round trip failed for {s.text()}"
-        lhs = snakes.snake_enumerator(n, "R")
-        rhs = eulerians.R_poly(n)
-        if lhs != rhs:
-            return _witness(n, lhs, rhs)
-    return None
+_EXAMPLE_SNAKE = snakes.Snake((5, -2, 4, -7, -1, -8, 10, -9, 6, 3), "S0")
+_EXAMPLE_SNAKE_00 = snakes.Snake((5, -2, 4, -7, -1, -8, 11, -9, 6, 3, 10), "S00")
 
 
-# -- worked-example goldens ------------------------------------------------------
+def _profile(s: snakes.Snake, alpha: slice, beta: slice) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Rows of the block table of a worked example: alpha and beta, sliced."""
+    p = snakes.block_profile(tuple(abs(v) for v in s.window), s.variant)
+    return p.alpha[alpha], p.beta[beta]
 
 
-def _check_cro_golden(_: int) -> str | None:
-    got = permstats.stats((3, -4, -2, 5, 1)).cro_b
-    return None if got == 5 else f"cro_b((3,-4,-2,5,1)) = {got}, want 5"
-
-
-_EXAMPLE_SNAKE = (5, -2, 4, -7, -1, -8, 10, -9, 6, 3)
-_EXAMPLE_SNAKE_00 = (5, -2, 4, -7, -1, -8, 11, -9, 6, 3, 10)
-
-
-def _check_cs_golden(_: int) -> str | None:
-    s = snakes.Snake(_EXAMPLE_SNAKE, "S0")
-    v = snakes.cs_vector(s)
-    if v != (0, 2, 0, 1, 0, 1, 0, 1, 1, 0):
-        return f"cs-vector {v}"
-    total = snakes.sign_changes(s)
-    if total != 6:
-        return f"cs total {total}, want 6"
-    return None
-
-
-def _check_table1_golden(_: int) -> str | None:
-    p = snakes.block_profile(tuple(abs(v) for v in _EXAMPLE_SNAKE), "S0")
-    if p.alpha != (1, 2, 3, 4, 4, 3, 3, 2, 2, 2, 1):
-        return f"alpha row {p.alpha}"
-    if p.beta != (0, 0, 1, 0, 2, 2, 0, 1, 1, 0, 0):
-        return f"beta row {p.beta}"
-    return None
-
-
-def _check_table2_golden(_: int) -> str | None:
-    p = snakes.block_profile(tuple(abs(v) for v in _EXAMPLE_SNAKE_00), "S00")
-    if p.alpha[:11] != (2, 3, 4, 5, 5, 4, 4, 3, 3, 3, 2):
-        return f"alpha row {p.alpha[:11]}"
-    if p.beta[1:11] != (1, 2, 1, 3, 3, 1, 2, 2, 1, 0):
-        return f"beta row {p.beta[1:11]}"
-    return None
-
-
-def _check_b1_b2_golden(_: int) -> str | None:
-    b1 = str(permstats.signed_enumerator(1, "B", "FULL_YTQ"))
-    if b1 != "y*t + y^2":
-        return f"B_1 = {b1}"
-    b2 = str(permstats.signed_enumerator(2, "B", "FULL_YTQ"))
-    want = "y*t + y^2 + y^2*t^2 + y^2*t^2*q + 2*y^3*t + y^3*t*q + y^4"
-    if b2 != want:
-        return f"B_2 = {b2}"
-    return None
-
-
-def _check_lambda1_golden(_: int) -> str | None:
-    path = snakes.lambda1(snakes.Snake(_EXAMPLE_SNAKE, "S0"))
-    got = [(path.steps[i], path.weights[i].text()) for i in (0, 1)]
-    want = [("U", "1"), ("U", "t^2*q^4")]
-    return None if got == want else f"first steps {got}"
-
-
-def _check_lambda2_golden(_: int) -> str | None:
-    path = snakes.lambda2(snakes.Snake(_EXAMPLE_SNAKE_00, "S00"))
-    got = [(path.steps[i], path.weights[i].text()) for i in (0, 1)]
-    want = [("U", "1"), ("U", "t^2*q^5")]
-    return None if got == want else f"first steps {got}"
+def _first_steps(path) -> list[tuple[str, str]]:
+    return [(s, w.text()) for s, w in zip(path.steps[:2], path.weights[:2])]
 
 
 # -- registry --------------------------------------------------------------------
@@ -465,14 +367,21 @@ R_ODD_NOTE = (
 
 
 CHECKS: list[Check] = [
-    Check("q0-golden", "Q_0 equals the literal '1'", 0, _golden_poly("Q", 0), scalable=False),
-    Check("q1-golden", "Q_1 equals the literal 't'", 0, _golden_poly("Q", 1), scalable=False),
-    Check("q2-golden", "Q_2 equals the literal '1 + (1+q)t^2'", 0, _golden_poly("Q", 2), scalable=False),
-    Check("q3-golden", "Q_3 equals the literal '(2+2q+q^2)t + (1+2q+2q^2+q^3)t^3'", 0, _golden_poly("Q", 3), scalable=False),
-    Check("r0-golden", "R_0 equals the literal '1'", 0, _golden_poly("R", 0), scalable=False),
-    Check("r1-golden", "R_1 equals the literal '(1+q)t'", 0, _golden_poly("R", 1), scalable=False),
-    Check("r2-golden", "R_2 equals the literal '(1+q) + (1+2q+2q^2+q^3)t^2'", 0, _golden_poly("R", 2), scalable=False),
-    Check("r3-golden", "R_3 equals the literal '(2+5q+5q^2+3q^3+q^4)t + (1+3q+5q^2+6q^3+5q^4+3q^5+q^6)t^3'", 0, _golden_poly("R", 3), scalable=False),
+    _golden_check("q0-golden", "Q_0 equals the literal '1'", lambda: str(eulerians.Q_poly(0)), "1"),
+    _golden_check("q1-golden", "Q_1 equals the literal 't'", lambda: str(eulerians.Q_poly(1)), "t"),
+    _golden_check("q2-golden", "Q_2 equals the literal '1 + (1+q)t^2'", lambda: str(eulerians.Q_poly(2)), "1 + t^2 + t^2*q"),
+    _golden_check(
+        "q3-golden", "Q_3 equals the literal '(2+2q+q^2)t + (1+2q+2q^2+q^3)t^3'",
+        lambda: str(eulerians.Q_poly(3)),
+        "2*t + 2*t*q + t*q^2 + t^3 + 2*t^3*q + 2*t^3*q^2 + t^3*q^3"),
+    _golden_check("r0-golden", "R_0 equals the literal '1'", lambda: str(eulerians.R_poly(0)), "1"),
+    _golden_check("r1-golden", "R_1 equals the literal '(1+q)t'", lambda: str(eulerians.R_poly(1)), "t + t*q"),
+    _golden_check("r2-golden", "R_2 equals the literal '(1+q) + (1+2q+2q^2+q^3)t^2'", lambda: str(eulerians.R_poly(2)), "1 + q + t^2 + 2*t^2*q + 2*t^2*q^2 + t^2*q^3"),
+    _golden_check(
+        "r3-golden", "R_3 equals the literal '(2+5q+5q^2+3q^3+q^4)t + (1+3q+5q^2+6q^3+5q^4+3q^5+q^6)t^3'",
+        lambda: str(eulerians.R_poly(3)),
+        "2*t + 5*t*q + 5*t*q^2 + 3*t*q^3 + t*q^4"
+        " + t^3 + 3*t^3*q + 5*t^3*q^2 + 6*t^3*q^3 + 5*t^3*q^4 + 3*t^3*q^5 + t^3*q^6"),
     _identity_check(
         "commutation-du-qud", "(DU - qUD) f = f on the basis t^k", 12,
         lambda k: _du_minus_qud(Poly.monomial(et=k)), lambda k: Poly.monomial(et=k)),
@@ -565,27 +474,40 @@ CHECKS: list[Check] = [
     _identity_check(
         "eqn-dstar", "scheme MSTAR paths of even t-degree sum to the fixed-point-free even-signed enumerator", 5,
         _rho("MSTARPRIME"), _enumerator("D*", "FULL_YTQ")),
-    Check("prop-3.2", "the doubling map is a weight-preserving two-to-one cover of scheme H", 5, _check_restructure, min_n=1),
+    Check("prop-3.2", "the doubling map is a weight-preserving two-to-one cover of scheme H", 5, _each_n(_restructure, 1), min_n=1),
     _identity_check(
         "lemma-3.5", "the psi1 fixed family sums to y^n R_n", 5,
         _rho("F"), lambda n: Y ** n * eulerians.R_poly(n)),
-    Check("prop-3.6", "psi1 is an involution on H with weight factor y^(+-2) and fixed set F", 5, _check_psi1),
-    Check("lemma-3.8", "psi1 preserves the t-degree slices; fixed weights have t-degree of the parity of n", 5, _check_psi1_slices),
+    Check("prop-3.6", "psi1 is an involution on H with weight factor y^(+-2) and fixed set F", 5, _walk("H", ("involution", "fixed-set"))),
+    Check("lemma-3.8", "psi1 preserves the t-degree slices; fixed weights have t-degree of the parity of n", 5, _walk("H", ("H1", "H2", "fixed-parity"))),
     _identity_check(
         "lemma-4.3", "the psi2 fixed family sums to y^n Q_n", 5,
         _rho("G"), lambda n: Y ** n * eulerians.Q_poly(n)),
-    Check("prop-4.4", "psi2 is an involution on MSTAR with weight factor (y^2 q)^(+-1) and fixed set G", 5, _check_psi2),
+    Check("prop-4.4", "psi2 is an involution on MSTAR with weight factor (y^2 q)^(+-1) and fixed set G", 5, _walk("MSTAR", ("involution", "fixed-parity", "fixed-set"))),
     Check("lemma-sign-changes", "cs-vectors sum to the sign-change count and determine the snake", 5, _check_sign_changes),
     Check("lemma-pattern", "block statistics equal the 13-2 and 2-31 pattern counts", 5, _check_pattern_lemma, min_n=1),
-    Check("thm-5.8", "the snake encoding is a bijection onto scheme TSTAR and realizes Q_n", 5, _check_lambda1),
-    Check("thm-5.12", "the snake encoding is a bijection onto scheme T and realizes R_n", 5, _check_lambda2),
-    Check("example-cro-golden", "the worked crossing example has five crossings", 0, _check_cro_golden, scalable=False),
-    Check("example-cs-golden", "the worked snake example has cs-vector (0,2,0,1,0,1,0,1,1,0) and cs = 6", 0, _check_cs_golden, scalable=False),
-    Check("table-1-golden", "block table of the worked size-10 example", 0, _check_table1_golden, scalable=False),
-    Check("table-2-golden", "block table of the worked size-11 example", 0, _check_table2_golden, scalable=False),
-    Check("b1-b2-golden", "trivariate enumerators of sizes 1 and 2 match their literals", 0, _check_b1_b2_golden, scalable=False),
-    Check("lambda1-golden", "first two encoded steps of the worked size-10 snake weigh 1 and t^2 q^4", 0, _check_lambda1_golden, scalable=False),
-    Check("lambda2-golden", "first two encoded steps of the worked size-11 snake weigh 1 and t^2 q^5", 0, _check_lambda2_golden, scalable=False),
+    Check("thm-5.8", "the snake encoding is a bijection onto scheme TSTAR and realizes Q_n", 5, _snake_code("S0", 0, "TSTAR", "Q")),
+    Check("thm-5.12", "the snake encoding is a bijection onto scheme T and realizes R_n", 5, _snake_code("S00", 1, "T", "R")),
+    _golden_check("example-cro-golden", "the worked crossing example has five crossings", lambda: permstats.stats((3, -4, -2, 5, 1)).cro_b, 5),
+    _golden_check(
+        "example-cs-golden", "the worked snake example has cs-vector (0,2,0,1,0,1,0,1,1,0) and cs = 6",
+        lambda: (snakes.cs_vector(_EXAMPLE_SNAKE), snakes.sign_changes(_EXAMPLE_SNAKE)), ((0, 2, 0, 1, 0, 1, 0, 1, 1, 0), 6)),
+    _golden_check(
+        "table-1-golden", "block table of the worked size-10 example", lambda: _profile(_EXAMPLE_SNAKE, slice(None), slice(None)),
+        ((1, 2, 3, 4, 4, 3, 3, 2, 2, 2, 1), (0, 0, 1, 0, 2, 2, 0, 1, 1, 0, 0))),
+    _golden_check(
+        "table-2-golden", "block table of the worked size-11 example", lambda: _profile(_EXAMPLE_SNAKE_00, slice(11), slice(1, 11)),
+        ((2, 3, 4, 5, 5, 4, 4, 3, 3, 3, 2), (1, 2, 1, 3, 3, 1, 2, 2, 1, 0))),
+    _golden_check(
+        "b1-b2-golden", "trivariate enumerators of sizes 1 and 2 match their literals",
+        lambda: tuple(str(permstats.signed_enumerator(n, "B", "FULL_YTQ")) for n in (1, 2)),
+        ("y*t + y^2", "y*t + y^2 + y^2*t^2 + y^2*t^2*q + 2*y^3*t + y^3*t*q + y^4")),
+    _golden_check(
+        "lambda1-golden", "first two encoded steps of the worked size-10 snake weigh 1 and t^2 q^4",
+        lambda: _first_steps(snakes.lambda1(_EXAMPLE_SNAKE)), [("U", "1"), ("U", "t^2*q^4")]),
+    _golden_check(
+        "lambda2-golden", "first two encoded steps of the worked size-11 snake weigh 1 and t^2 q^5",
+        lambda: _first_steps(snakes.lambda2(_EXAMPLE_SNAKE_00)), [("U", "1"), ("U", "t^2*q^5")]),
 ]
 
 CHECKS_BY_ID = {c.id: c for c in CHECKS}

@@ -21,8 +21,10 @@ brute-force counters `count_alternating` and `springer_number` enumerate
 permutations and snakes; they are kept as independent oracles for the
 checks, not as routes.
 
-All results are memoized; everything here is pure and safe for concurrent
-readers.
+`euler_number`, `springer_number`, `q_euler`, `Q_poly` and `R_poly` are
+memoized; the table functions (`seidel_numbers`, `springer_numbers`,
+`q_euler_numbers`, `qr_series`) and `count_alternating` recompute on each
+call.  Everything here is pure and safe for concurrent readers.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
+from snakelab import snakes
 from snakelab.algebra import (
     ONE,
     Q,
@@ -43,21 +46,10 @@ from snakelab.algebra import (
 )
 
 
-def _is_alternating(perm: tuple[int, ...]) -> bool:
-    # sigma_1 > sigma_2 < sigma_3 > ...
-    for i in range(len(perm) - 1):
-        if i % 2 == 0:
-            if perm[i] < perm[i + 1]:
-                return False
-        elif perm[i] > perm[i + 1]:
-            return False
-    return True
-
-
 def count_alternating(n: int) -> int:
     """Brute-force count of alternating permutations of [n]; an oracle for
     checking `seidel_numbers`, exponential in n."""
-    return sum(1 for p in itertools.permutations(range(1, n + 1)) if _is_alternating(p))
+    return sum(1 for p in itertools.permutations(range(1, n + 1)) if snakes._alternates(p))
 
 
 def seidel_numbers(n_max: int) -> list[int]:
@@ -87,8 +79,6 @@ def springer_number(n: int) -> int:
     """S_n: the number of snakes of size n with positive first entry,
     counted one by one; an oracle for checking `springer_numbers` and
     Q_n(1,1), exponential in n."""
-    from snakelab import snakes  # local import; snakes needs no symbol from here
-
     return sum(1 for _ in snakes.generate_snakes(n, "S0"))
 
 

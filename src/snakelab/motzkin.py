@@ -50,19 +50,19 @@ SCHEMES = (
     "MSTAR", "MPRIME", "MSTARPRIME", "H1", "H2",
 )
 
-# scheme -> (menu table, required t-parity of the path weight, pair rule)
+# scheme -> (menu table, required t-parity of the path weight, pair rule applies)
 _SCHEME_INFO = {
-    "M": ("M", None, None),
-    "MSTAR": ("MSTAR", None, None),
-    "MPRIME": ("M", 0, None),
-    "MSTARPRIME": ("MSTAR", 0, None),
-    "H": ("H", None, None),
-    "H1": ("H", 1, None),
-    "H2": ("H", 0, None),
-    "T": ("T", None, None),
-    "TSTAR": ("TSTAR", None, None),
-    "F": ("F", None, "F"),
-    "G": ("G", None, "G"),
+    "M": ("M", None, False),
+    "MSTAR": ("MSTAR", None, False),
+    "MPRIME": ("M", 0, False),
+    "MSTARPRIME": ("MSTAR", 0, False),
+    "H": ("H", None, False),
+    "H1": ("H", 1, False),
+    "H2": ("H", 0, False),
+    "T": ("T", None, False),
+    "TSTAR": ("TSTAR", None, False),
+    "F": ("F", None, True),
+    "G": ("G", None, True),
 }
 
 
@@ -213,14 +213,12 @@ class WeightedPath:
 EMPTY_PATH = WeightedPath((), ())
 
 
-def _pair_ok(rule: str, h: int, wu: Monomial, wd: Monomial) -> bool:
-    """Admissible facing-pair weights for the fixed-point families,
-    h being the rise height.  Exponent ranges are already enforced by the
-    per-step menus; only the branch coupling is decided here."""
-    if rule not in ("F", "G"):
-        raise ValueError(f"unknown pair rule {rule!r}")
-    # F: (y^2 q^a, q^b) or (yt q^(h+1+a), yt q^(h+1+b))
-    # G: (y^2 q^a, q^b) or (yt q^(h+a), yt q^(h+1+b))
+def _pair_ok(wu: Monomial, wd: Monomial) -> bool:
+    """Admissible facing-pair weights for the fixed-point families F and G.
+    Exponent ranges are already enforced by the per-step menus; only the
+    branch coupling, which F and G share, is decided here:
+    F: (y^2 q^a, q^b) or (yt q^(h+1+a), yt q^(h+1+b));
+    G: (y^2 q^a, q^b) or (yt q^(h+a), yt q^(h+1+b))."""
     return (wu.ey == 2) == (wd.ey == 0)
 
 
@@ -259,18 +257,14 @@ def gen_weighted(scheme: str, n: int) -> Iterator[WeightedPath]:
     _, parity, pair_rule = _scheme_info(scheme)
     forbid_wavy = len(weight_menu(scheme, "W", 0)) == 0
     for steps in gen_shapes(n, forbid_wavy_on_axis=forbid_wavy):
-        heights = step_heights(steps)
-        menus = [weight_menu(scheme, s, h) for s, h in zip(steps, heights)]
+        menus = [weight_menu(scheme, s, h) for s, h in zip(steps, step_heights(steps))]
         if any(not menu for menu in menus):
             continue
         pairs = matching_pairs(steps) if pair_rule else ()
         for combo in itertools.product(*menus):
             if parity is not None and sum(w.et for w in combo) % 2 != parity:
                 continue
-            if pair_rule and not all(
-                _pair_ok(pair_rule, heights[u], combo[u], combo[d])
-                for u, d in pairs
-            ):
+            if pair_rule and not all(_pair_ok(combo[u], combo[d]) for u, d in pairs):
                 continue
             yield WeightedPath(steps, combo)
 
@@ -305,9 +299,8 @@ def in_family(scheme: str, path: WeightedPath) -> bool:
     if parity is not None and path.t_degree() % 2 != parity:
         return False
     if pair_rule:
-        heights = path.heights()
         for u, d in matching_pairs(path.steps):
-            if not _pair_ok(pair_rule, heights[u], path.weights[u], path.weights[d]):
+            if not _pair_ok(path.weights[u], path.weights[d]):
                 return False
     return True
 
@@ -333,7 +326,8 @@ def flajolet_schedule(scheme: str) -> "CoefficientSchedule":
             [m.coeff, m.ey, m.et, m.eq] for m in weight_menu(scheme, step, h)
         )
 
-    if _SCHEME_INFO[scheme][1] is not None or _SCHEME_INFO[scheme][2] is not None:
+    _, parity, pair_rule = _scheme_info(scheme)
+    if parity is not None or pair_rule:
         raise ValueError(f"scheme {scheme} is not menu-defined; no J-fraction schedule")
     return CoefficientSchedule(
         mu=lambda h: menu_sum("L", h) + menu_sum("W", h),

@@ -70,6 +70,8 @@ class Snake:
 
 
 def _alternates(window: Sequence[int]) -> bool:
+    """window[0] > window[1] < window[2] > ...; also the alternating
+    permutations counted by `eulerians.count_alternating`."""
     for i in range(len(window) - 1):
         if i % 2 == 0:
             if window[i] < window[i + 1]:

@@ -4,7 +4,7 @@ from collections import defaultdict
 
 import pytest
 
-from snakelab import bijections, checks, motzkin
+from snakelab import bijections, checks, motzkin, snakes
 from snakelab.algebra import Monomial, Poly, T, Y
 from snakelab.bijections import (
     HEAD_Y2,
@@ -183,17 +183,53 @@ def _psi1_slices_reference(n_max):
     return None
 
 
-class TestSharedPsi1Walk:
-    @pytest.fixture(autouse=True)
-    def fresh_walk(self):
-        checks._psi1_walk.cache_clear()
-        yield
-        checks._psi1_walk.cache_clear()
+def _psi2_check_reference(n_max):
+    """prop-4.4 with each fixed set held as a set, one loop per n."""
+    for n in range(0, n_max + 1):
+        fixed = set()
+        for p in motzkin.gen_weighted("MSTAR", n):
+            image = bijections._psi2_move(p)
+            if not motzkin.in_family("MSTAR", image):
+                return f"n={n}: image leaves MSTAR at {p.text()}: {image.text()}"
+            if bijections._psi2_move(image) != p:
+                return f"n={n}: not an involution at {p.text()}"
+            wp, wi = p.weight(), image.weight()
+            if image == p:
+                fixed.add(p)
+                if not bijections.is_fixed_g(p):
+                    return f"n={n}: unexpected fixed point {p.text()}"
+                if wp.et % 2 != n % 2:
+                    return f"n={n}: fixed path with t-degree {wp.et}: {p.text()}"
+            else:
+                if bijections.is_fixed_g(p):
+                    return f"n={n}: moved point satisfies the fixed-set menus: {p.text()}"
+                if (wi.ey - wp.ey, wi.eq - wp.eq) not in ((2, 1), (-2, -1)) or wi.et != wp.et:
+                    return (
+                        f"n={n}: weight law broken at {p.text()}:"
+                        f" {wp.text()} -> {wi.text()}"
+                    )
+        if fixed != set(motzkin.gen_weighted("G", n)):
+            return f"n={n}: fixed set differs from the restricted path family"
+    return None
 
+
+def _catalog(check_id):
+    return checks.CHECKS_BY_ID[check_id].fn
+
+
+@pytest.fixture
+def fresh_walk():
+    checks._involution_walk.cache_clear()
+    yield
+    checks._involution_walk.cache_clear()
+
+
+@pytest.mark.usefixtures("fresh_walk")
+class TestSharedPsi1Walk:
     def _routes(self, n_max):
         return (
-            (checks._check_psi1(n_max), _psi1_check_reference(n_max)),
-            (checks._check_psi1_slices(n_max), _psi1_slices_reference(n_max)),
+            (_catalog("prop-3.6")(n_max), _psi1_check_reference(n_max)),
+            (_catalog("lemma-3.8")(n_max), _psi1_slices_reference(n_max)),
         )
 
     @pytest.mark.parametrize("n_max", range(5))
@@ -208,11 +244,88 @@ class TestSharedPsi1Walk:
         for walk, reference in self._routes(4):
             assert walk is not None and walk == reference
 
+    def test_fixed_set_is_compared_by_count(self, monkeypatch):
+        # F_0 loses its one path, so one fixed point of psi1 is left uncounted
+        real = motzkin.gen_weighted
+
+        def short_f(scheme, n):
+            paths = list(real(scheme, n))
+            return iter(paths[:-1] if scheme == "F" else paths)
+
+        monkeypatch.setattr(motzkin, "gen_weighted", short_f)
+        assert _catalog("prop-3.6")(0) == "n=0: fixed set differs from the restricted path family"
+
+    def test_weight_law_is_checked(self, monkeypatch):
+        # psi2's (y^2 q)^(+-1) law on H: the first moved path of psi1 breaks it
+        monkeypatch.setitem(checks._INVOLUTIONS, "H", ("psi1", "F", ((2, 1), (-2, -1))))
+        assert _catalog("prop-3.6")(2).startswith("n=1: weight law broken at ")
+
     def test_walk_is_shared(self):
-        checks._check_psi1(3)
-        checks._check_psi1_slices(3)
-        info = checks._psi1_walk.cache_info()
+        _catalog("prop-3.6")(3)
+        _catalog("lemma-3.8")(3)
+        info = checks._involution_walk.cache_info()
         assert (info.misses, info.hits) == (4, 4)
+
+
+@pytest.mark.usefixtures("fresh_walk")
+class TestPsi2Walk:
+    @pytest.mark.parametrize("n_max", range(5))
+    def test_walk_agrees_with_reference(self, n_max):
+        assert _catalog("prop-4.4")(n_max) is None
+        assert _psi2_check_reference(n_max) is None
+
+    def test_pair_offset_mutation_fails_both_routes(self, monkeypatch):
+        # the pair toggle with offset h+1 instead of h (psi1's offset)
+        monkeypatch.setattr(bijections, "_psi2_move",
+                            lambda p: bijections._toggle(p, "L", 1, 1))
+        walk = _catalog("prop-4.4")(4)
+        assert walk is not None and walk == _psi2_check_reference(4)
+
+    def test_identity_move_fails_both_routes(self, monkeypatch):
+        # every path is fixed, so the first one outside G is reported
+        monkeypatch.setattr(bijections, "_psi2_move", lambda p: p)
+        walk = _catalog("prop-4.4")(4)
+        assert "unexpected fixed point" in walk and walk == _psi2_check_reference(4)
+
+
+class _Item:
+    """A source with the `text()` that witnesses print."""
+
+    def __init__(self, k):
+        self.k = k
+
+    def text(self):
+        return f"item{self.k}"
+
+    def __eq__(self, other):
+        return isinstance(other, _Item) and other.k == self.k
+
+
+class TestBijectionWalk:
+    def _run(self, forward, inverse, law=None, target_size=None, lands=lambda image: image >= 0):
+        items = [_Item(k) for k in range(4)]
+        return checks._bijection(3, iter(items), forward, inverse, "N", lands, law, target_size)
+
+    def test_bijection_passes(self):
+        assert self._run(lambda x: x.k, _Item, target_size=4) is None
+
+    def test_image_outside_target(self):
+        assert self._run(lambda x: x.k - 2, _Item) == "n=3: image leaves N at item0"
+
+    def test_two_sources_on_one_image_fail_the_round_trip(self):
+        assert self._run(lambda x: x.k // 2, lambda i: _Item(2 * i)) == "n=3: round trip failed for item1"
+
+    def test_law_failure_is_reported(self):
+        law = lambda x, image: "law broken at item2" if x.k == 2 else None
+        assert self._run(lambda x: x.k, _Item, law=law) == "law broken at item2"
+
+    def test_count_short_of_target(self):
+        assert self._run(lambda x: x.k, _Item, target_size=5) == "n=3: 4 sources, 5 in N"
+
+    def test_dropped_snake_fails_the_count(self, monkeypatch):
+        real = snakes.generate_snakes
+        monkeypatch.setattr(snakes, "generate_snakes", lambda n, v: list(real(n, v))[:-1])
+        assert checks.run_check("thm-5.8").witness == "n=0: 0 sources, 1 in TSTAR"
 
 
 class TestPsi2:

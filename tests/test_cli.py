@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -174,6 +175,20 @@ class TestIdentity:
         assert run_check(check_id, 6).status == "pass"
         assert len(calls) == builds
         assert all(args[-1] == 6 for args in calls)
+
+
+class TestGoldenCheck:
+    """The row shape of every worked-example golden."""
+
+    def test_literal_match_and_witness(self):
+        assert checklib._golden_check("g", "d", lambda: (1, "t"), (1, "t")).fn(0) is None
+        check = checklib._golden_check("g", "d", lambda: (1, "t"), (2, "t"))
+        assert not check.scalable and check.default_n == 0
+        assert check.fn(0) == "got (1, 't'), want (2, 't')"
+
+    def test_catalog_golden_reports_a_changed_value(self, monkeypatch):
+        monkeypatch.setattr(checklib.permstats, "stats", lambda w: SimpleNamespace(cro_b=4))
+        assert run_check("example-cro-golden").witness == "got 4, want 5"
 
 
 class TestCompute:

@@ -44,7 +44,7 @@ def test_no_assert_statements(module):
 def fresh_caches():
     """Empty the shared per-n passes before and after a test that patches
     what fills them, so a pass filled elsewhere cannot hide the patch."""
-    caches = (permstats.a_table, permstats.b_table, checks._psi1_walk)
+    caches = (permstats.a_table, permstats.b_table, checks._involution_walk)
     for cache in caches:
         cache.cache_clear()
     yield
@@ -112,7 +112,7 @@ def test_cover_check_catches_bad_image(monkeypatch):
     monkeypatch.setattr(bijections, "phi", _bad_phi)
     result = run_check("prop-3.2")
     assert result.status == "fail"
-    assert "cover mismatch" in result.witness
+    assert "image leaves {y^2, yt} x H at" in result.witness
 
 
 def test_cover_witness_ignores_hash_seed():
@@ -131,17 +131,18 @@ def test_cover_witness_ignores_hash_seed():
                               capture_output=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         witnesses.append(proc.stdout)
-    assert b"cover mismatch" in witnesses[0]
+    assert b"image leaves {y^2, yt} x H at" in witnesses[0]
     assert witnesses[0] == witnesses[1]
 
 
 @pytest.mark.parametrize("check_id, name", [("thm-5.8", "lambda1"), ("thm-5.12", "lambda2")])
 def test_snake_check_catches_bad_image(monkeypatch, check_id, name):
+    scheme = {"lambda1": "TSTAR", "lambda2": "T"}[name]
     real = getattr(snakes, name)
     monkeypatch.setattr(snakes, name, lambda s: _bump_first(real(s), 100))
     result = run_check(check_id)
     assert result.status == "fail"
-    assert "image is not the whole path family" in result.witness
+    assert f"image leaves {scheme} at" in result.witness
 
 
 @pytest.mark.parametrize("call", [

@@ -76,7 +76,7 @@ def _in_family_reference(scheme, path):
         return False
     if pair_rule:
         for u, d in matching_pairs(path.steps):
-            if not _pair_ok(pair_rule, heights[u], path.weights[u], path.weights[d]):
+            if not _pair_ok(path.weights[u], path.weights[d]):
                 return False
     return True
 
@@ -277,6 +277,8 @@ class TestFlajolet:
             flajolet_schedule("F")
         with pytest.raises(ValueError):
             flajolet_schedule("MPRIME")
+        with pytest.raises(ValueError, match="unknown scheme"):
+            flajolet_schedule("NOPE")
 
 
 class TestText:
