@@ -22,18 +22,19 @@ Each entry is one row of `CHECKS`, of one of three kinds:
 lemma-pattern alone keeps its own loop.
 
 No check holds a family whole.  A bijection walk checks that each image
-lands in the target and maps back to its source, so the map is injective,
-hence onto once the source count equals the target's, counted by streaming
-its generator.  An involution walk checks each fixed point to lie in the
-fixed-point scheme (F or G) and each moved point outside it, so the fixed
-set is that scheme once the two counts agree.  prop-3.6 and lemma-3.8 read
-one walk of H_n, which records the first witness of each claim, so either
-check still runs alone.  The walks apply the unguarded moves
-`bijections._psi1_move` and `_psi2_move`, only to generated paths or to
-images that have just passed `motzkin.in_family`.  The permutation checks
-read the cached `permstats.a_table` and `permstats.b_table`, so the first
-check to touch an n pays for its table.  Clearing those caches is needed
-only where a test patches what fills them.
+lands in the target, which the inverse's domain guard tests, and maps back
+to its source, so the map is injective, hence onto once the source count
+equals the target's, counted by streaming its generator.  An involution
+walk checks each fixed point to lie in the fixed-point scheme (F or G) and
+each moved point outside it, so the fixed set is that scheme once the two
+counts agree.  prop-3.6 and lemma-3.8 read one walk of H_n, which records
+the first witness of each claim, so either check still runs alone.  The
+walks apply the unguarded moves `bijections._psi1_move` and `_psi2_move`,
+only to generated paths or to images that have just passed
+`motzkin.in_family`.  The permutation checks read the cached
+`permstats.a_table` and `permstats.b_table`, so the first check to touch an
+n pays for its table.  Clearing those caches is needed only where a test
+patches what fills them.
 """
 
 from __future__ import annotations
@@ -178,17 +179,20 @@ def _equal(n: int, lhs, rhs) -> str | None:
 
 
 def _bijection(n: int, sources: Iterable, forward: Callable, inverse: Callable, target: str,
-               lands: Callable[[object], bool], law=None, target_size: int | None = None) -> str | None:
+               law=None, target_size: int | None = None) -> str | None:
     """The first witness against `forward` being a bijection from the
-    sources onto the target: for each source x in order, lands(image),
-    inverse(image) == x and no witness from law(x, image); then the count."""
+    sources onto the target: for each source x in order, inverse(image) == x
+    and no witness from law(x, image); then the count.  A ValueError from
+    the inverse, which guards the target, means the image left it."""
     count = 0
     for x in sources:
         count += 1
         image = forward(x)
-        if not lands(image):
-            return f"n={n}: image leaves {target} at {x.text()}"
-        if inverse(image) != x:
+        try:
+            back = inverse(image)
+        except ValueError as err:
+            return f"n={n}: image leaves {target} at {x.text()}: {err}"
+        if back != x:
             return f"n={n}: round trip failed for {x.text()}"
         witness = law(x, image) if law else None
         if witness:
@@ -201,9 +205,6 @@ def _bijection(n: int, sources: Iterable, forward: Callable, inverse: Callable, 
 def _restructure(n: int) -> str | None:
     """prop-3.2 at n: phi maps M_n one to one onto {y^2, yt} x H_(n-1)."""
 
-    def lands(image):
-        return image[0] in (bijections.HEAD_Y2, bijections.HEAD_YT) and motzkin.in_family("H", image[1])
-
     def law(p, image):
         if image[0] * image[1].weight() != p.weight():
             return f"n={n}: weight not preserved for {p.text()}"
@@ -211,7 +212,7 @@ def _restructure(n: int) -> str | None:
 
     return _bijection(
         n, motzkin.gen_weighted("M", n), bijections.phi, lambda image: bijections.phi_inverse(*image),
-        "{y^2, yt} x H", lands, law, 2 * sum(1 for _ in motzkin.gen_weighted("H", n - 1)),
+        "{y^2, yt} x H", law, 2 * sum(1 for _ in motzkin.gen_weighted("H", n - 1)),
     ) or _equal(n, motzkin.rho("M", n), (Y ** 2 + Y * T) * motzkin.rho("H", n - 1))
 
 
@@ -225,7 +226,7 @@ def _snake_code(variant: str, shift: int, scheme: str, which: str) -> Callable[[
     def claim(n: int) -> str | None:
         return _bijection(
             n, snakes.generate_snakes(n + shift, variant), getattr(snakes, name),
-            getattr(snakes, name + "_inv"), scheme, lambda path: motzkin.in_family(scheme, path),
+            getattr(snakes, name + "_inv"), scheme,
             target_size=sum(1 for _ in motzkin.gen_weighted(scheme, n)),
         ) or _equal(n, snakes.snake_enumerator(n, which), poly(n))
 
@@ -235,9 +236,12 @@ def _snake_code(variant: str, shift: int, scheme: str, which: str) -> Callable[[
 def _check_sign_changes(n_max: int) -> str | None:
     """lemma-sign-changes: s -> (|window|, cs-vector) is one to one on the
     S0 and S00 snakes, with arnold_recover its inverse, and each cs-vector
-    sums to the snake's sign changes."""
+    lies in {0,1,2}^n and sums to the snake's sign changes.  The range test
+    is in the law, since arnold_recover validates through cs_vector itself."""
 
     def law(s, image):
+        if not all(c in (0, 1, 2) for c in image[1]):
+            return f"n={s.size()}: image leaves {{0,1,2}}^n at {s.text()}"
         if sum(image[1]) != snakes.sign_changes(s):
             return f"{s.text()}: vector {image[1]} does not sum to the total"
         return None
@@ -247,8 +251,7 @@ def _check_sign_changes(n_max: int) -> str | None:
             witness = _bijection(
                 n, snakes.generate_snakes(n, variant),
                 lambda s: (tuple(abs(x) for x in s.window), snakes.cs_vector(s)),
-                lambda image: snakes.arnold_recover(*image, variant),
-                "{0,1,2}^n", lambda image: all(c in (0, 1, 2) for c in image[1]), law)
+                lambda image: snakes.arnold_recover(*image, variant), "{0,1,2}^n", law)
             if witness:
                 return witness
     return None

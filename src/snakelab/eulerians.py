@@ -49,7 +49,7 @@ from snakelab.algebra import (
 def count_alternating(n: int) -> int:
     """Brute-force count of alternating permutations of [n]; an oracle for
     checking `seidel_numbers`, exponential in n."""
-    return sum(1 for p in itertools.permutations(range(1, n + 1)) if snakes._alternates(p))
+    return sum(1 for p in itertools.permutations(range(1, n + 1)) if snakes._zigzag((0, *p)))
 
 
 def seidel_numbers(n_max: int) -> list[int]:
@@ -108,12 +108,8 @@ def _tangent_weight(h: int) -> Poly:
 
 @lru_cache(maxsize=None)
 def q_euler(n: int) -> Poly:
-    """The q-analog E_n(q): coefficient n//2 of the Stieltjes fraction with
-    fall weights [h]^2 (n even) or [h][h+1] (n odd)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    m = n // 2
-    return sfraction_series(_tangent_weight if n % 2 else _secant_weight, m)[m]
+    """The q-analog E_n(q), entry n of `q_euler_numbers`."""
+    return q_euler_numbers(n)[n]
 
 
 def q_euler_numbers(n_max: int) -> list[Poly]:

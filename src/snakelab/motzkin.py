@@ -70,7 +70,11 @@ _SCHEME_INFO = {
 def _menu_ranges(table: str, step: str, h: int) -> tuple[tuple[int, int, int, int], ...]:
     """The menu of a step starting at height h as at most two exponent
     ranges (ey, et, eq_lo, eq_hi), each standing for the weights
-    y^ey t^et q^eq with eq_lo <= eq <= eq_hi."""
+    y^ey t^et q^eq with eq_lo <= eq <= eq_hi.  F and G are the menus of H
+    and MSTAR with level steps kept on the yt branch only."""
+    if table in ("F", "G"):
+        ranges = _menu_ranges("H" if table == "F" else "MSTAR", step, h)
+        return ranges if step in ("U", "D") else tuple(r for r in ranges if r[:2] == (1, 1))
     if step == "D":
         if h < 1:
             raise ValueError("down step below axis")
@@ -79,16 +83,16 @@ def _menu_ranges(table: str, step: str, h: int) -> tuple[tuple[int, int, int, in
             ranges = ((0, 0, 0, g + 1),)
         elif table == "TSTAR":
             ranges = ((0, 0, 0, g),)
-        else:  # M, MSTAR, H, F, G share the fall menu of their parent table
+        else:  # M, MSTAR, H
             ranges = ((0, 0, 0, g), (1, 1, g + 1, 2 * g + 1))
     elif step == "U":
         if table == "T":
             ranges = ((0, 0, 0, h), (0, 2, 2 * h + 2, 3 * h + 2))
         elif table == "TSTAR":
             ranges = ((0, 0, 0, h), (0, 2, 2 * h + 1, 3 * h + 1))
-        elif table in ("M", "MSTAR", "G"):
+        elif table in ("M", "MSTAR"):
             ranges = ((2, 0, 0, h), (1, 1, h, 2 * h))
-        else:  # H, F
+        else:  # H
             ranges = ((2, 0, 0, h + 1), (1, 1, h + 1, 2 * h + 2))
     elif step == "L":
         if table == "T":
@@ -99,12 +103,8 @@ def _menu_ranges(table: str, step: str, h: int) -> tuple[tuple[int, int, int, in
             ranges = ((2, 0, 0, h), (1, 1, h, 2 * h))
         elif table == "MSTAR":
             ranges = ((2, 0, 1, h), (1, 1, h, 2 * h))
-        elif table == "H":
+        else:  # H
             ranges = ((0, 0, 0, h), (1, 1, h + 1, 2 * h + 1))
-        elif table == "F":
-            ranges = ((1, 1, h + 1, 2 * h + 1),)
-        else:  # G
-            ranges = ((1, 1, h, 2 * h),)
     else:  # W
         if table == "T":
             ranges = ((0, 1, h, 2 * h),)
@@ -112,12 +112,8 @@ def _menu_ranges(table: str, step: str, h: int) -> tuple[tuple[int, int, int, in
             ranges = ((0, 1, h, 2 * h - 1),)
         elif table in ("M", "MSTAR"):
             ranges = ((0, 0, 0, h - 1), (1, 1, h, 2 * h - 1))
-        elif table == "H":
+        else:  # H
             ranges = ((2, 0, 0, h), (1, 1, h, 2 * h))
-        elif table == "F":
-            ranges = ((1, 1, h, 2 * h),)
-        else:  # G
-            ranges = ((1, 1, h, 2 * h - 1),)
     return ranges
 
 

@@ -1,26 +1,28 @@
 """Snakes (alternating signed permutations), their sign-change and pattern
 statistics, and the bijections onto weighted bicolored Motzkin paths.
 
-A snake of size n is a signed permutation with sigma_1 > sigma_2 < sigma_3 >
-...  Variants fix the boundary entries sigma_0 and sigma_(n+1):
+A variant is given only by its boundary entries sigma_0 and sigma_(n+1)
+(`_extended` is the one place they are spelled out), and a window is a
+snake of its variant exactly when its extended word zigzags, sigma_0 <
+sigma_1 > sigma_2 < ...:
 
-  FULL  all snakes;           sigma_0 = -(n+1), sigma_(n+1) = (-1)^n (n+1)
-  S0    sigma_1 > 0;          sigma_0 = 0,      sigma_(n+1) = (-1)^n (n+1)
-  S00   sigma_1 > 0 and       sigma_0 = 0,      sigma_(n+1) = 0
-        (-1)^n sigma_n < 0
+  FULL  sigma_0 = -(n+1), sigma_(n+1) = (-1)^n (n+1)   all snakes
+  S0    sigma_0 = 0,      sigma_(n+1) = (-1)^n (n+1)   sigma_1 > 0
+  S00   sigma_0 = 0,      sigma_(n+1) = 0              also (-1)^n sigma_n < 0
 
 `lambda1` encodes an S0 snake of size n as a weighted path of scheme TSTAR
 (total weight t^cs q^(2-31 + pat_Q), summing to Q_n(t,q)); `lambda2` encodes
 an S00 snake of size n+1 as a scheme-T path of length n (summing to
 R_n(t,q) after the q^(-n-1) normalization).  Both inverses rebuild the
-absolute permutation block by block and then recover the signs from the
-cs-vector by the local alternation rules.
+absolute permutation in one list of blocks and then recover the signs from
+the cs-vector.
 
-`snake_enumerator` reads each snake's sign changes, element classes and
-per-element 13-2 and 2-31 counts from one scan of its boundary-extended
-word.  `pattern_counts`, `element_class`, `pat_q` and `pat_r` compute the
-same numbers one element at a time; they stay as the oracles the tests
-check that scan against, and lemma-pattern reads `pattern_counts`.
+Each snake is read in one scan, `_elements`: per element its step letter,
+whether a sign change enters it, and its 13-2 and 2-31 counts.
+`snake_enumerator` sums that scan, and the lambdas take their block counts
+from it by lemma-pattern.  `pattern_counts`, `block_profile`,
+`element_class`, `pat_q` and `pat_r` compute the same numbers one element
+at a time; they stay as the oracles the tests check that scan against.
 """
 
 from __future__ import annotations
@@ -32,6 +34,25 @@ from snakelab.algebra import Key, Monomial, Poly
 from snakelab.motzkin import WeightedPath, in_family
 
 VARIANTS = ("FULL", "S0", "S00")
+
+
+def _extended(window: Sequence[int], variant: str) -> tuple[int, ...]:
+    """The window between its variant's boundary entries sigma_0 and
+    sigma_(n+1)."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    n = len(window)
+    edge = n + 1 if n % 2 == 0 else -(n + 1)
+    if variant == "FULL":
+        return (-(n + 1), *window, edge)
+    return (0, *window, 0 if variant == "S00" else edge)
+
+
+def _zigzag(word: Sequence[int]) -> bool:
+    """word[0] <= word[1] >= word[2] <= ...; the boundary zeros of S00 are
+    the only equal neighbours a snake's extended word can have."""
+    return (all(a <= b for a, b in zip(word[::2], word[1::2]))
+            and all(a >= b for a, b in zip(word[1::2], word[2::2])))
 
 
 @dataclass(frozen=True)
@@ -48,18 +69,8 @@ class Snake:
     def size(self) -> int:
         return len(self.window)
 
-    def boundary(self) -> tuple[int, int]:
-        n = len(self.window)
-        right = (n + 1) if n % 2 == 0 else -(n + 1)
-        if self.variant == "FULL":
-            return -(n + 1), right
-        if self.variant == "S0":
-            return 0, right
-        return 0, 0
-
     def extended(self) -> tuple[int, ...]:
-        left, right = self.boundary()
-        return (left, *self.window, right)
+        return _extended(self.window, self.variant)
 
     def abs_extended(self) -> tuple[int, ...]:
         return tuple(abs(v) for v in self.extended())
@@ -69,34 +80,13 @@ class Snake:
         return f"({body})[{self.variant}]"
 
 
-def _alternates(window: Sequence[int]) -> bool:
-    """window[0] > window[1] < window[2] > ...; also the alternating
-    permutations counted by `eulerians.count_alternating`."""
-    for i in range(len(window) - 1):
-        if i % 2 == 0:
-            if window[i] < window[i + 1]:
-                return False
-        elif window[i] > window[i + 1]:
-            return False
-    return True
-
-
 def is_snake_window(window: Sequence[int], variant: str) -> bool:
-    n = len(window)
-    if not _alternates(window):
-        return False
-    if variant in ("S0", "S00") and n >= 1 and window[0] < 0:
-        return False
-    if variant == "S00" and n >= 1:
-        last = window[-1] if n % 2 == 0 else -window[-1]
-        if last >= 0:
-            return False
-    return True
+    return _zigzag(_extended(window, variant))
 
 
 def generate_snakes(n: int, variant: str) -> Iterator[Snake]:
     """All snakes of the variant, by backtracking over signed values in
-    increasing order (deterministic)."""
+    increasing order (deterministic) so that the extended word zigzags."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     if n < 0:
@@ -104,34 +94,29 @@ def generate_snakes(n: int, variant: str) -> Iterator[Snake]:
     if n == 0:
         yield Snake((), variant)
         return
+    left, *_, right = _extended((0,) * n, variant)
+    window: list[int] = []
     candidates = [v for v in range(-n, n + 1) if v != 0]
+    used: set[int] = set()
 
-    def rec(prefix: list[int], used: set[int]) -> Iterator[Snake]:
-        i = len(prefix) + 1  # position being filled
+    def rec(i: int) -> Iterator[Snake]:
+        # position i is a peak of the zigzag when i is odd, a valley when even
+        prev, peak = window[-1] if window else left, i % 2
+        if i == n:  # the last entry also faces sigma_(n+1)
+            prev = max(prev, right) if peak else min(prev, right)
         for v in candidates:
-            if abs(v) in used:
+            if abs(v) in used or (v < prev if peak else v > prev):
                 continue
-            if i == 1:
-                if variant in ("S0", "S00") and v < 0:
-                    continue
-            elif i % 2 == 0:
-                if v > prefix[-1]:
-                    continue
-            elif v < prefix[-1]:
-                continue
-            if i == n and variant == "S00":
-                if (v if n % 2 == 0 else -v) >= 0:
-                    continue
-            prefix.append(v)
+            window.append(v)
             used.add(abs(v))
             if i == n:
-                yield Snake(tuple(prefix), variant)
+                yield Snake(tuple(window), variant)
             else:
-                yield from rec(prefix, used)
-            prefix.pop()
+                yield from rec(i + 1)
+            window.pop()
             used.discard(abs(v))
 
-    yield from rec([], set())
+    yield from rec(1)
 
 
 def _changes(a: int, b: int) -> bool:
@@ -143,7 +128,7 @@ def _changes(a: int, b: int) -> bool:
 def sign_changes(snake: Snake) -> int:
     """Number of adjacent sign changes through the boundary-extended window."""
     ext = snake.extended()
-    return sum(1 for i in range(len(ext) - 1) if _changes(ext[i], ext[i + 1]))
+    return sum(map(_changes, ext, ext[1:]))
 
 
 def cs_vector(snake: Snake) -> tuple[int, ...]:
@@ -174,11 +159,10 @@ def cs_vector(snake: Snake) -> tuple[int, ...]:
 def arnold_recover(abs_window: Sequence[int], cs: Sequence[int], variant: str) -> Snake:
     """Recover the snake from its absolute window and cs-vector.
 
-    Signs are assigned left to right: the first entry is positive; at a
-    double descent or after a double ascent the sign flips, and across a
-    valley of the absolute word the flip is dictated by the valley's
-    recorded count (2 = flip, 0 = keep).  Raises if no snake of the variant
-    realizes the vector.
+    Signs are assigned left to right: the first entry is positive, and
+    between neighbours i-1 and i the sign flips unless the valley of the
+    absolute word among the two (there is at most one, the lower of the two)
+    records 0.  Raises if no snake of the variant realizes the vector.
     """
     if variant not in ("S0", "S00"):
         raise ValueError("sign recovery is defined for the S0 and S00 variants")
@@ -189,26 +173,16 @@ def arnold_recover(abs_window: Sequence[int], cs: Sequence[int], variant: str) -
         raise ValueError("cs-vector length must match the window")
     if n == 0:
         return Snake((), variant)
-    probe = Snake(tuple(abs_window), variant)
-    word = probe.abs_extended()
-    by_element = {j: cs[j - 1] for j in range(1, n + 1)}
-    signs = [0] * (n + 1)  # 1-based
-    signs[1] = 1
+    word = [abs(v) for v in _extended(abs_window, variant)]
+    sign, window = 1, [word[1]]
     for i in range(2, n + 1):
-        if word[i - 1] > word[i]:
-            if word[i] > word[i + 1]:
-                flip = True  # double descent forces alternation
-            else:
-                flip = by_element[word[i]] == 2
-        else:
-            if word[i - 2] < word[i - 1]:
-                flip = True  # rising run forces alternation
-            else:
-                flip = by_element[word[i - 1]] == 2
-        signs[i] = -signs[i - 1] if flip else signs[i - 1]
-    window = tuple(signs[i] * abs_window[i - 1] for i in range(1, n + 1))
-    out = Snake(window, variant)
-    if not is_snake_window(window, variant) or cs_vector(out) != tuple(cs):
+        p = i if word[i] < word[i - 1] else i - 1  # only the lower can be a valley
+        valley = word[p - 1] > word[p] < word[p + 1]
+        if not valley or cs[word[p] - 1] != 0:
+            sign = -sign
+        window.append(sign * word[i])
+    out = Snake(tuple(window), variant)
+    if not is_snake_window(out.window, variant) or cs_vector(out) != tuple(cs):
         raise ValueError(f"no snake realizes cs-vector {tuple(cs)} over {abs_window}")
     return out
 
@@ -241,8 +215,7 @@ def _blocks(word: Sequence[int], k: int) -> list[tuple[int, int]]:
 
 
 def block_profile(abs_window: Sequence[int], variant: str) -> BlockProfile:
-    probe = Snake(tuple(abs_window), variant)
-    word = probe.abs_extended()
+    word = [abs(v) for v in _extended(abs_window, variant)]
     m = len(abs_window)
     alpha = []
     beta = []
@@ -258,8 +231,7 @@ def block_profile(abs_window: Sequence[int], variant: str) -> BlockProfile:
 def pattern_counts(abs_window: Sequence[int], variant: str, j: int) -> tuple[int, int]:
     """(13-2, 2-31) pattern counts of the element j against adjacent pairs of
     the boundary-extended absolute word."""
-    probe = Snake(tuple(abs_window), variant)
-    word = probe.abs_extended()
+    word = tuple(abs(v) for v in _extended(abs_window, variant))
     i = word.index(j, 1)
     thirteen_two = sum(
         1 for a in range(0, i - 1) if word[a] < j < word[a + 1]
@@ -325,42 +297,51 @@ def pat_r(snake: Snake) -> int:
     return _pattern_stat(snake, x_shift=-2, count_peaks=True)
 
 
+def _elements(snake: Snake) -> list[tuple[str, bool, int, int]]:
+    """(step, sign change entering, 13-2, 2-31) for each element in value
+    order, from one scan of the extended word.  The step is U at a valley,
+    L at a double ascent, W at a double descent and D at a peak of the
+    absolute word; the counts are those of `pattern_counts`."""
+    ext = snake.extended()
+    word = [abs(v) for v in ext]
+    pairs = list(zip(word, word[1:]))
+    out: list = [None] * snake.size()
+    for i in range(1, len(word) - 1):
+        j, left, right = word[i], word[i - 1], word[i + 1]
+        if left > j < right:
+            step = "U"
+        elif left < j > right:
+            step = "D"
+        else:
+            step = "L" if left < j else "W"
+        thirteen_two = sum(1 for lo, hi in pairs[: i - 1] if lo < j < hi)
+        two_thirty_one = sum(1 for hi, lo in pairs[i + 1 :] if hi > j > lo)
+        out[j - 1] = (step, _changes(ext[i - 1], ext[i]), thirteen_two, two_thirty_one)
+    return out
+
+
 def _lambda_steps(snake: Snake, offset: int) -> WeightedPath:
     """Shared body of the two snake-to-path encodings.
 
     offset 0 encodes an S0 snake of size n as n steps; offset 1 encodes an
     S00 snake of size n+1 as n steps (the largest element is skipped).  The
-    step for element j is U at a valley, L at a double ascent, W at a double
-    descent and D at a peak; exponents are produced by the block profile,
+    step for element j is its `_elements` letter; exponents come from the
+    block counts alpha_j = 13-2 + 2-31 + 1 and beta_j = 2-31 (lemma-pattern),
     shifted by the offset.  That the result lies in the target scheme is
     verified by the catalog (thm-5.8, thm-5.12), not here.
     """
-    word = snake.abs_extended()
-    ext = snake.extended()
-    profile = block_profile(tuple(abs(v) for v in snake.window), snake.variant)
-    alpha, beta = profile.alpha, profile.beta
-    pos = {word[i]: i for i in range(1, len(word) - 1)}
-    steps = []
-    weights = []
-    for j in range(1, snake.size() - offset + 1):
-        i = pos[j]
-        left, right = word[i - 1], word[i + 1]
-        a, b = alpha[j], beta[j]
-        if left > j < right:
-            steps.append("U")
-            if _changes(ext[i - 1], ext[i]):
-                weights.append(Monomial(1, 0, 2, b + 2 * a - 3 - 2 * offset))
-            else:
-                weights.append(Monomial(1, 0, 0, b - offset))
-        elif left < j < right:
-            steps.append("L")
-            weights.append(Monomial(1, 0, 1, b + a - 1 - offset))
-        elif left > j > right:
-            steps.append("W")
-            weights.append(Monomial(1, 0, 1, b + a - 1 - offset))
+    steps, weights = [], []
+    for step, change, thirteen_two, beta in _elements(snake)[: snake.size() - offset]:
+        alpha = thirteen_two + beta + 1
+        steps.append(step)
+        if step == "U" and change:
+            weights.append(Monomial(1, 0, 2, beta + 2 * alpha - 3 - 2 * offset))
+        elif step == "U":
+            weights.append(Monomial(1, 0, 0, beta - offset))
+        elif step == "D":
+            weights.append(Monomial(1, 0, 0, beta))
         else:
-            steps.append("D")
-            weights.append(Monomial(1, 0, 0, b))
+            weights.append(Monomial(1, 0, 1, beta + alpha - 1 - offset))
     return WeightedPath(tuple(steps), tuple(weights))
 
 
@@ -387,55 +368,38 @@ def lambda2(snake: Snake) -> WeightedPath:
 def _rebuild_word(path: WeightedPath, offset: int) -> tuple[list[int], list[int]]:
     """Run the block-insertion reconstruction shared by the two decodings.
 
-    Returns the completed boundary-extended absolute word (largest element
-    placed) and the per-element sign-change counts read off the step weights.
+    The blocks are kept right to left, so a step's block index is a list
+    index.  Returns the completed boundary-extended absolute word (largest
+    element placed) and the per-element sign-change counts read off the
+    step weights.
     """
-    heights = path.heights()
-    n = len(path)
-    blocks: list[list[int]] = [[0], [0]] if offset else [[0]]
+    blocks = [[0] for _ in range(1 + offset)]
     cs: list[int] = []
-
-    def insert_new_block(ell: int, j: int) -> None:
-        if not 0 <= ell <= len(blocks) - 1:
-            raise ValueError(f"malformed path: block index {ell} out of range")
-        blocks.insert(len(blocks) - ell, [j])
-
-    def append_to_block(ell: int, j: int, at_left: bool) -> None:
-        if not 0 <= ell <= len(blocks) - 1:
-            raise ValueError(f"malformed path: block index {ell} out of range")
-        block = blocks[len(blocks) - 1 - ell]
-        block.insert(0, j) if at_left else block.append(j)
-
-    def merge_blocks(ell: int, j: int) -> None:
-        if not 0 <= ell <= len(blocks) - 2:
-            raise ValueError(f"malformed path: block index {ell} out of range")
-        right = blocks.pop(len(blocks) - 1 - ell)
-        blocks[len(blocks) - 1 - ell].extend([j, *right])
-
-    for j in range(1, n + 1):
-        step = path.steps[j - 1]
-        w = path.weights[j - 1]
-        d, h = w.eq, heights[j - 1]
+    for j, (step, w, h) in enumerate(zip(path.steps, path.weights, path.heights()), 1):
         cs.append(w.et)
         if step == "U":
             # both decodings: for a sign-change valley d = beta + 2*alpha
             # with different constants, but d - 2h - 1 is beta either way
-            ell = d + offset if w.et == 0 else d - 2 * h - 1
-            insert_new_block(ell, j)
-        elif step in ("L", "W"):
-            ell = d - h
-            append_to_block(ell, j, at_left=(step == "W"))
-        else:  # D
-            merge_blocks(d, j)
-    expected_blocks = 2 if offset else 1
-    if len(blocks) != expected_blocks:
+            ell = w.eq + offset if w.et == 0 else w.eq - 2 * h - 1
+        else:
+            ell = w.eq if step == "D" else w.eq - h
+        if not 0 <= ell < len(blocks) - (step == "D"):
+            raise ValueError(f"malformed path: block index {ell} out of range")
+        if step == "U":
+            blocks.insert(ell, [j])
+        elif step == "L":
+            blocks[ell].append(j)
+        elif step == "W":
+            blocks[ell].insert(0, j)
+        else:  # block ell joins its left neighbour, now at index ell
+            right = blocks.pop(ell)
+            blocks[ell].extend([j, *right])
+    if len(blocks) != 1 + offset:
         raise ValueError(f"malformed path: {len(blocks)} blocks remain")
     if offset:
-        word = blocks[0] + [n + 1] + blocks[1]
         cs.append(0)  # the largest element is always a peak
-    else:
-        word = blocks[0]
-    return word, cs
+        return [*blocks[1], len(path) + 1, *blocks[0]], cs
+    return blocks[0], cs
 
 
 def lambda1_inv(path: WeightedPath) -> Snake:
@@ -455,27 +419,20 @@ def lambda2_inv(path: WeightedPath) -> Snake:
 
 
 def _scan(snake: Snake, x_shift: int, count_peaks: bool) -> tuple[int, int]:
-    """(sign changes, 2-31 total + pattern statistic) of a snake from one
-    scan of its extended word; `_pattern_stat` with the same x_shift and
+    """(sign changes, 2-31 total + pattern statistic) of a snake from its
+    `_elements` scan; `_pattern_stat` with the same x_shift and
     count_peaks, plus `two_thirty_one_total`, element by element."""
-    ext = snake.extended()
-    word = tuple(abs(v) for v in ext)
-    pairs = list(zip(word, word[1:]))
-    changes = sum(1 for a, b in zip(ext, ext[1:]) if _changes(a, b))
     exponent = 0
-    for i in range(1, len(word) - 1):
-        j, left, right = word[i], word[i - 1], word[i + 1]
-        thirteen_two = sum(1 for lo, hi in pairs[: i - 1] if lo < j < hi)
-        two_thirty_one = sum(1 for hi, lo in pairs[i + 1 :] if hi > j > lo)
+    for step, change, thirteen_two, two_thirty_one in _elements(snake):
         exponent += two_thirty_one
-        if left > j < right:
-            if _changes(ext[i - 1], ext[i]):  # class X
+        if step == "U":
+            if change:  # class X
                 exponent += 2 * (thirteen_two + two_thirty_one) + x_shift
-        elif left < j > right:  # class Z
+        elif step == "D":  # class Z
             exponent += count_peaks
         else:  # class Y
             exponent += thirteen_two + two_thirty_one
-    return changes, exponent
+    return sign_changes(snake), exponent
 
 
 def snake_enumerator(n: int, which: str) -> Poly:

@@ -302,15 +302,21 @@ class _Item:
 
 
 class TestBijectionWalk:
-    def _run(self, forward, inverse, law=None, target_size=None, lands=lambda image: image >= 0):
+    def _run(self, forward, inverse, law=None, target_size=None):
+        # the inverse guards its domain N, as the library's inverses do
+        def guarded(image):
+            if image < 0:
+                raise ValueError(f"{image} is not in N")
+            return inverse(image)
+
         items = [_Item(k) for k in range(4)]
-        return checks._bijection(3, iter(items), forward, inverse, "N", lands, law, target_size)
+        return checks._bijection(3, iter(items), forward, guarded, "N", law, target_size)
 
     def test_bijection_passes(self):
         assert self._run(lambda x: x.k, _Item, target_size=4) is None
 
     def test_image_outside_target(self):
-        assert self._run(lambda x: x.k - 2, _Item) == "n=3: image leaves N at item0"
+        assert self._run(lambda x: x.k - 2, _Item) == "n=3: image leaves N at item0: -2 is not in N"
 
     def test_two_sources_on_one_image_fail_the_round_trip(self):
         assert self._run(lambda x: x.k // 2, lambda i: _Item(2 * i)) == "n=3: round trip failed for item1"
@@ -326,6 +332,16 @@ class TestBijectionWalk:
         real = snakes.generate_snakes
         monkeypatch.setattr(snakes, "generate_snakes", lambda n, v: list(real(n, v))[:-1])
         assert checks.run_check("thm-5.8").witness == "n=0: 0 sources, 1 in TSTAR"
+
+    def test_decoder_error_is_a_witness(self, monkeypatch):
+        # a ValueError from inside the inverse is reported, not raised
+        def broken(path, offset):
+            raise ValueError("decoder bug")
+
+        monkeypatch.setattr(snakes, "_rebuild_word", broken)
+        result = checks.run_check("thm-5.8")
+        assert result.status == "fail"
+        assert result.witness == "n=0: image leaves TSTAR at ()[S0]: decoder bug"
 
 
 class TestPsi2:

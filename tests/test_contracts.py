@@ -212,6 +212,17 @@ def test_series_routes_stay_traced(name):
     assert fn.__module__ == algebra.__name__
 
 
+@pytest.mark.parametrize("name", [
+    "generate_snakes", "lambda1", "lambda2", "lambda1_inv", "lambda2_inv", "snake_enumerator",
+])
+def test_snake_layer_stays_traced(name):
+    # the benchmark reads snakes.<name>.objects, .calls or .self_s, which the
+    # tracer records for public module-level functions only
+    fn = getattr(snakes, name)
+    assert isinstance(fn, types.FunctionType)
+    assert fn.__module__ == snakes.__name__
+
+
 def test_tracer_call_shapes():
     # the tracer spans these by their positional arguments
     assert cli._row_value("Q", 3) == str(eulerians.Q_poly(3))

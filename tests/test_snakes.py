@@ -1,6 +1,9 @@
 """Snake generation, sign statistics, block/pattern statistics, and the
 snake-to-path bijections."""
 
+import itertools
+from functools import lru_cache
+
 import pytest
 
 from snakelab.algebra import Monomial, ONE, Q, T
@@ -26,6 +29,110 @@ from snakelab.snakes import (
     snake_enumerator,
     two_thirty_one_total,
 )
+
+# -- references: the snake routes as they were before one scan and one block
+# list, kept to check the rewritten routes against --------------------------
+
+
+def _reference_extended(window, variant):
+    n = len(window)
+    right = (n + 1) if n % 2 == 0 else -(n + 1)
+    left, right = {"FULL": (-(n + 1), right), "S0": (0, right), "S00": (0, 0)}[variant]
+    return (left, *window, right)
+
+
+def _generate_reference(n, variant):
+    """Snakes by backtracking with one branch per variant."""
+    if n == 0:
+        yield Snake((), variant)
+        return
+    candidates = [v for v in range(-n, n + 1) if v != 0]
+
+    def rec(prefix, used):
+        i = len(prefix) + 1  # position being filled
+        for v in candidates:
+            if abs(v) in used:
+                continue
+            if i == 1:
+                if variant in ("S0", "S00") and v < 0:
+                    continue
+            elif i % 2 == 0:
+                if v > prefix[-1]:
+                    continue
+            elif v < prefix[-1]:
+                continue
+            if i == n and variant == "S00":
+                if (v if n % 2 == 0 else -v) >= 0:
+                    continue
+            prefix.append(v)
+            used.add(abs(v))
+            if i == n:
+                yield Snake(tuple(prefix), variant)
+            else:
+                yield from rec(prefix, used)
+            prefix.pop()
+            used.discard(abs(v))
+
+    yield from rec([], set())
+
+
+def _lambda_reference(snake, offset):
+    """The snake-to-path encoding with exponents read off the block profile
+    of the absolute word."""
+    ext = _reference_extended(snake.window, snake.variant)
+    word = tuple(abs(v) for v in ext)
+    alpha, beta = [], []
+    for k in range(snake.size() + 1):
+        blocks = snakes._blocks(word, k)
+        alpha.append(len(blocks))
+        beta.append(sum(1 for start, _ in blocks if start > word.index(k)))
+    steps, weights = [], []
+    for j in range(1, snake.size() - offset + 1):
+        i = word.index(j)
+        left, right = word[i - 1], word[i + 1]
+        a, b = alpha[j], beta[j]
+        if left > j < right:
+            steps.append("U")
+            if ext[i - 1] * ext[i] < 0:
+                weights.append(Monomial(1, 0, 2, b + 2 * a - 3 - 2 * offset))
+            else:
+                weights.append(Monomial(1, 0, 0, b - offset))
+        elif left < j < right:
+            steps.append("L")
+            weights.append(Monomial(1, 0, 1, b + a - 1 - offset))
+        elif left > j > right:
+            steps.append("W")
+            weights.append(Monomial(1, 0, 1, b + a - 1 - offset))
+        else:
+            steps.append("D")
+            weights.append(Monomial(1, 0, 0, b))
+    return WeightedPath(tuple(steps), tuple(weights))
+
+
+@lru_cache(maxsize=None)
+def _reference_family(n, variant):
+    return frozenset(s.window for s in _generate_reference(n, variant))
+
+
+def _arnold_reference(abs_window, cs, variant):
+    """Sign recovery by the four-branch loop: a double descent or a rising
+    run flips the sign, a valley flips it when it records 2."""
+    n = len(abs_window)
+    if n == 0:
+        return Snake((), variant)
+    word = tuple(abs(v) for v in _reference_extended(abs_window, variant))
+    signs = [0, 1]
+    for i in range(2, n + 1):
+        if word[i - 1] > word[i]:
+            flip = True if word[i] > word[i + 1] else cs[word[i] - 1] == 2
+        else:
+            flip = True if word[i - 2] < word[i - 1] else cs[word[i - 1] - 1] == 2
+        signs.append(-signs[-1] if flip else signs[-1])
+    out = Snake(tuple(signs[i] * abs_window[i - 1] for i in range(1, n + 1)), variant)
+    if out.window not in _reference_family(n, variant) or cs_vector(out) != tuple(cs):
+        raise ValueError("no snake realizes the vector")
+    return out
+
 
 # worked example: an S0 snake of size 10 and its absolute word
 SIGMA10 = Snake((5, -2, 4, -7, -1, -8, 10, -9, 6, 3), "S0")
@@ -64,6 +171,16 @@ class TestGenerate:
             for s in generate_snakes(4, variant):
                 assert is_snake_window(s.window, variant)
 
+    @pytest.mark.parametrize("variant", ["FULL", "S0", "S00"])
+    @pytest.mark.parametrize("n", range(7))
+    def test_order_matches_reference(self, n, variant):
+        # generation order fixes which witness a check prints first
+        assert list(generate_snakes(n, variant)) == list(_generate_reference(n, variant))
+
+    def test_empty_window_is_a_snake_of_every_variant(self):
+        for variant in ("FULL", "S0", "S00"):
+            assert is_snake_window((), variant)
+
     def test_boundaries(self):
         assert Snake((2, 1), "FULL").extended() == (-3, 2, 1, 3)
         assert Snake((2, 1), "S0").extended() == (0, 2, 1, 3)
@@ -88,6 +205,11 @@ class TestCsVector:
     def test_vector_sums_to_total(self, n, variant):
         for s in generate_snakes(n, variant):
             assert sum(cs_vector(s)) == sign_changes(s)
+
+    def test_non_snake_rejected(self):
+        # 1 is a valley of the absolute word entered by a change and left by none
+        with pytest.raises(ValueError, match="not a snake"):
+            cs_vector(Snake((2, -1, -3), "S0"))
 
     @pytest.mark.parametrize("n", range(6))
     def test_vector_well_defined_on_full_variant(self, n):
@@ -118,6 +240,20 @@ class TestArnoldRecovery:
     def test_inconsistent_vector_rejected(self):
         with pytest.raises(ValueError, match="no snake realizes"):
             arnold_recover((1,), (0,), "S0")
+
+    @pytest.mark.parametrize("variant", ["S0", "S00"])
+    @pytest.mark.parametrize("n", range(5))
+    def test_matches_reference_on_every_vector(self, n, variant):
+        # the same snake, or both raise
+        for abs_window in itertools.permutations(range(1, n + 1)):
+            for cs in itertools.product((0, 1, 2), repeat=n):
+                try:
+                    want = _arnold_reference(abs_window, cs, variant)
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        arnold_recover(abs_window, cs, variant)
+                else:
+                    assert arnold_recover(abs_window, cs, variant) == want
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -229,6 +365,11 @@ class TestLambda1:
             assert lambda1_inv(path) == s
         assert set(images) == set(gen_weighted("TSTAR", n))
 
+    @pytest.mark.parametrize("n", range(7))
+    def test_matches_block_profile_reference(self, n):
+        for s in generate_snakes(n, "S0"):
+            assert lambda1(s) == _lambda_reference(s, 0), s.text()
+
     def test_wrong_variant(self):
         with pytest.raises(ValueError):
             lambda1(Snake((1,), "S00"))
@@ -259,9 +400,50 @@ class TestLambda2:
             assert lambda2_inv(path) == s
         assert set(images) == set(gen_weighted("T", n))
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_block_profile_reference(self, n):
+        for s in generate_snakes(n, "S00"):
+            assert lambda2(s) == _lambda_reference(s, 1), s.text()
+
     def test_wrong_variant(self):
         with pytest.raises(ValueError):
             lambda2(Snake((1,), "S0"))
+
+
+class TestRebuildWord:
+    # lambda1_inv and lambda2_inv test membership first, so only a direct
+    # call reaches the decoder's own guards
+    def test_block_index_out_of_range(self):
+        # a rise onto block 1 when only the block of 0 exists
+        path = WeightedPath(("U", "D"), (Monomial(1, 0, 0, 1), Monomial()))
+        with pytest.raises(ValueError, match="malformed path: block index 1 out of range"):
+            snakes._rebuild_word(path, offset=0)
+
+    def test_merge_needs_a_left_neighbour(self):
+        # with one block left, a fall has nothing to merge into
+        path = WeightedPath(("U", "D"), (Monomial(), Monomial(1, 0, 0, 1)))
+        with pytest.raises(ValueError, match="malformed path: block index 1 out of range"):
+            snakes._rebuild_word(path, offset=0)
+
+    def test_blocks_remain(self):
+        # a WeightedPath returns to the axis, so every block is merged back;
+        # a lone rise, whose shape is never validated, leaves two
+        class LoneRise:
+            steps, weights = ("U",), (Monomial(),)
+
+            def __len__(self):
+                return 1
+
+            def heights(self):
+                return (0,)
+
+        with pytest.raises(ValueError, match="malformed path: 2 blocks remain"):
+            snakes._rebuild_word(LoneRise(), offset=0)
+
+    def test_worked_example(self):
+        word, cs = snakes._rebuild_word(lambda1(SIGMA10), offset=0)
+        assert word == [0, 5, 2, 4, 7, 1, 8, 10, 9, 6, 3]
+        assert cs == list(cs_vector(SIGMA10))
 
 
 class TestSnakeEnumerator:
