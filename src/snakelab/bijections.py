@@ -13,22 +13,26 @@ between its mixed branch forms; its weight changes by exactly y^(+-2) and
 its fixed points are scheme F.  `psi2` is the analogue on scheme MSTAR with
 weight factor (y^2 q)^(+-1) and fixed points scheme G.
 
-Each public map checks its input and raises ValueError on a path outside
-its domain scheme; none re-checks its output.  That its images land in the
-target scheme is verified by the catalog (prop-3.2, prop-3.6, prop-4.4 in
-`snakelab.checks`), so the claim survives `python -O`.
-
-Both involutions are one move table, `_toggle`, read with psi1's or psi2's
-level shift and pair offset.  The catalog applies the unguarded moves
-`_psi1_move` and `_psi2_move`, which skip the membership test, and only to
-paths that come from `motzkin.gen_weighted` or have just passed
-`motzkin.in_family`; the public maps keep their guards.
+Every map has one core on raw paths (`motzkin`'s `(steps, weights)` form,
+each weight an exponent triple): `_phi`, `_phi_inverse`, and one move
+table, `_toggle`, read with the row of `_MOVES` that names psi1's or
+psi2's level letter, level shift and pair offset.  The cores read
+per-shape cached plans (the decoded shape of `phi`, the level positions
+and facing pairs of a move) and check nothing.  The catalog walks apply
+them to paths from `motzkin._paths` or to images that have just passed
+`motzkin._contains`.  The public `phi`, `phi_inverse`, `psi1` and `psi2`
+wrap the same cores: each checks its input and raises ValueError on a path
+outside its domain scheme, and none re-checks its output.  That the images
+land in the target scheme is verified by the catalog (prop-3.2, prop-3.6,
+prop-4.4 in `snakelab.checks`), so the claim survives `python -O`.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from snakelab.algebra import Monomial
-from snakelab.motzkin import WeightedPath, in_family, matching_pairs
+from snakelab.motzkin import WeightedPath, _raw, _wrap, in_family, matching_pairs, step_heights
 
 HEAD_Y2 = Monomial(1, 2, 0, 0)
 HEAD_YT = Monomial(1, 1, 1, 0)
@@ -37,25 +41,48 @@ HEAD_YT = Monomial(1, 1, 1, 0)
 _ENCODE = {"U": ("U", "U"), "L": ("U", "D"), "W": ("D", "U"), "D": ("D", "D")}
 _DECODE = {pair: step for step, pair in _ENCODE.items()}
 
+# involution -> (letter of its y^2 level steps, their q shift, pair offset)
+_MOVES = {"psi1": ("W", 0, 1), "psi2": ("L", 1, 0)}
+
 
 def _require(scheme: str, path: WeightedPath) -> None:
     if not in_family(scheme, path):
         raise ValueError(f"path is not in scheme {scheme}: {path.text()!r}")
 
 
+@lru_cache(maxsize=None)
+def _phi_steps(steps: tuple[str, ...]) -> tuple[str, ...]:
+    return tuple(_DECODE[(_ENCODE[a][1], _ENCODE[b][0])] for a, b in zip(steps, steps[1:]))
+
+
+@lru_cache(maxsize=None)
+def _phi_inverse_steps(steps: tuple[str, ...]) -> tuple[str, ...]:
+    halves = ["U"]
+    for s in steps:
+        halves.extend(_ENCODE[s])
+    halves.append("D")
+    return tuple(map(_DECODE.__getitem__, zip(halves[::2], halves[1::2])))
+
+
+def _phi(steps: tuple[str, ...], weights: tuple) -> tuple:
+    """phi on a nonempty path given as (steps, weights), with no check of
+    the input: (head weight, (steps, weights) of the image)."""
+    return weights[0], (_phi_steps(steps), weights[1:])
+
+
+def _phi_inverse(head, steps: tuple[str, ...], weights: tuple) -> tuple:
+    """phi_inverse on (steps, weights), with no check of the input."""
+    return _phi_inverse_steps(steps), (head, *weights)
+
+
 def phi(path: WeightedPath) -> tuple[Monomial, WeightedPath]:
     """Split a scheme-M path of length n >= 1 into its head weight and a
     scheme-H path of length n-1 with the same weight product."""
     _require("M", path)
-    n = len(path)
-    if n < 1:
+    if len(path) < 1:
         raise ValueError("phi needs a nonempty path")
-    steps = tuple(
-        _DECODE[(_ENCODE[path.steps[j]][1], _ENCODE[path.steps[j + 1]][0])]
-        for j in range(n - 1)
-    )
-    out = WeightedPath(steps, path.weights[1:])
-    return path.weights[0], out
+    head, image = _phi(path.steps, path.weights)
+    return head, WeightedPath(*image)
 
 
 def phi_inverse(head: Monomial, path: WeightedPath) -> WeightedPath:
@@ -63,70 +90,54 @@ def phi_inverse(head: Monomial, path: WeightedPath) -> WeightedPath:
     if head not in (HEAD_Y2, HEAD_YT):
         raise ValueError(f"head weight must be y^2 or y*t, got {head.text()}")
     _require("H", path)
-    n = len(path) + 1
-    halves = ["U"]
-    for s in path.steps:
-        halves.extend(_ENCODE[s])
-    halves.append("D")
-    steps = tuple(_DECODE[(halves[2 * i], halves[2 * i + 1])] for i in range(n))
-    return WeightedPath(steps, (head, *path.weights))
+    return WeightedPath(*_phi_inverse(head, path.steps, path.weights))
 
 
-def _is_q_power(w: Monomial) -> bool:
-    return w.ey == 0 and w.et == 0
+@lru_cache(maxsize=None)
+def _plan(steps: tuple[str, ...]) -> tuple[tuple[int, ...], tuple[tuple[int, int, int], ...]]:
+    """The level positions of a shape and its facing pairs (rise, fall,
+    rise height), each in scan order."""
+    heights = step_heights(steps)
+    levels = tuple(i for i, s in enumerate(steps) if s in ("L", "W"))
+    return levels, tuple((u, d, heights[u]) for u, d in matching_pairs(steps))
 
 
-def _is_y2(w: Monomial) -> bool:
-    return w.ey == 2 and w.et == 0
+def _toggle(steps: tuple[str, ...], weights: tuple, name: str) -> tuple:
+    """The first applicable move of psi1 or psi2 (`name`) on a raw path,
+    with no check of the input.
 
-
-def _is_yt(w: Monomial) -> bool:
-    return w.ey == 1 and w.et == 1
-
-
-def _toggle(path: WeightedPath, y2_step: str, y2_shift: int, up_offset: int) -> WeightedPath:
-    """The first applicable move of psi1 or psi2, with no check of the input.
-
-    Level toggle: a plain q^a level step of the other letter becomes
+    With (y2_step, y2_shift, up_offset) the involution's row of `_MOVES`:
+    level toggle: a plain q^a level step of the other letter becomes
     y2_step[y^2 q^(a+y2_shift)], and back.  Pair toggle at rise height h:
     (y^2 q^a, yt q^(h+1+b)) <-> (yt q^(h+up_offset+a), q^b).
     """
-    plain_step = "L" if y2_step == "W" else "W"
-    steps = list(path.steps)
-    weights = list(path.weights)
-    for i, (s, w) in enumerate(zip(steps, weights)):
-        if s == plain_step and _is_q_power(w):
-            steps[i], weights[i] = y2_step, Monomial(1, 2, 0, w.eq + y2_shift)
-            break
-        if s == y2_step and _is_y2(w):
-            steps[i], weights[i] = plain_step, Monomial(1, 0, 0, w.eq - y2_shift)
-            break
-    else:
-        heights = path.heights()
-        for u, d in matching_pairs(path.steps):
-            h = heights[u]
-            wu, wd = weights[u], weights[d]
-            if _is_y2(wu) and _is_yt(wd):
-                a, b = wu.eq, wd.eq - (h + 1)
-                weights[u] = Monomial(1, 1, 1, h + up_offset + a)
-                weights[d] = Monomial(1, 0, 0, b)
-                break
-            if _is_yt(wu) and _is_q_power(wd):
-                a, b = wu.eq - (h + up_offset), wd.eq
-                weights[u] = Monomial(1, 2, 0, a)
-                weights[d] = Monomial(1, 1, 1, h + 1 + b)
-                break
-    return WeightedPath(tuple(steps), tuple(weights))
-
-
-def _psi1_move(path: WeightedPath) -> WeightedPath:
-    """psi1 without its input guard, for a path already known to be in H."""
-    return _toggle(path, "W", 0, 1)
-
-
-def _psi2_move(path: WeightedPath) -> WeightedPath:
-    """psi2 without its input guard, for a path already known to be in MSTAR."""
-    return _toggle(path, "L", 1, 0)
+    y2_step, y2_shift, up_offset = _MOVES[name]
+    levels, pairs = _plan(steps)
+    for i in levels:
+        ey, et, eq = weights[i]
+        if et:
+            continue
+        if steps[i] == y2_step:
+            if ey != 2:
+                continue
+            step, w = ("L" if y2_step == "W" else "W"), (0, 0, eq - y2_shift)
+        elif ey:
+            continue
+        else:
+            step, w = y2_step, (2, 0, eq + y2_shift)
+        return steps[:i] + (step,) + steps[i + 1:], weights[:i] + (w,) + weights[i + 1:]
+    for u, d, h in pairs:
+        (uy, ut, uq), (dy, dt, dq) = weights[u], weights[d]
+        if uy == 2 and ut == 0 and dy == 1 and dt == 1:
+            wu, wd = (1, 1, h + up_offset + uq), (0, 0, dq - (h + 1))
+        elif uy == 1 and ut == 1 and dy == 0 and dt == 0:
+            wu, wd = (2, 0, uq - (h + up_offset)), (1, 1, h + 1 + dq)
+        else:
+            continue
+        out = list(weights)
+        out[u], out[d] = wu, wd
+        return steps, tuple(out)
+    return steps, weights
 
 
 def psi1(path: WeightedPath) -> WeightedPath:
@@ -138,7 +149,7 @@ def psi1(path: WeightedPath) -> WeightedPath:
     Fixed points are exactly the scheme-F paths.
     """
     _require("H", path)
-    return _psi1_move(path)
+    return _wrap(*_toggle(path.steps, _raw(path), "psi1"))
 
 
 def is_fixed_f(path: WeightedPath) -> bool:
@@ -155,7 +166,7 @@ def psi2(path: WeightedPath) -> WeightedPath:
     The weight changes by exactly (y^2 q)^(+-1); fixed points are scheme G.
     """
     _require("MSTAR", path)
-    return _psi2_move(path)
+    return _wrap(*_toggle(path.steps, _raw(path), "psi2"))
 
 
 def is_fixed_g(path: WeightedPath) -> bool:

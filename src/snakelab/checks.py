@@ -9,11 +9,13 @@ on success or a witness string describing the smallest counterexample.
 
 Each entry is one row of `CHECKS`, of one of three kinds:
 - a series identity "lhs(n) == rhs(n) for n = start, start + step, ...,
-  n_max", run by one loop, `_identity`; its start is also its `min_n`, and
-  a left side given as `_Series(build)` is entry n of one table built once
-  per run.  The witness names the smallest n: `n=N: lhs - rhs = <difference>`
-  for polynomials, `n=N: got X, want Y` otherwise, and for a pair of sides
-  (thm-1.2) the first component that differs;
+  n_max", run by one loop, `_identity`; its start is also its `min_n`.  A
+  side given as `_Series(build)` is entry n of one table built once per
+  run; the right sides that read q-Euler numbers share the form
+  `_q_euler_side`, one `q_euler_numbers` table per run.  The witness names
+  the smallest n: `n=N: lhs - rhs = <difference>` for polynomials,
+  `n=N: got X, want Y` otherwise, and for a pair of sides (thm-1.2) the
+  first component that differs;
 - a map between finite families: a bijection streamed by `_bijection`
   (prop-3.2, lemma-sign-changes, thm-5.8, thm-5.12) or an involution read
   off the cached `_involution_walk` (prop-3.6, lemma-3.8, prop-4.4);
@@ -24,17 +26,24 @@ lemma-pattern alone keeps its own loop.
 No check holds a family whole.  A bijection walk checks that each image
 lands in the target, which the inverse's domain guard tests, and maps back
 to its source, so the map is injective, hence onto once the source count
-equals the target's, counted by streaming its generator.  An involution
-walk checks each fixed point to lie in the fixed-point scheme (F or G) and
-each moved point outside it, so the fixed set is that scheme once the two
-counts agree.  prop-3.6 and lemma-3.8 read one walk of H_n, which records
-the first witness of each claim, so either check still runs alone.  The
-walks apply the unguarded moves `bijections._psi1_move` and `_psi2_move`,
-only to generated paths or to images that have just passed
-`motzkin.in_family`.  The permutation checks read the cached
-`permstats.a_table` and `permstats.b_table`, so the first check to touch an
-n pays for its table.  Clearing those caches is needed only where a test
-patches what fills them.
+equals the target's.  The path targets (H, TSTAR, T) are counted by
+`motzkin.path_count` as sums over shapes of products of menu sizes, not by
+a second enumeration.  An involution walk checks each fixed point to lie
+in the fixed-point scheme (F or G) and each moved point outside it, so the
+fixed set is that scheme once the two counts agree.  prop-3.6 and
+lemma-3.8 read one walk of H_n, which records the first witness of each
+claim, so either check still runs alone.
+
+The path maps (prop-3.2 and the involution walks) run on raw paths,
+`(steps, weights)` with exponent-triple weights.  They walk
+`motzkin._paths`, test membership with `motzkin._contains`, and apply the
+unchecked cores `bijections._phi`, `_phi_inverse` and `_toggle` only to
+generated paths or to images that have just passed that test.  A
+`WeightedPath` is built only to render a witness through its `text()`, so
+every witness reads as the public types print it.  The permutation checks
+read the cached `permstats.a_table` and `permstats.b_table`, so the first
+check to touch an n pays for its table.  Clearing those caches is needed
+only where a test patches what fills them.
 """
 
 from __future__ import annotations
@@ -43,6 +52,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import methodcaller
 from typing import Callable, Iterable, Sequence
 
 from snakelab import bijections, eulerians, motzkin, permstats, snakes
@@ -50,6 +60,7 @@ from snakelab.algebra import (
     Q,
     T,
     Y,
+    Monomial,
     Poly,
     jfraction_series,
     q_derivative,
@@ -82,7 +93,7 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class _Series:
-    """A left side read off one table of entries 0..n_max, built once per run."""
+    """A side read off one table of entries 0..n_max, built once per run."""
 
     build: Callable[[int], Sequence]
 
@@ -97,13 +108,14 @@ def _witness(n: int, got, want) -> str:
 
 def _identity(lhs, rhs, start: int = 0, step: int = 1) -> Callable[[int], str | None]:
     """The check that lhs(n) == rhs(n) for n = start, start + step, ...,
-    n_max; it returns the witness of the first n where they differ.  lhs is
-    a function of n or a `_Series`."""
+    n_max; it returns the witness of the first n where they differ.  Each
+    side is a function of n or a `_Series`."""
 
     def fn(n_max: int) -> str | None:
-        left = lhs.build(n_max).__getitem__ if isinstance(lhs, _Series) else lhs
+        left, right = (side.build(n_max).__getitem__ if isinstance(side, _Series) else side
+                       for side in (lhs, rhs))
         for n in range(start, n_max + 1, step):
-            got, want = left(n), rhs(n)
+            got, want = left(n), right(n)
             if got != want:
                 return _witness(n, got, want)
         return None
@@ -140,6 +152,17 @@ def _enumerator(family: str, scheme: str) -> Callable[[int], Poly]:
 
 def _rho(scheme: str) -> Callable[[int], Poly]:
     return lambda n: motzkin.rho(scheme, n)
+
+
+def _q_euler_side(entry: Callable[[int, list[Poly]], object]) -> _Series:
+    """The side whose entry n is entry(n, E), with E = [E_0(q), ...,
+    E_(n_max+1)(q)] built once per run."""
+
+    def build(n_max: int) -> list:
+        table = eulerians.q_euler_numbers(n_max + 1)
+        return [entry(n, table) for n in range(n_max + 1)]
+
+    return _Series(build)
 
 
 def _distribution(n: int, family: str, stat: Callable[[tuple], int]) -> dict[int, int]:
@@ -179,11 +202,13 @@ def _equal(n: int, lhs, rhs) -> str | None:
 
 
 def _bijection(n: int, sources: Iterable, forward: Callable, inverse: Callable, target: str,
-               law=None, target_size: int | None = None) -> str | None:
+               law=None, target_size: int | None = None,
+               text: Callable[[object], str] = methodcaller("text")) -> str | None:
     """The first witness against `forward` being a bijection from the
     sources onto the target: for each source x in order, inverse(image) == x
     and no witness from law(x, image); then the count.  A ValueError from
-    the inverse, which guards the target, means the image left it."""
+    the inverse, which guards the target, means the image left it.  A
+    witness names a source by text(x)."""
     count = 0
     for x in sources:
         count += 1
@@ -191,9 +216,9 @@ def _bijection(n: int, sources: Iterable, forward: Callable, inverse: Callable, 
         try:
             back = inverse(image)
         except ValueError as err:
-            return f"n={n}: image leaves {target} at {x.text()}: {err}"
+            return f"n={n}: image leaves {target} at {text(x)}: {err}"
         if back != x:
-            return f"n={n}: round trip failed for {x.text()}"
+            return f"n={n}: round trip failed for {text(x)}"
         witness = law(x, image) if law else None
         if witness:
             return witness
@@ -202,17 +227,32 @@ def _bijection(n: int, sources: Iterable, forward: Callable, inverse: Callable, 
     return None
 
 
+def _text(path: motzkin.RawPath) -> str:
+    return motzkin._wrap(*path).text()
+
+
+_HEADS = tuple((h.ey, h.et, h.eq) for h in (bijections.HEAD_Y2, bijections.HEAD_YT))
+
+
 def _restructure(n: int) -> str | None:
     """prop-3.2 at n: phi maps M_n one to one onto {y^2, yt} x H_(n-1)."""
 
+    def inverse(image):
+        head, (steps, weights) = image
+        if head in _HEADS and motzkin._contains("H", steps, weights):
+            return bijections._phi_inverse(head, steps, weights)
+        # outside the target: the public inverse's guard raises the witness's error
+        return bijections.phi_inverse(Monomial(1, *head), motzkin._wrap(steps, weights))
+
     def law(p, image):
-        if image[0] * image[1].weight() != p.weight():
-            return f"n={n}: weight not preserved for {p.text()}"
+        head, (_, weights) = image
+        if motzkin._weight((head, *weights)) != motzkin._weight(p[1]):
+            return f"n={n}: weight not preserved for {_text(p)}"
         return None
 
     return _bijection(
-        n, motzkin.gen_weighted("M", n), bijections.phi, lambda image: bijections.phi_inverse(*image),
-        "{y^2, yt} x H", law, 2 * sum(1 for _ in motzkin.gen_weighted("H", n - 1)),
+        n, motzkin._paths("M", n), lambda p: bijections._phi(*p), inverse,
+        "{y^2, yt} x H", law, 2 * motzkin.path_count("H", n - 1), _text,
     ) or _equal(n, motzkin.rho("M", n), (Y ** 2 + Y * T) * motzkin.rho("H", n - 1))
 
 
@@ -227,7 +267,7 @@ def _snake_code(variant: str, shift: int, scheme: str, which: str) -> Callable[[
         return _bijection(
             n, snakes.generate_snakes(n + shift, variant), getattr(snakes, name),
             getattr(snakes, name + "_inv"), scheme,
-            target_size=sum(1 for _ in motzkin.gen_weighted(scheme, n)),
+            target_size=motzkin.path_count(scheme, n),
         ) or _equal(n, snakes.snake_enumerator(n, which), poly(n))
 
     return _each_n(claim)
@@ -266,41 +306,45 @@ _INVOLUTIONS = {
 
 @lru_cache(maxsize=None)
 def _involution_walk(scheme: str, n: int) -> dict[str, str]:
-    """One walk of the scheme's paths of length n under its involution: the
-    first witness of each failing claim, keyed "involution", "fixed-set",
-    "fixed-parity" and the t-degree slices "<scheme>1" (odd), "<scheme>2"."""
+    """One walk of the scheme's raw paths of length n under its involution:
+    the first witness of each failing claim, keyed "involution",
+    "fixed-set", "fixed-parity" and the t-degree slices "<scheme>1" (odd),
+    "<scheme>2"."""
     name, fixed_scheme, shifts = _INVOLUTIONS[scheme]
-    move = getattr(bijections, f"_{name}_move")
+    toggle, contains, weight = bijections._toggle, motzkin._contains, motzkin._weight
+    pieces = (f"{scheme}2", f"{scheme}1")
     found: dict[str, str] = {}
     fixed = 0
-    for p in motzkin.gen_weighted(scheme, n):
-        image = move(p)
-        inside = motzkin.in_family(scheme, image)
-        wp, wi = p.weight(), image.weight()
-        piece = f"{scheme}{2 - wp.et % 2}"
-        if piece not in found and not (inside and (wi.et - wp.et) % 2 == 0):
-            found[piece] = f"n={n}: {name} leaves the {piece} slice at {p.text()}"
+    for p in motzkin._paths(scheme, n):
+        image = toggle(*p, name)
+        inside = contains(scheme, *image)
+        wp, wi = weight(p[1]), weight(image[1])
+        (py, pt, pq), (iy, it, iq) = wp, wi
+        piece = pieces[pt % 2]
+        if piece not in found and not (inside and (it - pt) % 2 == 0):
+            found[piece] = f"n={n}: {name} leaves the {piece} slice at {_text(p)}"
         if "involution" in found:
             continue
-        in_fixed, claim = motzkin.in_family(fixed_scheme, p), None
+        in_fixed, claim = contains(fixed_scheme, *p), None
         if not inside:
-            claim = f"image leaves {scheme} at {p.text()}: {image.text()}"
-        elif move(image) != p:
-            claim = f"not an involution at {p.text()}"
+            claim = f"image leaves {scheme} at {_text(p)}: {_text(image)}"
+        elif toggle(*image, name) != p:
+            claim = f"not an involution at {_text(p)}"
         elif image == p:
             fixed += in_fixed
-            claim = None if in_fixed else f"unexpected fixed point {p.text()}"
+            claim = None if in_fixed else f"unexpected fixed point {_text(p)}"
         elif in_fixed:
-            claim = f"moved point satisfies the fixed-set menus: {p.text()}"
-        elif (wi.ey - wp.ey, wi.eq - wp.eq) not in shifts or wi.et != wp.et:
-            claim = f"weight law broken at {p.text()}: {wp.text()} -> {wi.text()}"
+            claim = f"moved point satisfies the fixed-set menus: {_text(p)}"
+        elif (iy - py, iq - pq) not in shifts or it != pt:
+            claim = f"weight law broken at {_text(p)}: {Monomial(1, *wp).text()} -> {Monomial(1, *wi).text()}"
         if claim:
             found["involution"] = f"n={n}: {claim}"
     size = 0
-    for p in motzkin.gen_weighted(fixed_scheme, n):
+    for p in motzkin._paths(fixed_scheme, n):
         size += 1
-        if "fixed-parity" not in found and p.t_degree() % 2 != n % 2:
-            found["fixed-parity"] = f"n={n}: fixed path with t-degree {p.t_degree()}: {p.text()}"
+        t_degree = weight(p[1])[1]
+        if "fixed-parity" not in found and t_degree % 2 != n % 2:
+            found["fixed-parity"] = f"n={n}: fixed path with t-degree {t_degree}: {_text(p)}"
     if fixed != size:
         found["fixed-set"] = f"n={n}: fixed set differs from the restricted path family"
     return found
@@ -394,11 +438,11 @@ CHECKS: list[Check] = [
         lambda n: (eulerians.Q_poly(n), eulerians.R_poly(n))),
     _identity_check(
         "q-secant-at-t0", "Q_(2m)(0,q) equals the 2m-th q-secant number", 8,
-        lambda n: eulerians.Q_poly(n).subst("t", 0), eulerians.q_euler, step=2),
+        lambda n: eulerians.Q_poly(n).subst("t", 0), _q_euler_side(lambda n, E: E[n]), step=2),
     _identity_check(
         "r-odd-at-t0", "R_n(0,q) vanishes for odd n; R_(2m)(0,q) is the q-tangent number E_(2m+1)(q)", 8,
         lambda n: eulerians.R_poly(n).subst("t", 0),
-        lambda n: Poly() if n % 2 else eulerians.q_euler(n + 1), note=R_ODD_NOTE),
+        _q_euler_side(lambda n, E: Poly() if n % 2 else E[n + 1]), note=R_ODD_NOTE),
     _identity_check(
         "q11-springer", "Q_n(1,1) counts the snakes with positive first entry", 7,
         lambda n: eulerians.Q_poly(n)(t=1, q=1).as_int(), eulerians.springer_number),
@@ -423,11 +467,11 @@ CHECKS: list[Check] = [
     _identity_check(
         "jv1", "sum over permutations of (-1)^wex q^cro is 0 or +-E_n(q) by parity", 7,
         _enumerator("A", "JV_WEX_CRO"),
-        lambda n: Poly() if n % 2 == 0 else _sign((n + 1) // 2) * eulerians.q_euler(n), start=1),
+        _q_euler_side(lambda n, E: Poly() if n % 2 == 0 else _sign((n + 1) // 2) * E[n]), start=1),
     _identity_check(
         "jv2", "sum over derangements of (-1/q)^wex q^cro is (-1/q)^(n/2) E_n(q) or 0", 7,
         _enumerator("A*", "JV_DERANGE"),
-        lambda n: _minus_inv_q(n // 2) * eulerians.q_euler(n) if n % 2 == 0 else Poly(), start=1),
+        _q_euler_side(lambda n, E: _minus_inv_q(n // 2) * E[n] if n % 2 == 0 else Poly()), start=1),
     _identity_check(
         "des-b-equidistribution", "des_b and floor(fwex/2) are equidistributed over the signed permutations", 5,
         lambda n: _distribution(n, "B", lambda row: row[3]), lambda n: _distribution(n, "B", lambda row: row[0] // 2)),

@@ -26,24 +26,42 @@ plus the parity slices MPRIME, MSTARPRIME (even powers of t in the path
 weight) and H1, H2 (odd and even powers of t).
 
 Each menu is stored as at most two exponent ranges (ey, et, eq_lo, eq_hi),
-one per (ey, et) branch, so membership is O(1) per step: `in_family` looks
-up the ranges of the path's whole shape once (cached) and tests each weight
-by its branch and two comparisons, with no scan of the menu's monomials.
-`weight_menu` expands the ranges into monomials for the generators.
-Empty menu ranges (upper exponent below the lower one) yield empty menus,
-not errors; a fall step at height 0 is an error.
+one per (ey, et) branch (`_menu_ranges`).  Empty menu ranges (upper exponent
+below the lower one) yield empty menus, not errors; a fall step at height 0
+is an error.
+
+Paths are walked in a raw form, `(steps, weights)` with each weight an
+exponent triple (ey, et, eq) of coefficient 1.  `_paths` is the one
+generator and `_contains` the one membership test; both read per-shape
+caches of the menus (tuples and frozensets of triples shared per step and
+height), so a member is tested by one C-level `all(map(...))` plus the
+scheme's parity and pair rules.  `rho` sums the raw triples and
+`path_count` counts a menu-defined scheme as a sum over shapes of products
+of menu sizes, with no path built.  The public types stay validated at the
+boundary: `gen_weighted` wraps each raw path in a `WeightedPath` of
+`Monomial`s, `in_family` converts a `WeightedPath` and calls `_contains`,
+and `weight_menu` lists a menu as `Monomial`s.  The path-map checks
+(`snakelab.checks`) and the moves of `snakelab.bijections` use the raw
+form directly.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterator
 
-from snakelab.algebra import Key, Monomial, Poly
+from snakelab.algebra import Monomial, Poly
 
 STEPS = ("U", "D", "L", "W")
+
+# a raw weight y^ey t^et q^eq and a raw path (steps, weights)
+Weight = tuple[int, int, int]
+RawPath = tuple[tuple[str, ...], tuple[Weight, ...]]
 
 SCHEMES = (
     "M", "H", "F", "T", "TSTAR", "G",
@@ -118,6 +136,21 @@ def _menu_ranges(table: str, step: str, h: int) -> tuple[tuple[int, int, int, in
 
 
 @lru_cache(maxsize=None)
+def _menu(table: str, step: str, h: int) -> tuple[Weight, ...]:
+    """The menu of a step starting at height h as raw weights, in range order."""
+    return tuple(
+        (ey, et, eq)
+        for ey, et, lo, hi in _menu_ranges(table, step, h)
+        for eq in range(lo, hi + 1)
+    )
+
+
+@lru_cache(maxsize=None)
+def _menu_set(table: str, step: str, h: int) -> frozenset[Weight]:
+    return frozenset(_menu(table, step, h))
+
+
+@lru_cache(maxsize=None)
 def weight_menu(scheme: str, step: str, h: int) -> tuple[Monomial, ...]:
     """Admissible weights for a step starting at height h, in range order.
 
@@ -127,11 +160,7 @@ def weight_menu(scheme: str, step: str, h: int) -> tuple[Monomial, ...]:
     table = _scheme_info(scheme)[0]
     if step not in STEPS:
         raise ValueError(f"unknown step {step!r}")
-    return tuple(
-        Monomial(1, ey, et, eq)
-        for ey, et, lo, hi in _menu_ranges(table, step, h)
-        for eq in range(lo, hi + 1)
-    )
+    return tuple(map(_monomial, _menu(table, step, h)))
 
 
 @lru_cache(maxsize=None)
@@ -209,13 +238,44 @@ class WeightedPath:
 EMPTY_PATH = WeightedPath((), ())
 
 
-def _pair_ok(wu: Monomial, wd: Monomial) -> bool:
-    """Admissible facing-pair weights for the fixed-point families F and G.
-    Exponent ranges are already enforced by the per-step menus; only the
-    branch coupling, which F and G share, is decided here:
+@lru_cache(maxsize=None)
+def _monomial(w: Weight) -> Monomial:
+    return Monomial(1, *w)
+
+
+def _wrap(steps: tuple[str, ...], weights: tuple[Weight, ...]) -> WeightedPath:
+    """The validated public form of a raw path."""
+    return WeightedPath(steps, tuple(map(_monomial, weights)))
+
+
+def _raw(path: WeightedPath) -> tuple[Weight, ...]:
+    """The raw weights of a path; coefficients are dropped."""
+    return tuple((w.ey, w.et, w.eq) for w in path.weights)
+
+
+def _weight(weights: tuple[Weight, ...]) -> Weight:
+    """The exponent triple of a raw path's weight."""
+    ey = et = eq = 0
+    for y, t, q in weights:
+        ey += y
+        et += t
+        eq += q
+    return ey, et, eq
+
+
+_ET = itemgetter(1)
+
+
+def _pairs_ok(weights: tuple[Weight, ...], pairs: tuple[tuple[int, int], ...]) -> bool:
+    """The pair rule of the fixed-point families F and G.  Exponent ranges
+    are already enforced by the per-step menus; only the branch coupling,
+    which F and G share, is decided here: every facing pair is weighted
     F: (y^2 q^a, q^b) or (yt q^(h+1+a), yt q^(h+1+b));
     G: (y^2 q^a, q^b) or (yt q^(h+a), yt q^(h+1+b))."""
-    return (wu.ey == 2) == (wd.ey == 0)
+    for u, d in pairs:
+        if (weights[u][0] == 2) != (weights[d][0] == 0):
+            return False
+    return True
 
 
 def gen_shapes(n: int, forbid_wavy_on_axis: bool = False) -> Iterator[tuple[str, ...]]:
@@ -247,24 +307,6 @@ def gen_shapes(n: int, forbid_wavy_on_axis: bool = False) -> Iterator[tuple[str,
     yield from rec([], 0, n)
 
 
-def gen_weighted(scheme: str, n: int) -> Iterator[WeightedPath]:
-    """All weighted paths of the scheme, via Cartesian expansion of the
-    per-step menus, then the scheme's parity and pair filters."""
-    _, parity, pair_rule = _scheme_info(scheme)
-    forbid_wavy = len(weight_menu(scheme, "W", 0)) == 0
-    for steps in gen_shapes(n, forbid_wavy_on_axis=forbid_wavy):
-        menus = [weight_menu(scheme, s, h) for s, h in zip(steps, step_heights(steps))]
-        if any(not menu for menu in menus):
-            continue
-        pairs = matching_pairs(steps) if pair_rule else ()
-        for combo in itertools.product(*menus):
-            if parity is not None and sum(w.et for w in combo) % 2 != parity:
-                continue
-            if pair_rule and not all(_pair_ok(combo[u], combo[d]) for u, d in pairs):
-                continue
-            yield WeightedPath(steps, combo)
-
-
 def _scheme_info(scheme: str):
     try:
         return _SCHEME_INFO[scheme]
@@ -272,43 +314,79 @@ def _scheme_info(scheme: str):
         raise ValueError(f"unknown scheme {scheme!r}") from None
 
 
+def _menu_table(scheme: str) -> str:
+    """The menu table of a scheme that its menus alone define."""
+    table, parity, pair_rule = _scheme_info(scheme)
+    if parity is not None or pair_rule:
+        raise ValueError(f"scheme {scheme} is not menu-defined: it has a parity or pair rule")
+    return table
+
+
+def _shapes(table: str, n: int) -> Iterator[tuple[str, ...]]:
+    return gen_shapes(n, forbid_wavy_on_axis=not _menu(table, "W", 0))
+
+
 @lru_cache(maxsize=None)
-def _shape_ranges(table: str, steps: tuple[str, ...]) -> tuple[tuple, ...]:
-    """The menu ranges of every step of a valid shape, in step order."""
-    return tuple(_menu_ranges(table, s, h) for s, h in zip(steps, step_heights(steps)))
+def _shape_menus(table: str, steps: tuple[str, ...]) -> tuple[tuple, tuple]:
+    """The menu of every step of a valid shape, in step order: as tuples of
+    raw weights, for expansion, and as frozensets, for membership.  Both
+    are shared per (table, step, height)."""
+    at = tuple(zip(steps, step_heights(steps)))
+    return tuple(_menu(table, s, h) for s, h in at), tuple(_menu_set(table, s, h) for s, h in at)
+
+
+def _paths(scheme: str, n: int) -> Iterator[RawPath]:
+    """All raw paths of the scheme, shape by shape in `gen_shapes` order,
+    each shape by Cartesian expansion of its menus, then the scheme's parity
+    and pair filters."""
+    table, parity, pair_rule = _scheme_info(scheme)
+    for steps in _shapes(table, n):
+        combos = itertools.product(*_shape_menus(table, steps)[0])
+        if parity is not None:
+            combos = (c for c in combos if sum(map(_ET, c)) % 2 == parity)
+        if pair_rule:
+            pairs = matching_pairs(steps)
+            combos = (c for c in combos if _pairs_ok(c, pairs))
+        yield from zip(itertools.repeat(steps), combos)
+
+
+def _contains(scheme: str, steps: tuple[str, ...], weights: tuple[Weight, ...]) -> bool:
+    """Membership of a raw path whose shape is valid: per-step menus,
+    parity, pair rule."""
+    table, parity, pair_rule = _scheme_info(scheme)
+    if not all(map(frozenset.__contains__, _shape_menus(table, steps)[1], weights)):
+        return False
+    if parity is not None and sum(map(_ET, weights)) % 2 != parity:
+        return False
+    return not pair_rule or _pairs_ok(weights, matching_pairs(steps))
+
+
+def gen_weighted(scheme: str, n: int) -> Iterator[WeightedPath]:
+    """All weighted paths of the scheme, in `_paths` order."""
+    for steps, weights in _paths(scheme, n):
+        yield _wrap(steps, weights)
 
 
 def in_family(scheme: str, path: WeightedPath) -> bool:
     """Full membership test: shape, per-step menus, parity, pair rule.
 
-    The shape is valid by construction of the path; each weight is then
-    matched against the at most two ranges of its step."""
-    table, parity, pair_rule = _scheme_info(scheme)
-    for w, ranges in zip(path.weights, _shape_ranges(table, path.steps)):
-        if w.coeff != 1:
-            return False
-        for ey, et, lo, hi in ranges:
-            if w.ey == ey and w.et == et and lo <= w.eq <= hi:
-                break
-        else:
-            return False
-    if parity is not None and path.t_degree() % 2 != parity:
-        return False
-    if pair_rule:
-        for u, d in matching_pairs(path.steps):
-            if not _pair_ok(path.weights[u], path.weights[d]):
-                return False
-    return True
+    The shape is valid by construction of the path; every weight must have
+    coefficient 1 and lie in its step's menu."""
+    return (_contains(scheme, path.steps, _raw(path))
+            and all(w.coeff == 1 for w in path.weights))
 
 
 def rho(scheme: str, n: int) -> Poly:
     """Total weight of the scheme's paths of length n."""
-    acc: dict[Key, int] = {}
-    for path in gen_weighted(scheme, n):
-        m = path.weight()
-        key = (m.ey, m.et, m.eq)
-        acc[key] = acc.get(key, 0) + m.coeff
-    return Poly(acc)
+    return Poly(Counter(_weight(weights) for _, weights in _paths(scheme, n)))
+
+
+def path_count(scheme: str, n: int) -> int:
+    """Number of paths of length n of a scheme that its menus alone define
+    (M, MSTAR, H, T, TSTAR): the sum over shapes of the product of the menu
+    sizes, with no path built.  Schemes with a parity or pair rule raise."""
+    table = _menu_table(scheme)
+    return sum(math.prod(map(len, _shape_menus(table, steps)[0])) for steps in _shapes(table, n))
 
 
 def flajolet_schedule(scheme: str) -> "CoefficientSchedule":
@@ -317,14 +395,11 @@ def flajolet_schedule(scheme: str) -> "CoefficientSchedule":
     h-1) * (total fall weight starting at h)."""
     from snakelab.algebra import CoefficientSchedule
 
-    def menu_sum(step: str, h: int) -> Poly:
-        return Poly.from_quadruples(
-            [m.coeff, m.ey, m.et, m.eq] for m in weight_menu(scheme, step, h)
-        )
+    table = _menu_table(scheme)
 
-    _, parity, pair_rule = _scheme_info(scheme)
-    if parity is not None or pair_rule:
-        raise ValueError(f"scheme {scheme} is not menu-defined; no J-fraction schedule")
+    def menu_sum(step: str, h: int) -> Poly:
+        return Poly(Counter(_menu(table, step, h)))
+
     return CoefficientSchedule(
         mu=lambda h: menu_sum("L", h) + menu_sum("W", h),
         lam=lambda h: menu_sum("U", h - 1) * menu_sum("D", h),

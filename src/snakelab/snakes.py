@@ -81,7 +81,10 @@ class Snake:
 
 
 def is_snake_window(window: Sequence[int], variant: str) -> bool:
-    return _zigzag(_extended(window, variant))
+    """Whether the window is a snake of its variant: its absolute values
+    are a permutation of 1..n and its extended word zigzags."""
+    return (sorted(map(abs, window)) == list(range(1, len(window) + 1))
+            and _zigzag(_extended(window, variant)))
 
 
 def generate_snakes(n: int, variant: str) -> Iterator[Snake]:
@@ -182,7 +185,8 @@ def arnold_recover(abs_window: Sequence[int], cs: Sequence[int], variant: str) -
             sign = -sign
         window.append(sign * word[i])
     out = Snake(tuple(window), variant)
-    if not is_snake_window(out.window, variant) or cs_vector(out) != tuple(cs):
+    # the window is a signed permutation by the test above, so only the zigzag is left
+    if not _zigzag(out.extended()) or cs_vector(out) != tuple(cs):
         raise ValueError(f"no snake realizes cs-vector {tuple(cs)} over {abs_window}")
     return out
 

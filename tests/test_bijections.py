@@ -17,7 +17,7 @@ from snakelab.bijections import (
     psi2,
 )
 from snakelab.eulerians import Q_poly, R_poly
-from snakelab.motzkin import EMPTY_PATH, WeightedPath, gen_weighted, rho
+from snakelab.motzkin import EMPTY_PATH, WeightedPath, _raw, _wrap, gen_weighted, matching_pairs, rho
 
 
 def mono(ey=0, et=0, eq=0):
@@ -143,6 +143,60 @@ class TestPsi1:
                 assert psi1(p) in members
 
 
+def _toggle_reference(path, y2_step, y2_shift, up_offset):
+    """The move of psi1 (W, 0, 1) or psi2 (L, 1, 0) computed on `Monomial`
+    weights: an oracle for the raw move table `bijections._toggle`."""
+    plain_step = "L" if y2_step == "W" else "W"
+    steps = list(path.steps)
+    weights = list(path.weights)
+    is_q_power = lambda w: w.ey == 0 and w.et == 0
+    is_y2 = lambda w: w.ey == 2 and w.et == 0
+    is_yt = lambda w: w.ey == 1 and w.et == 1
+    for i, (s, w) in enumerate(zip(steps, weights)):
+        if s == plain_step and is_q_power(w):
+            steps[i], weights[i] = y2_step, Monomial(1, 2, 0, w.eq + y2_shift)
+            break
+        if s == y2_step and is_y2(w):
+            steps[i], weights[i] = plain_step, Monomial(1, 0, 0, w.eq - y2_shift)
+            break
+    else:
+        heights = path.heights()
+        for u, d in matching_pairs(path.steps):
+            h = heights[u]
+            wu, wd = weights[u], weights[d]
+            if is_y2(wu) and is_yt(wd):
+                a, b = wu.eq, wd.eq - (h + 1)
+                weights[u] = Monomial(1, 1, 1, h + up_offset + a)
+                weights[d] = Monomial(1, 0, 0, b)
+                break
+            if is_yt(wu) and is_q_power(wd):
+                a, b = wu.eq - (h + up_offset), wd.eq
+                weights[u] = Monomial(1, 2, 0, a)
+                weights[d] = Monomial(1, 1, 1, h + 1 + b)
+                break
+    return WeightedPath(tuple(steps), tuple(weights))
+
+
+class TestRawMoveTable:
+    @pytest.mark.parametrize("scheme, name, move", [
+        ("H", "psi1", ("W", 0, 1)), ("MSTAR", "psi2", ("L", 1, 0)),
+    ])
+    @pytest.mark.parametrize("n", range(6))
+    def test_agrees_with_monomial_reference(self, scheme, name, move, n):
+        for p in gen_weighted(scheme, n):
+            want = _toggle_reference(p, *move)
+            assert _wrap(*bijections._toggle(p.steps, _raw(p), name)) == want
+            assert getattr(bijections, name)(p) == want
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_raw_phi_agrees_with_public_phi(self, n):
+        for p in gen_weighted("M", n):
+            head, (steps, weights) = bijections._phi(p.steps, _raw(p))
+            want_head, want = phi(p)
+            assert (Monomial(1, *head), _wrap(steps, weights)) == (want_head, want)
+            assert _wrap(*bijections._phi_inverse(head, steps, weights)) == p
+
+
 def _psi1_check_reference(n_max):
     """prop-3.6 as two separate calls of the guarded psi1 per path."""
     for n in range(0, n_max + 1):
@@ -188,10 +242,10 @@ def _psi2_check_reference(n_max):
     for n in range(0, n_max + 1):
         fixed = set()
         for p in motzkin.gen_weighted("MSTAR", n):
-            image = bijections._psi2_move(p)
+            image = bijections.psi2(p)
             if not motzkin.in_family("MSTAR", image):
                 return f"n={n}: image leaves MSTAR at {p.text()}: {image.text()}"
-            if bijections._psi2_move(image) != p:
+            if bijections.psi2(image) != p:
                 return f"n={n}: not an involution at {p.text()}"
             wp, wi = p.weight(), image.weight()
             if image == p:
@@ -232,27 +286,26 @@ class TestSharedPsi1Walk:
             (_catalog("lemma-3.8")(n_max), _psi1_slices_reference(n_max)),
         )
 
-    @pytest.mark.parametrize("n_max", range(5))
+    @pytest.mark.parametrize("n_max", range(6))
     def test_walk_agrees_with_per_check_loops(self, n_max):
         for walk, reference in self._routes(n_max):
             assert walk is None and reference is None
 
     def test_pair_offset_mutation_fails_both_routes(self, monkeypatch):
         # the pair toggle with offset h instead of h+1 (psi2's offset)
-        monkeypatch.setattr(bijections, "_psi1_move",
-                            lambda p: bijections._toggle(p, "W", 0, 0))
+        monkeypatch.setitem(bijections._MOVES, "psi1", ("W", 0, 0))
         for walk, reference in self._routes(4):
             assert walk is not None and walk == reference
 
     def test_fixed_set_is_compared_by_count(self, monkeypatch):
         # F_0 loses its one path, so one fixed point of psi1 is left uncounted
-        real = motzkin.gen_weighted
+        real = motzkin._paths
 
         def short_f(scheme, n):
             paths = list(real(scheme, n))
             return iter(paths[:-1] if scheme == "F" else paths)
 
-        monkeypatch.setattr(motzkin, "gen_weighted", short_f)
+        monkeypatch.setattr(motzkin, "_paths", short_f)
         assert _catalog("prop-3.6")(0) == "n=0: fixed set differs from the restricted path family"
 
     def test_weight_law_is_checked(self, monkeypatch):
@@ -269,21 +322,20 @@ class TestSharedPsi1Walk:
 
 @pytest.mark.usefixtures("fresh_walk")
 class TestPsi2Walk:
-    @pytest.mark.parametrize("n_max", range(5))
+    @pytest.mark.parametrize("n_max", range(6))
     def test_walk_agrees_with_reference(self, n_max):
         assert _catalog("prop-4.4")(n_max) is None
         assert _psi2_check_reference(n_max) is None
 
     def test_pair_offset_mutation_fails_both_routes(self, monkeypatch):
         # the pair toggle with offset h+1 instead of h (psi1's offset)
-        monkeypatch.setattr(bijections, "_psi2_move",
-                            lambda p: bijections._toggle(p, "L", 1, 1))
+        monkeypatch.setitem(bijections._MOVES, "psi2", ("L", 1, 1))
         walk = _catalog("prop-4.4")(4)
         assert walk is not None and walk == _psi2_check_reference(4)
 
     def test_identity_move_fails_both_routes(self, monkeypatch):
         # every path is fixed, so the first one outside G is reported
-        monkeypatch.setattr(bijections, "_psi2_move", lambda p: p)
+        monkeypatch.setattr(bijections, "_toggle", lambda steps, weights, name: (steps, weights))
         walk = _catalog("prop-4.4")(4)
         assert "unexpected fixed point" in walk and walk == _psi2_check_reference(4)
 

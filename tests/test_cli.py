@@ -177,6 +177,19 @@ class TestIdentity:
         assert all(args[-1] == 6 for args in calls)
 
 
+    @pytest.mark.parametrize("check_id, n", [
+        ("q-secant-at-t0", 30), ("r-odd-at-t0", 30), ("jv1", 7), ("jv2", 7),
+    ])
+    def test_q_euler_table_is_built_once_per_run(self, monkeypatch, check_id, n):
+        # jv1 and jv2 enumerate permutations on the left, so they run at their
+        # default ceiling
+        real = eulerians.q_euler_numbers
+        calls = []
+        monkeypatch.setattr(eulerians, "q_euler_numbers", lambda m: calls.append(m) or real(m))
+        assert run_check(check_id, n).status == "pass"
+        assert calls == [n + 1]
+
+
 class TestGoldenCheck:
     """The row shape of every worked-example golden."""
 

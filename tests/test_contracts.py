@@ -19,7 +19,7 @@ import snakelab
 from snakelab import algebra, bijections, checks, cli, eulerians, motzkin, permstats, snakes
 from snakelab.algebra import Monomial
 from snakelab.checks import run_check
-from snakelab.motzkin import WeightedPath
+from snakelab.motzkin import WeightedPath, _raw, _wrap
 
 PACKAGE_DIR = Path(snakelab.__file__).resolve().parent
 
@@ -70,10 +70,14 @@ def test_checks_pass_under_optimize(check_id):
     [("prop-3.6", "psi1", "H"), ("prop-4.4", "psi2", "MSTAR")],
 )
 def test_involution_check_catches_bad_image(monkeypatch, fresh_caches, check_id, name, scheme):
-    # the checks apply the unguarded move behind the public map
-    move = f"_{name}_move"
-    real = getattr(bijections, move)
-    monkeypatch.setattr(bijections, move, lambda p: _bump_first(real(p), 100))
+    # the checks apply the unguarded raw move behind the public map
+    real = bijections._toggle
+
+    def bad_move(steps, weights, move):
+        image = _wrap(*real(steps, weights, move))
+        return image.steps, _raw(_bump_first(image, 100))
+
+    monkeypatch.setattr(bijections, "_toggle", bad_move)
     result = run_check(check_id)
     assert result.status == "fail"
     assert f"image leaves {scheme}" in result.witness
@@ -96,20 +100,21 @@ def test_table_checks_catch_bad_crossings(monkeypatch, fresh_caches):
         assert result.witness.startswith("n=1: lhs - rhs = "), result.witness
 
 
-_REAL_PHI = bijections.phi
+_REAL_PHI = bijections._phi
 
 
-def _bad_phi(p):
-    # the head absorbs the shift, so the weight is preserved and only the
-    # comparison with scheme H can see the bad image
-    head, out = _REAL_PHI(p)
-    if not out.weights:
-        return head, out
-    return Monomial(1, head.ey, head.et, head.eq - 100), _bump_first(out, 100)
+def _bad_phi(steps, weights):
+    # the raw map behind prop-3.2; the head absorbs the shift, so the weight
+    # is preserved and only the comparison with scheme H can see the bad image
+    head, (out_steps, out) = _REAL_PHI(steps, weights)
+    if not out:
+        return head, (out_steps, out)
+    (ey, et, eq), (fy, ft, fq) = head, out[0]
+    return (ey, et, eq - 100), (out_steps, ((fy, ft, fq + 100), *out[1:]))
 
 
 def test_cover_check_catches_bad_image(monkeypatch):
-    monkeypatch.setattr(bijections, "phi", _bad_phi)
+    monkeypatch.setattr(bijections, "_phi", _bad_phi)
     result = run_check("prop-3.2")
     assert result.status == "fail"
     assert "image leaves {y^2, yt} x H at" in result.witness
@@ -120,7 +125,7 @@ def test_cover_witness_ignores_hash_seed():
     child = (
         "import test_contracts\n"
         "from snakelab import bijections, checks\n"
-        "bijections.phi = test_contracts._bad_phi\n"
+        "bijections._phi = test_contracts._bad_phi\n"
         "print(checks.run_check('prop-3.2').witness)\n"
     )
     witnesses = []

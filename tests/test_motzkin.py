@@ -18,8 +18,9 @@ from snakelab.motzkin import (
     gen_weighted,
     in_family,
     matching_pairs,
-    _pair_ok,
+    _paths,
     _scheme_info,
+    path_count,
     rho,
     step_heights,
     weight_menu,
@@ -76,7 +77,7 @@ def _in_family_reference(scheme, path):
         return False
     if pair_rule:
         for u, d in matching_pairs(path.steps):
-            if not _pair_ok(path.weights[u], path.weights[d]):
+            if (path.weights[u].ey == 2) != (path.weights[d].ey == 0):
                 return False
     return True
 
@@ -204,6 +205,35 @@ class TestGenWeighted:
             h1 = set(gen_weighted("H1", n))
             h2 = set(gen_weighted("H2", n))
             assert h1 | h2 == h_all and not (h1 & h2)
+
+
+class TestPathCount:
+    @pytest.mark.parametrize("scheme", ["M", "MSTAR", "H", "T", "TSTAR"])
+    @pytest.mark.parametrize("n", range(7))
+    def test_product_count_equals_enumeration(self, scheme, n):
+        assert path_count(scheme, n) == sum(1 for _ in _paths(scheme, n))
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_closed_forms(self, n):
+        import math
+
+        from snakelab.eulerians import springer_number
+
+        assert path_count("M", n) == 2 ** n * math.factorial(n)
+        assert path_count("H", n) == 2 ** n * math.factorial(n + 1)  # M_(n+1) covers H_n twice
+        assert path_count("T", n) == 2 ** n * euler_number(n + 1)
+        assert path_count("TSTAR", n) == springer_number(n)
+
+    @pytest.mark.parametrize("scheme", ["F", "G", "MPRIME", "MSTARPRIME", "H1", "H2"])
+    def test_rejects_rule_filtered_schemes(self, scheme):
+        with pytest.raises(ValueError, match="not menu-defined"):
+            path_count(scheme, 2)
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError, match="unknown scheme"):
+            path_count("NOPE", 2)
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            path_count("M", -1)
 
 
 class TestRho:

@@ -181,6 +181,14 @@ class TestGenerate:
         for variant in ("FULL", "S0", "S00"):
             assert is_snake_window((), variant)
 
+    @pytest.mark.parametrize("window, variant", [
+        ((1, 1), "S0"), ((2, 2), "FULL"), ((1, -1), "S0"), ((2,), "S0"), ((3, -1), "FULL"),
+    ])
+    def test_window_must_be_a_signed_permutation(self, window, variant):
+        # each of these zigzags between its boundary entries
+        assert snakes._zigzag(snakes._extended(window, variant))
+        assert not is_snake_window(window, variant)
+
     def test_boundaries(self):
         assert Snake((2, 1), "FULL").extended() == (-3, 2, 1, 3)
         assert Snake((2, 1), "S0").extended() == (0, 2, 1, 3)
