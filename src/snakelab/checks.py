@@ -17,8 +17,9 @@ Each entry is one row of `CHECKS`, of one of three kinds:
   `n=N: got X, want Y` otherwise, and for a pair of sides (thm-1.2) the
   first component that differs;
 - a map between finite families: a bijection streamed by `_bijection`
-  (prop-3.2, lemma-sign-changes, thm-5.8, thm-5.12) or an involution read
-  off the cached `_involution_walk` (prop-3.6, lemma-3.8, prop-4.4);
+  (prop-3.2, lemma-sign-changes) or by the snake walk `_snake_code`
+  (thm-5.8, thm-5.12), or an involution read off the cached
+  `_involution_walk` (prop-3.6, lemma-3.8, prop-4.4);
 - a worked-example golden, `_golden_check`: got() equals the literal in its
   row, else `got X, want Y`.
 lemma-pattern alone keeps its own loop.
@@ -40,9 +41,24 @@ The path maps (prop-3.2 and the involution walks) run on raw paths,
 unchecked cores `bijections._phi`, `_phi_inverse` and `_toggle` only to
 generated paths or to images that have just passed that test.  A
 `WeightedPath` is built only to render a witness through its `text()`, so
-every witness reads as the public types print it.  The permutation checks
-read the cached `permstats.a_table` and `permstats.b_table`, so the first
-check to touch an n pays for its table.  Clearing those caches is needed
+every witness reads as the public types print it.
+
+The snake walk of thm-5.8 and thm-5.12 runs on raw windows the same way:
+one walk per n generates each snake once by `snakes._windows` and scans
+it once by `snakes._elements`.  Each snake's raw image
+(`snakes._encode`) must pass `motzkin._contains`, decode
+(`snakes._decode`) back to the window, and carry in its weights'
+t-exponents the scan's cs-vector, which is what `arnold_recover`'s closing
+check asks of the public inverse; the snake's key (`snakes._key`, shared
+with `snake_enumerator`) is added to the snake sum.  After the walk the
+count is compared with `path_count` and the sum with Q_n or R_n.  An image
+that fails is worded through the public inverse's guard, as for the path
+maps.  lemma-sign-changes and lemma-pattern also read `snakes._windows`;
+lemma-sign-changes wraps each window in a `Snake` for the public
+`cs_vector` and `arnold_recover` it checks.
+
+The permutation checks read the cached `permstats.a_table` and
+`permstats.b_table`, so the first check to touch an n pays for its table.  Clearing those caches is needed
 only where a test patches what fills them.
 """
 
@@ -256,19 +272,49 @@ def _restructure(n: int) -> str | None:
     ) or _equal(n, motzkin.rho("M", n), (Y ** 2 + Y * T) * motzkin.rho("H", n - 1))
 
 
-def _snake_code(variant: str, shift: int, scheme: str, which: str) -> Callable[[int], str | None]:
+def _landing(n: int, source: str, image: motzkin.RawPath, inverse: Callable, target: str) -> str:
+    """The witness for a raw image that failed its tests, worded as
+    `_bijection` words it: the public inverse's guard raises the witness's
+    error, and an image it takes back names a failed round trip."""
+    try:
+        inverse(motzkin._wrap(*image))
+    except ValueError as err:
+        return f"n={n}: image leaves {target} at {source}: {err}"
+    return f"n={n}: round trip failed for {source}"
+
+
+def _snake_code(variant: str, offset: int, scheme: str, which: str) -> Callable[[int], str | None]:
     """thm-5.8 (lambda1, Q) or thm-5.12 (lambda2, R): the encoding maps the
-    variant's snakes of size n + shift one to one onto the scheme's paths of
-    length n, and the snake sums equal Q_n or R_n."""
-    name = "lambda1" if which == "Q" else "lambda2"
+    variant's snakes of size n + offset one to one onto the scheme's paths
+    of length n, and the snake sums equal Q_n or R_n.
+
+    One walk per n reads each raw window once: its scan gives the image,
+    the scan's cs-vector and the enumerator key.  Each image must lie in
+    the scheme and decode to the window and to the scan's cs-vector (what
+    `arnold_recover`'s closing check asks of the public inverse)."""
+    inverse = "lambda1_inv" if which == "Q" else "lambda2_inv"
     poly = eulerians.Q_poly if which == "Q" else eulerians.R_poly
 
     def claim(n: int) -> str | None:
-        return _bijection(
-            n, snakes.generate_snakes(n + shift, variant), getattr(snakes, name),
-            getattr(snakes, name + "_inv"), scheme,
-            target_size=motzkin.path_count(scheme, n),
-        ) or _equal(n, snakes.snake_enumerator(n, which), poly(n))
+        sums: Counter = Counter()
+        count = 0
+        for window in snakes._windows(n + offset, variant):
+            count += 1
+            scan = snakes._elements(window, variant)
+            image = snakes._encode(scan, offset)
+            try:
+                lands = (motzkin._contains(scheme, *image)
+                         and snakes._decode(*image, offset) == (window, snakes._cs(scan)))
+            except ValueError:  # a malformed path
+                lands = False
+            if not lands:
+                source = snakes.Snake(window, variant).text()
+                return _landing(n, source, image, getattr(snakes, inverse), scheme)
+            sums[snakes._key(scan, offset)] += 1
+        target_size = motzkin.path_count(scheme, n)
+        if count != target_size:
+            return f"n={n}: {count} sources, {target_size} in {scheme}"
+        return _equal(n, Poly(sums), poly(n))
 
     return _each_n(claim)
 
@@ -283,13 +329,13 @@ def _check_sign_changes(n_max: int) -> str | None:
         if not all(c in (0, 1, 2) for c in image[1]):
             return f"n={s.size()}: image leaves {{0,1,2}}^n at {s.text()}"
         if sum(image[1]) != snakes.sign_changes(s):
-            return f"{s.text()}: vector {image[1]} does not sum to the total"
+            return f"n={s.size()}: {s.text()}: vector {image[1]} does not sum to the total"
         return None
 
     for variant in ("S0", "S00"):
         for n in range(n_max + 1):
             witness = _bijection(
-                n, snakes.generate_snakes(n, variant),
+                n, (snakes.Snake(w, variant) for w in snakes._windows(n, variant)),
                 lambda s: (tuple(abs(x) for x in s.window), snakes.cs_vector(s)),
                 lambda image: snakes.arnold_recover(*image, variant), "{0,1,2}^n", law)
             if witness:
@@ -366,15 +412,15 @@ def _walk(scheme: str, claims: tuple[str, ...]) -> Callable[[int], str | None]:
 def _check_pattern_lemma(n_max: int) -> str | None:
     for variant in ("S0", "S00"):
         for n in range(1, n_max + 1):
-            for s in snakes.generate_snakes(n, variant):
-                word = tuple(abs(x) for x in s.window)
+            for window in snakes._windows(n, variant):
+                word = tuple(map(abs, window))
                 profile = snakes.block_profile(word, variant)
                 for k in range(1, n + 1):
                     a, b = snakes.pattern_counts(word, variant, k)
                     if profile.beta[k] != b or profile.alpha[k] != a + b + 1:
                         return (
-                            f"{s.text()}: k={k} blocks ({profile.alpha[k]},"
-                            f" {profile.beta[k]}) vs patterns ({a}, {b})"
+                            f"n={n}: {snakes.Snake(window, variant).text()}: k={k} blocks"
+                            f" ({profile.alpha[k]}, {profile.beta[k]}) vs patterns ({a}, {b})"
                         )
     return None
 

@@ -49,6 +49,8 @@ from snakelab.algebra import (
 def count_alternating(n: int) -> int:
     """Brute-force count of alternating permutations of [n]; an oracle for
     checking `seidel_numbers`, exponential in n."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
     return sum(1 for p in itertools.permutations(range(1, n + 1)) if snakes._zigzag((0, *p)))
 
 
@@ -77,9 +79,11 @@ def euler_number(n: int) -> int:
 @lru_cache(maxsize=None)
 def springer_number(n: int) -> int:
     """S_n: the number of snakes of size n with positive first entry,
-    counted one by one; an oracle for checking `springer_numbers` and
-    Q_n(1,1), exponential in n."""
-    return sum(1 for _ in snakes.generate_snakes(n, "S0"))
+    counted one by one over their raw windows; an oracle for checking
+    `springer_numbers` and Q_n(1,1), exponential in n."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return sum(1 for _ in snakes._windows(n, "S0"))
 
 
 def springer_numbers(n_max: int) -> list[int]:

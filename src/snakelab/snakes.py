@@ -17,23 +17,43 @@ R_n(t,q) after the q^(-n-1) normalization).  Both inverses rebuild the
 absolute permutation in one list of blocks and then recover the signs from
 the cs-vector.
 
-Each snake is read in one scan, `_elements`: per element its step letter,
-whether a sign change enters it, and its 13-2 and 2-31 counts.
-`snake_enumerator` sums that scan, and the lambdas take their block counts
-from it by lemma-pattern.  `pattern_counts`, `block_profile`,
-`element_class`, `pat_q` and `pat_r` compute the same numbers one element
-at a time; they stay as the oracles the tests check that scan against.
+The work runs on raw windows, plain tuples of signed ints, and raw paths,
+`(steps, weights)` with exponent-triple weights:
+- `_windows` is the one generator: a pruned depth-first search in which
+  each position draws only from the signed values on its side of the
+  zigzag bound;
+- `_elements` is the one scan of a window: per element, in value order,
+  its step letter, whether a sign change enters it, and its 13-2 and 2-31
+  counts, read off running block counts in linear time (lemma-pattern);
+- the cores read that scan: `_encode` gives the raw path, `_cs` the
+  cs-vector and `_key` the enumerator's exponent triple, and `_decode`
+  maps a raw path back to its window and cs-vector, by block rebuild
+  (`_rebuild_word`) and then sign recovery (`_signs`).
+The public functions keep their types and guards: `generate_snakes` wraps
+each window in a `Snake`, `cs_vector`, `lambda1` and `lambda2` reject a
+window that is not a snake of its variant, the inverses test membership
+first and close with `arnold_recover`'s check, and `snake_enumerator` sums
+`_key` over `_windows`.  `pattern_counts`, `block_profile`,
+`element_class`, `pat_q` and `pat_r` compute the same statistics one
+element at a time; they stay as the oracles the tests check the scan
+against.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
+from collections import Counter
 from dataclasses import dataclass
+from operator import ge, le
 from typing import Iterator, Sequence
 
-from snakelab.algebra import Key, Monomial, Poly
-from snakelab.motzkin import WeightedPath, in_family
+from snakelab.algebra import Key, Poly
+from snakelab.motzkin import RawPath, Weight, WeightedPath, _raw, _wrap, in_family
 
 VARIANTS = ("FULL", "S0", "S00")
+
+# one element of a scan: (step, sign change entering, 13-2, 2-31)
+Element = tuple[str, bool, int, int]
 
 
 def _extended(window: Sequence[int], variant: str) -> tuple[int, ...]:
@@ -51,8 +71,7 @@ def _extended(window: Sequence[int], variant: str) -> tuple[int, ...]:
 def _zigzag(word: Sequence[int]) -> bool:
     """word[0] <= word[1] >= word[2] <= ...; the boundary zeros of S00 are
     the only equal neighbours a snake's extended word can have."""
-    return (all(a <= b for a, b in zip(word[::2], word[1::2]))
-            and all(a >= b for a, b in zip(word[1::2], word[2::2])))
+    return all(map(le, word[::2], word[1::2])) and all(map(ge, word[1::2], word[2::2]))
 
 
 @dataclass(frozen=True)
@@ -87,39 +106,71 @@ def is_snake_window(window: Sequence[int], variant: str) -> bool:
             and _zigzag(_extended(window, variant)))
 
 
+def _windows(n: int, variant: str) -> Iterator[tuple[int, ...]]:
+    """The windows of the variant's snakes of size n, in increasing
+    lexicographic order of signed values.
+
+    Depth first, with one iterator of candidates per open position.
+    Position i draws from a slice of the sorted signed values, those above
+    the entry before it when i is odd (a peak of the zigzag) and those
+    below it when i is even, and a flag list skips the magnitudes already
+    used.  The last entry is -m or m for the one magnitude m left, kept
+    when it also faces sigma_(n+1).
+    """
+    if n == 0:
+        yield ()
+        return
+    left, *_, right = _extended((0,) * n, variant)
+    values = (*range(-n, 0), *range(1, n + 1))
+    above = {v: values[bisect_right(values, v):] for v in (left, *values)}
+    below = {v: values[:bisect_left(values, v)] for v in (left, *values)}
+    # ends[prev, m]: the last entries of magnitude m that may follow prev
+    ends = {
+        (prev, m): tuple(v for v in (-m, m)
+                         if (v > max(prev, right) if n % 2 else v < min(prev, right)))
+        for prev in (left, *values) for m in range(1, n + 1)
+    }
+    if n == 1:
+        for v in ends[left, 1]:
+            yield (v,)
+        return
+    window = [0] * n
+    free = [True] * (n + 1)
+    rest = n * (n + 1) // 2  # the sum of the magnitudes not placed yet
+    stack = [iter(above[left])]  # stack[i - 1]: the candidates for position i
+    while stack:
+        for v in stack[-1]:
+            if free[abs(v)]:
+                break
+        else:  # position exhausted: free the entry before it and go back
+            stack.pop()
+            if stack:
+                a = abs(window[len(stack) - 1])
+                free[a] = True
+                rest += a
+            continue
+        i = len(stack)
+        window[i - 1] = v
+        if i == n - 1:
+            for last in ends[v, rest - abs(v)]:
+                window[-1] = last
+                yield tuple(window)
+        else:
+            a = abs(v)
+            free[a] = False
+            rest -= a
+            stack.append(iter((below if i % 2 else above)[v]))
+
+
 def generate_snakes(n: int, variant: str) -> Iterator[Snake]:
-    """All snakes of the variant, by backtracking over signed values in
-    increasing order (deterministic) so that the extended word zigzags."""
+    """All snakes of the variant, in increasing lexicographic order of
+    signed values: the windows of `_windows`, each wrapped in a `Snake`.
+    The arguments are checked when it is called."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 0:
-        yield Snake((), variant)
-        return
-    left, *_, right = _extended((0,) * n, variant)
-    window: list[int] = []
-    candidates = [v for v in range(-n, n + 1) if v != 0]
-    used: set[int] = set()
-
-    def rec(i: int) -> Iterator[Snake]:
-        # position i is a peak of the zigzag when i is odd, a valley when even
-        prev, peak = window[-1] if window else left, i % 2
-        if i == n:  # the last entry also faces sigma_(n+1)
-            prev = max(prev, right) if peak else min(prev, right)
-        for v in candidates:
-            if abs(v) in used or (v < prev if peak else v > prev):
-                continue
-            window.append(v)
-            used.add(abs(v))
-            if i == n:
-                yield Snake(tuple(window), variant)
-            else:
-                yield from rec(i + 1)
-            window.pop()
-            used.discard(abs(v))
-
-    yield from rec(1)
+    return (Snake(window, variant) for window in _windows(n, variant))
 
 
 def _changes(a: int, b: int) -> bool:
@@ -134,39 +185,87 @@ def sign_changes(snake: Snake) -> int:
     return sum(map(_changes, ext, ext[1:]))
 
 
+def _elements(window: Sequence[int], variant: str) -> list[Element]:
+    """(step, sign change entering, 13-2, 2-31) for each element of a snake
+    window, in value order, from one scan.
+
+    The elements join the boundary zeros in increasing order.  Element k
+    opens a block of the absolute word restricted to {0..k} at a valley (U),
+    extends one at a double ascent (L) or double descent (W), and merges
+    two at a peak (D).  The sorted block starts give, by lemma-pattern, the
+    2-31 count as the blocks to the right of k's and the 13-2 count as
+    those to its left: the counts of `pattern_counts`.
+    """
+    ext = _extended(window, variant)
+    word = list(map(abs, ext))
+    n = len(window)
+    at = [0] * (n + 1)
+    for i in range(1, n + 1):
+        at[word[i]] = i
+    starts = [i for i in (0, n + 1) if word[i] == 0]
+    out = []
+    for k in range(1, n + 1):
+        p = at[k]
+        if word[p - 1] < k:
+            if word[p + 1] < k:
+                step = "D"
+                del starts[bisect_left(starts, p + 1)]
+            else:
+                step = "L"
+        elif word[p + 1] < k:
+            step = "W"
+            starts[bisect_left(starts, p + 1)] = p
+        else:
+            step = "U"
+            insort(starts, p)
+        after = len(starts) - bisect_right(starts, p)
+        out.append((step, ext[p - 1] * ext[p] < 0, len(starts) - after - 1, after))
+    return out
+
+
+def _cs(elements: Sequence[Element]) -> tuple[int, ...]:
+    """The cs-vector of a scan: 2 or 0 at a valley, by whether a sign
+    change enters it, 1 at a double ascent or descent, 0 at a peak."""
+    return tuple(2 * change if step == "U" else int(step != "D")
+                 for step, change, _, _ in elements)
+
+
+def _checked_scan(snake: Snake) -> list[Element]:
+    """The `_elements` scan of a snake, whose window must be a snake of its
+    variant."""
+    if not is_snake_window(snake.window, snake.variant):
+        raise ValueError(f"not a snake: {snake.text()}")
+    return _elements(snake.window, snake.variant)
+
+
 def cs_vector(snake: Snake) -> tuple[int, ...]:
     """Per-element sign-change counts: 0 or 2 at valleys of the absolute
     word (according to whether the element sits in a sign change), 1 at
     double ascents and double descents, 0 at peaks; the total is the number
     of sign changes."""
-    ext = snake.extended()
-    word = snake.abs_extended()
-    pos = {word[i]: i for i in range(1, len(word) - 1)}
-    out = []
-    for j in range(1, snake.size() + 1):
-        i = pos[j]
-        left, right = word[i - 1], word[i + 1]
-        if left > j < right:
-            change_left = _changes(ext[i - 1], ext[i])
-            change_right = _changes(ext[i], ext[i + 1])
-            if change_left != change_right:
-                raise ValueError(f"not a snake: {snake.text()}")
-            out.append(2 if change_left else 0)
-        elif left < j > right:
-            out.append(0)
-        else:
-            out.append(1)
-    return tuple(out)
+    return _cs(_checked_scan(snake))
+
+
+def _signs(word: Sequence[int], cs: Sequence[int]) -> tuple[int, ...]:
+    """The signed window over a boundary-extended absolute word: the first
+    entry is positive, and between neighbours i-1 and i the sign flips
+    unless the valley of the absolute word among the two (there is at most
+    one, the lower of the two) records 0."""
+    n = len(word) - 2
+    if n < 1:
+        return ()
+    sign, window = 1, [word[1]]
+    for i in range(2, n + 1):
+        p = i if word[i] < word[i - 1] else i - 1  # only the lower can be a valley
+        if not word[p - 1] > word[p] < word[p + 1] or cs[word[p] - 1]:
+            sign = -sign
+        window.append(sign * word[i])
+    return tuple(window)
 
 
 def arnold_recover(abs_window: Sequence[int], cs: Sequence[int], variant: str) -> Snake:
-    """Recover the snake from its absolute window and cs-vector.
-
-    Signs are assigned left to right: the first entry is positive, and
-    between neighbours i-1 and i the sign flips unless the valley of the
-    absolute word among the two (there is at most one, the lower of the two)
-    records 0.  Raises if no snake of the variant realizes the vector.
-    """
+    """Recover the snake from its absolute window and cs-vector by
+    `_signs`.  Raises if no snake of the variant realizes the vector."""
     if variant not in ("S0", "S00"):
         raise ValueError("sign recovery is defined for the S0 and S00 variants")
     n = len(abs_window)
@@ -174,21 +273,11 @@ def arnold_recover(abs_window: Sequence[int], cs: Sequence[int], variant: str) -
         raise ValueError(f"not an absolute window: {abs_window}")
     if len(cs) != n:
         raise ValueError("cs-vector length must match the window")
-    if n == 0:
-        return Snake((), variant)
-    word = [abs(v) for v in _extended(abs_window, variant)]
-    sign, window = 1, [word[1]]
-    for i in range(2, n + 1):
-        p = i if word[i] < word[i - 1] else i - 1  # only the lower can be a valley
-        valley = word[p - 1] > word[p] < word[p + 1]
-        if not valley or cs[word[p] - 1] != 0:
-            sign = -sign
-        window.append(sign * word[i])
-    out = Snake(tuple(window), variant)
+    window = _signs([abs(v) for v in _extended(abs_window, variant)], cs)
     # the window is a signed permutation by the test above, so only the zigzag is left
-    if not _zigzag(out.extended()) or cs_vector(out) != tuple(cs):
+    if not _zigzag(_extended(window, variant)) or _cs(_elements(window, variant)) != tuple(cs):
         raise ValueError(f"no snake realizes cs-vector {tuple(cs)} over {abs_window}")
-    return out
+    return Snake(window, variant)
 
 
 @dataclass(frozen=True)
@@ -301,52 +390,29 @@ def pat_r(snake: Snake) -> int:
     return _pattern_stat(snake, x_shift=-2, count_peaks=True)
 
 
-def _elements(snake: Snake) -> list[tuple[str, bool, int, int]]:
-    """(step, sign change entering, 13-2, 2-31) for each element in value
-    order, from one scan of the extended word.  The step is U at a valley,
-    L at a double ascent, W at a double descent and D at a peak of the
-    absolute word; the counts are those of `pattern_counts`."""
-    ext = snake.extended()
-    word = [abs(v) for v in ext]
-    pairs = list(zip(word, word[1:]))
-    out: list = [None] * snake.size()
-    for i in range(1, len(word) - 1):
-        j, left, right = word[i], word[i - 1], word[i + 1]
-        if left > j < right:
-            step = "U"
-        elif left < j > right:
-            step = "D"
-        else:
-            step = "L" if left < j else "W"
-        thirteen_two = sum(1 for lo, hi in pairs[: i - 1] if lo < j < hi)
-        two_thirty_one = sum(1 for hi, lo in pairs[i + 1 :] if hi > j > lo)
-        out[j - 1] = (step, _changes(ext[i - 1], ext[i]), thirteen_two, two_thirty_one)
-    return out
-
-
-def _lambda_steps(snake: Snake, offset: int) -> WeightedPath:
-    """Shared body of the two snake-to-path encodings.
+def _encode(elements: Sequence[Element], offset: int) -> RawPath:
+    """The raw path of a snake's scan, shared by the two encodings.
 
     offset 0 encodes an S0 snake of size n as n steps; offset 1 encodes an
     S00 snake of size n+1 as n steps (the largest element is skipped).  The
-    step for element j is its `_elements` letter; exponents come from the
-    block counts alpha_j = 13-2 + 2-31 + 1 and beta_j = 2-31 (lemma-pattern),
+    step for element j is its scan letter; exponents come from the block
+    counts alpha_j = 13-2 + 2-31 + 1 and beta_j = 2-31 (lemma-pattern),
     shifted by the offset.  That the result lies in the target scheme is
     verified by the catalog (thm-5.8, thm-5.12), not here.
     """
     steps, weights = [], []
-    for step, change, thirteen_two, beta in _elements(snake)[: snake.size() - offset]:
+    for step, change, thirteen_two, beta in elements[: len(elements) - offset]:
         alpha = thirteen_two + beta + 1
         steps.append(step)
         if step == "U" and change:
-            weights.append(Monomial(1, 0, 2, beta + 2 * alpha - 3 - 2 * offset))
+            weights.append((0, 2, beta + 2 * alpha - 3 - 2 * offset))
         elif step == "U":
-            weights.append(Monomial(1, 0, 0, beta - offset))
+            weights.append((0, 0, beta - offset))
         elif step == "D":
-            weights.append(Monomial(1, 0, 0, beta))
+            weights.append((0, 0, beta))
         else:
-            weights.append(Monomial(1, 0, 1, beta + alpha - 1 - offset))
-    return WeightedPath(tuple(steps), tuple(weights))
+            weights.append((0, 1, beta + alpha - 1 - offset))
+    return tuple(steps), tuple(weights)
 
 
 def lambda1(snake: Snake) -> WeightedPath:
@@ -355,7 +421,7 @@ def lambda1(snake: Snake) -> WeightedPath:
     The weight collects t^cs(snake) q^(2-31 + pat_q)."""
     if snake.variant != "S0":
         raise ValueError("lambda1 expects an S0 snake")
-    return _lambda_steps(snake, offset=0)
+    return _wrap(*_encode(_checked_scan(snake), offset=0))
 
 
 def lambda2(snake: Snake) -> WeightedPath:
@@ -366,27 +432,30 @@ def lambda2(snake: Snake) -> WeightedPath:
         raise ValueError("lambda2 expects an S00 snake")
     if snake.size() < 1:
         raise ValueError("lambda2 needs a snake of size >= 1")
-    return _lambda_steps(snake, offset=1)
+    return _wrap(*_encode(_checked_scan(snake), offset=1))
 
 
-def _rebuild_word(path: WeightedPath, offset: int) -> tuple[list[int], list[int]]:
+def _rebuild_word(steps: Sequence[str], weights: Sequence[Weight],
+                  offset: int) -> tuple[list[int], list[int]]:
     """Run the block-insertion reconstruction shared by the two decodings.
 
     The blocks are kept right to left, so a step's block index is a list
-    index.  Returns the completed boundary-extended absolute word (largest
-    element placed) and the per-element sign-change counts read off the
-    step weights.
+    index, and the height before a step is the number of blocks beyond the
+    boundary ones.  Returns the boundary-extended absolute word (largest
+    element placed; the right boundary n+1 of S0 is not included) and the
+    per-element sign-change counts read off the weights' t-exponents.
     """
     blocks = [[0] for _ in range(1 + offset)]
     cs: list[int] = []
-    for j, (step, w, h) in enumerate(zip(path.steps, path.weights, path.heights()), 1):
-        cs.append(w.et)
+    for j, (step, (_, et, eq)) in enumerate(zip(steps, weights), 1):
+        cs.append(et)
+        h = len(blocks) - 1 - offset
         if step == "U":
             # both decodings: for a sign-change valley d = beta + 2*alpha
             # with different constants, but d - 2h - 1 is beta either way
-            ell = w.eq + offset if w.et == 0 else w.eq - 2 * h - 1
+            ell = eq + offset if et == 0 else eq - 2 * h - 1
         else:
-            ell = w.eq if step == "D" else w.eq - h
+            ell = eq if step == "D" else eq - h
         if not 0 <= ell < len(blocks) - (step == "D"):
             raise ValueError(f"malformed path: block index {ell} out of range")
         if step == "U":
@@ -402,15 +471,26 @@ def _rebuild_word(path: WeightedPath, offset: int) -> tuple[list[int], list[int]
         raise ValueError(f"malformed path: {len(blocks)} blocks remain")
     if offset:
         cs.append(0)  # the largest element is always a peak
-        return [*blocks[1], len(path) + 1, *blocks[0]], cs
+        return [*blocks[1], len(steps) + 1, *blocks[0]], cs
     return blocks[0], cs
+
+
+def _decode(steps: Sequence[str], weights: Sequence[Weight],
+            offset: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The window and cs-vector a raw path decodes to, by block rebuild and
+    sign recovery, with none of `arnold_recover`'s checks: the caller
+    compares both with the source's."""
+    word, cs = _rebuild_word(steps, weights, offset)
+    if not offset:
+        word.append(len(word))  # the right boundary of S0, of absolute value n+1
+    return _signs(word, cs), tuple(cs)
 
 
 def lambda1_inv(path: WeightedPath) -> Snake:
     """Decode a scheme-TSTAR path of length n into its S0 snake."""
     if not in_family("TSTAR", path):
         raise ValueError(f"path is not in scheme TSTAR: {path.text()!r}")
-    word, cs = _rebuild_word(path, offset=0)
+    word, cs = _rebuild_word(path.steps, _raw(path), offset=0)
     return arnold_recover(tuple(word[1:]), cs, "S0")
 
 
@@ -418,42 +498,39 @@ def lambda2_inv(path: WeightedPath) -> Snake:
     """Decode a scheme-T path of length n into its S00 snake of size n+1."""
     if not in_family("T", path):
         raise ValueError(f"path is not in scheme T: {path.text()!r}")
-    word, cs = _rebuild_word(path, offset=1)
+    word, cs = _rebuild_word(path.steps, _raw(path), offset=1)
     return arnold_recover(tuple(word[1:-1]), cs, "S00")
 
 
-def _scan(snake: Snake, x_shift: int, count_peaks: bool) -> tuple[int, int]:
-    """(sign changes, 2-31 total + pattern statistic) of a snake from its
-    `_elements` scan; `_pattern_stat` with the same x_shift and
-    count_peaks, plus `two_thirty_one_total`, element by element."""
-    exponent = 0
-    for step, change, thirteen_two, two_thirty_one in _elements(snake):
+def _key(elements: Sequence[Element], offset: int) -> Key:
+    """The exponent triple of a snake in `snake_enumerator`, from its scan:
+    t^cs q^(2-31 + pat_q) for offset 0 (an S0 snake, the Q sum) and
+    t^cs q^(2-31 + pat_r - size) for offset 1 (an S00 snake, the R sum).
+    cs is the sum of the cs-vector; the pattern statistic is `_pattern_stat`
+    with x_shift -1 - offset, counting peaks for offset 1."""
+    changes = exponent = 0
+    for step, change, thirteen_two, two_thirty_one in elements:
         exponent += two_thirty_one
         if step == "U":
             if change:  # class X
-                exponent += 2 * (thirteen_two + two_thirty_one) + x_shift
+                changes += 2
+                exponent += 2 * (thirteen_two + two_thirty_one) - 1 - offset
         elif step == "D":  # class Z
-            exponent += count_peaks
+            exponent += offset
         else:  # class Y
+            changes += 1
             exponent += thirteen_two + two_thirty_one
-    return sign_changes(snake), exponent
+    return 0, changes, exponent - offset * len(elements)
 
 
 def snake_enumerator(n: int, which: str) -> Poly:
     """Direct snake sums: for 'Q', sum of t^cs q^(2-31 + pat_q) over the S0
     snakes of size n; for 'R', sum of t^cs q^(2-31 + pat_r - n - 1) over the
     S00 snakes of size n+1."""
-    if which == "Q":
-        variant, size, x_shift, count_peaks, shift = "S0", n, -1, False, 0
-    elif which == "R":
-        variant, size, x_shift, count_peaks, shift = "S00", n + 1, -2, True, -n - 1
-    else:
+    if which not in ("Q", "R"):
         raise ValueError(f"which must be 'Q' or 'R', got {which!r}")
     if n < 0:
         raise ValueError("n must be >= 0")
-    acc: dict[Key, int] = {}
-    for snake in generate_snakes(size, variant):
-        changes, exponent = _scan(snake, x_shift, count_peaks)
-        key = (0, changes, exponent + shift)
-        acc[key] = acc.get(key, 0) + 1
-    return Poly(acc)
+    variant, offset = ("S0", 0) if which == "Q" else ("S00", 1)
+    return Poly(Counter(_key(_elements(window, variant), offset)
+                        for window in _windows(n + offset, variant)))

@@ -381,13 +381,15 @@ class TestBijectionWalk:
         assert self._run(lambda x: x.k, _Item, target_size=5) == "n=3: 4 sources, 5 in N"
 
     def test_dropped_snake_fails_the_count(self, monkeypatch):
-        real = snakes.generate_snakes
-        monkeypatch.setattr(snakes, "generate_snakes", lambda n, v: list(real(n, v))[:-1])
+        # the snake walk reads the raw generator
+        real = snakes._windows
+        monkeypatch.setattr(snakes, "_windows", lambda n, v: list(real(n, v))[:-1])
         assert checks.run_check("thm-5.8").witness == "n=0: 0 sources, 1 in TSTAR"
 
     def test_decoder_error_is_a_witness(self, monkeypatch):
-        # a ValueError from inside the inverse is reported, not raised
-        def broken(path, offset):
+        # a ValueError from inside the decoder is reported, not raised; the
+        # walk's raw decode and the public inverse share it
+        def broken(steps, weights, offset):
             raise ValueError("decoder bug")
 
         monkeypatch.setattr(snakes, "_rebuild_word", broken)

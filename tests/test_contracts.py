@@ -140,14 +140,77 @@ def test_cover_witness_ignores_hash_seed():
     assert witnesses[0] == witnesses[1]
 
 
+_SNAKE_CHECKS = [("thm-5.8", "TSTAR"), ("thm-5.12", "T")]
+
+
 @pytest.mark.parametrize("check_id, name", [("thm-5.8", "lambda1"), ("thm-5.12", "lambda2")])
 def test_snake_check_catches_bad_image(monkeypatch, check_id, name):
+    # the walk applies the unguarded encode core behind the public map
     scheme = {"lambda1": "TSTAR", "lambda2": "T"}[name]
-    real = getattr(snakes, name)
-    monkeypatch.setattr(snakes, name, lambda s: _bump_first(real(s), 100))
+    real = snakes._encode
+
+    def bad_encode(elements, offset):
+        image = _bump_first(_wrap(*real(elements, offset)), 100)
+        return image.steps, _raw(image)
+
+    monkeypatch.setattr(snakes, "_encode", bad_encode)
     result = run_check(check_id)
     assert result.status == "fail"
     assert f"image leaves {scheme} at" in result.witness
+
+
+@pytest.mark.parametrize("check_id, scheme", _SNAKE_CHECKS)
+def test_snake_check_catches_cs_mismatch(monkeypatch, check_id, scheme):
+    # the decoder reads one level step's t-exponent 2 too high: the window
+    # still decodes (signs read only the valleys), so only the walk's
+    # comparison of cs-vectors sees it
+    real = snakes._rebuild_word
+
+    def off_by_two(steps, weights, offset):
+        word, cs = real(steps, weights, offset)
+        if 1 in cs:
+            cs[cs.index(1)] += 2
+        return word, cs
+
+    monkeypatch.setattr(snakes, "_rebuild_word", off_by_two)
+    result = run_check(check_id)
+    assert result.status == "fail"
+    assert f"image leaves {scheme} at" in result.witness
+    assert "no snake realizes cs-vector" in result.witness
+
+
+@pytest.mark.parametrize("check_id", [check_id for check_id, _ in _SNAKE_CHECKS])
+def test_snake_check_catches_bad_key(monkeypatch, check_id):
+    real = snakes._key
+
+    def off_by_one_q(elements, offset):
+        ey, et, eq = real(elements, offset)
+        return ey, et, eq + 1
+
+    monkeypatch.setattr(snakes, "_key", off_by_one_q)
+    result = run_check(check_id)
+    assert result.status == "fail"
+    assert result.witness.startswith("n=0: lhs - rhs = "), result.witness
+
+
+@pytest.mark.parametrize("check_id, scheme", _SNAKE_CHECKS)
+def test_snake_check_catches_dropped_window(monkeypatch, check_id, scheme):
+    real = snakes._windows
+    monkeypatch.setattr(snakes, "_windows", lambda n, v: list(real(n, v))[:-1])
+    assert run_check(check_id).witness == f"n=0: 0 sources, 1 in {scheme}"
+
+
+def test_sign_change_witness_names_n(monkeypatch):
+    real = snakes.sign_changes
+    monkeypatch.setattr(snakes, "sign_changes", lambda s: real(s) + 1)
+    witness = run_check("lemma-sign-changes").witness
+    assert witness == "n=0: ()[S0]: vector () does not sum to the total"
+
+
+def test_pattern_witness_names_n(monkeypatch):
+    monkeypatch.setattr(snakes, "pattern_counts", lambda word, variant, k: (0, 1))
+    witness = run_check("lemma-pattern").witness
+    assert witness == "n=1: (1)[S0]: k=1 blocks (1, 0) vs patterns (0, 1)"
 
 
 @pytest.mark.parametrize("call", [
@@ -162,9 +225,10 @@ def test_snake_check_catches_bad_image(monkeypatch, check_id, name):
     lambda: snakes.snake_enumerator(-1, "Q"),
     lambda: snakes.snake_enumerator(-1, "R"),
     lambda: eulerians.springer_number(-1),
+    lambda: eulerians.count_alternating(-1),
 ], ids=[
     "generate-A", "generate-B", "a_table", "b_table", "euler-exc", "full-ytq",
-    "jv", "generate_snakes", "snake-Q", "snake-R", "springer_number",
+    "jv", "generate_snakes", "snake-Q", "snake-R", "springer_number", "count_alternating",
 ])
 def test_negative_n_is_rejected(call):
     # a negative size is an error, never an empty family with a vacuous sum

@@ -8,7 +8,7 @@ import pytest
 
 from snakelab.algebra import Monomial, ONE, Q, T
 from snakelab.eulerians import Q_poly, R_poly, euler_number, springer_number
-from snakelab.motzkin import WeightedPath, gen_weighted, in_family
+from snakelab.motzkin import WeightedPath, _raw, _wrap, gen_weighted, in_family
 from snakelab import snakes
 from snakelab.snakes import (
     Snake,
@@ -109,6 +109,24 @@ def _lambda_reference(snake, offset):
     return WeightedPath(tuple(steps), tuple(weights))
 
 
+def _cs_reference(snake):
+    """The cs-vector element by element: 0 or 2 at a valley of the absolute
+    word, by the sign changes on its two sides (which agree on a snake), 1
+    at a double ascent or descent, 0 at a peak."""
+    ext = _reference_extended(snake.window, snake.variant)
+    word = tuple(abs(v) for v in ext)
+    out = []
+    for j in range(1, snake.size() + 1):
+        i = word.index(j, 1)
+        if word[i - 1] > j < word[i + 1]:
+            changes = {ext[i - 1] * ext[i] < 0, ext[i] * ext[i + 1] < 0}
+            assert len(changes) == 1, snake.text()
+            out.append(2 if changes.pop() else 0)
+        else:
+            out.append(0 if word[i - 1] < j > word[i + 1] else 1)
+    return tuple(out)
+
+
 @lru_cache(maxsize=None)
 def _reference_family(n, variant):
     return frozenset(s.window for s in _generate_reference(n, variant))
@@ -189,6 +207,14 @@ class TestGenerate:
         assert snakes._zigzag(snakes._extended(window, variant))
         assert not is_snake_window(window, variant)
 
+    @pytest.mark.parametrize("n, variant, message", [
+        (-1, "S0", "n must be >= 0"), (2, "X", "unknown variant"),
+    ])
+    def test_arguments_are_checked_at_call_time(self, n, variant, message):
+        # before any snake is asked for
+        with pytest.raises(ValueError, match=message):
+            generate_snakes(n, variant)
+
     def test_boundaries(self):
         assert Snake((2, 1), "FULL").extended() == (-3, 2, 1, 3)
         assert Snake((2, 1), "S0").extended() == (0, 2, 1, 3)
@@ -218,6 +244,12 @@ class TestCsVector:
         # 1 is a valley of the absolute word entered by a change and left by none
         with pytest.raises(ValueError, match="not a snake"):
             cs_vector(Snake((2, -1, -3), "S0"))
+
+    @pytest.mark.parametrize("window", [(1, 1), (1, 2)])
+    def test_non_snake_window_rejected(self, window):
+        # (1, 1) is no signed permutation; (1, 2) does not zigzag below 3
+        with pytest.raises(ValueError, match="not a snake"):
+            cs_vector(Snake(window, "S0"))
 
     @pytest.mark.parametrize("n", range(6))
     def test_vector_well_defined_on_full_variant(self, n):
@@ -382,6 +414,11 @@ class TestLambda1:
         with pytest.raises(ValueError):
             lambda1(Snake((1,), "S00"))
 
+    @pytest.mark.parametrize("window", [(1, 1), (1, 2), (2, -1, -3)])
+    def test_non_snake_window_rejected(self, window):
+        with pytest.raises(ValueError, match="not a snake"):
+            lambda1(Snake(window, "S0"))
+
     def test_inverse_rejects_non_tstar(self):
         # a straight level step of weight t*q at height 0 is not in TSTAR
         with pytest.raises(ValueError):
@@ -417,41 +454,81 @@ class TestLambda2:
         with pytest.raises(ValueError):
             lambda2(Snake((1,), "S0"))
 
+    @pytest.mark.parametrize("window", [(1, 1), (2, 1), (1, 3, -2)])
+    def test_non_snake_window_rejected(self, window):
+        with pytest.raises(ValueError, match="not a snake"):
+            lambda2(Snake(window, "S00"))
+
 
 class TestRebuildWord:
     # lambda1_inv and lambda2_inv test membership first, so only a direct
     # call reaches the decoder's own guards
     def test_block_index_out_of_range(self):
         # a rise onto block 1 when only the block of 0 exists
-        path = WeightedPath(("U", "D"), (Monomial(1, 0, 0, 1), Monomial()))
+        steps, weights = ("U", "D"), ((0, 0, 1), (0, 0, 0))
         with pytest.raises(ValueError, match="malformed path: block index 1 out of range"):
-            snakes._rebuild_word(path, offset=0)
+            snakes._rebuild_word(steps, weights, offset=0)
 
     def test_merge_needs_a_left_neighbour(self):
         # with one block left, a fall has nothing to merge into
-        path = WeightedPath(("U", "D"), (Monomial(), Monomial(1, 0, 0, 1)))
+        steps, weights = ("U", "D"), ((0, 0, 0), (0, 0, 1))
         with pytest.raises(ValueError, match="malformed path: block index 1 out of range"):
-            snakes._rebuild_word(path, offset=0)
+            snakes._rebuild_word(steps, weights, offset=0)
 
     def test_blocks_remain(self):
-        # a WeightedPath returns to the axis, so every block is merged back;
-        # a lone rise, whose shape is never validated, leaves two
-        class LoneRise:
-            steps, weights = ("U",), (Monomial(),)
-
-            def __len__(self):
-                return 1
-
-            def heights(self):
-                return (0,)
-
+        # a path returns to the axis, so every block is merged back; a lone
+        # rise, whose shape the decoder never validates, leaves two
         with pytest.raises(ValueError, match="malformed path: 2 blocks remain"):
-            snakes._rebuild_word(LoneRise(), offset=0)
+            snakes._rebuild_word(("U",), ((0, 0, 0),), offset=0)
 
     def test_worked_example(self):
-        word, cs = snakes._rebuild_word(lambda1(SIGMA10), offset=0)
+        path = lambda1(SIGMA10)
+        word, cs = snakes._rebuild_word(path.steps, _raw(path), offset=0)
         assert word == [0, 5, 2, 4, 7, 1, 8, 10, 9, 6, 3]
         assert cs == list(cs_vector(SIGMA10))
+
+
+class TestRawCores:
+    """The raw generator, scan and cores against the per-element oracles
+    and the references above."""
+
+    @pytest.mark.parametrize("variant", ["FULL", "S0", "S00"])
+    @pytest.mark.parametrize("n", range(8))
+    def test_windows_match_reference(self, n, variant):
+        want = [s.window for s in _generate_reference(n, variant)]
+        assert list(snakes._windows(n, variant)) == want
+
+    @pytest.mark.parametrize("variant", ["FULL", "S0", "S00"])
+    @pytest.mark.parametrize("n", range(7))
+    def test_scan_matches_per_element_oracles(self, n, variant):
+        steps = {"valley0": "U", "X": "U", "Y": "LW", "Z": "D"}
+        for s in generate_snakes(n, variant):
+            word = tuple(abs(v) for v in s.window)
+            scan = snakes._elements(s.window, variant)
+            for j, (step, change, thirteen_two, two_thirty_one) in enumerate(scan, 1):
+                assert (thirteen_two, two_thirty_one) == pattern_counts(word, variant, j), s.text()
+                cls = element_class(s, j)
+                assert step in steps[cls], (s.text(), j)
+                if step == "U":
+                    assert change == (cls == "X"), (s.text(), j)
+            assert snakes._cs(scan) == cs_vector(s) == _cs_reference(s), s.text()
+
+    @pytest.mark.parametrize("variant, offset", [("S0", 0), ("S00", 1)])
+    @pytest.mark.parametrize("n", range(7))
+    def test_encode_matches_lambda_reference(self, n, variant, offset):
+        for s in generate_snakes(n + offset, variant):
+            image = snakes._encode(snakes._elements(s.window, variant), offset)
+            assert _wrap(*image) == _lambda_reference(s, offset), s.text()
+
+    @pytest.mark.parametrize("variant, offset", [("S0", 0), ("S00", 1)])
+    @pytest.mark.parametrize("n", range(7))
+    def test_decode_matches_arnold_reference(self, n, variant, offset):
+        for s in generate_snakes(n + offset, variant):
+            path = _lambda_reference(s, offset)
+            weights = _raw(path)
+            cs = [et for _, et, _ in weights] + [0] * offset  # the largest element is a peak
+            want = _arnold_reference(tuple(abs(v) for v in s.window), cs, variant)
+            assert snakes._decode(path.steps, weights, offset) == (want.window, tuple(cs)), s.text()
 
 
 class TestSnakeEnumerator:
@@ -479,9 +556,12 @@ class TestSnakeEnumerator:
     ])
     @pytest.mark.parametrize("n", range(7))
     def test_one_scan_matches_per_element_oracles(self, n, variant, x_shift, count_peaks, pat):
-        # the enumerator's scan against pattern_counts and element_class,
-        # called once per element through two_thirty_one_total and pat_q/pat_r
+        # the enumerator's key, read off one scan, against pattern_counts and
+        # element_class, called once per element through two_thirty_one_total
+        # and pat_q/pat_r; the key's offset picks that statistic's constants
+        offset = {"S0": 0, "S00": 1}[variant]
+        assert (x_shift, count_peaks) == (-1 - offset, bool(offset))
         for s in generate_snakes(n, variant):
             word = tuple(abs(v) for v in s.window)
-            want = (sign_changes(s), two_thirty_one_total(word, variant) + pat(s))
-            assert snakes._scan(s, x_shift, count_peaks) == want, s.text()
+            want = (0, sign_changes(s), two_thirty_one_total(word, variant) + pat(s) - offset * n)
+            assert snakes._key(snakes._elements(s.window, variant), offset) == want, s.text()
