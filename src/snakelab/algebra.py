@@ -186,7 +186,7 @@ class Poly:
                 out = out + factor * value ** e
             else:
                 if inverse is None:
-                    inverse = _invert_monomial(value)
+                    inverse = _unit_inverse(value)
                 out = out + factor * inverse ** (-e)
         return out
 
@@ -223,7 +223,7 @@ class Poly:
         return f"Poly({self})"
 
 
-def _invert_monomial(value: Poly) -> Poly:
+def _unit_inverse(value: Poly) -> Poly:
     if len(value.terms) != 1:
         raise ValueError("non-invertible substitution")
     ((ey, et, eq), c), = value.terms.items()

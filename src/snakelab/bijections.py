@@ -13,18 +13,18 @@ between its mixed branch forms; its weight changes by exactly y^(+-2) and
 its fixed points are scheme F.  `psi2` is the analogue on scheme MSTAR with
 weight factor (y^2 q)^(+-1) and fixed points scheme G.
 
-Every map has one core on raw paths (`motzkin`'s `(steps, weights)` form,
-each weight an exponent triple): `_phi`, `_phi_inverse`, and one move
-table, `_toggle`, read with the row of `_MOVES` that names psi1's or
-psi2's level letter, level shift and pair offset.  The cores read
-per-shape cached plans (the decoded shape of `phi`, the level positions
-and facing pairs of a move) and check nothing.  The catalog walks apply
-them to paths from `motzkin._paths` or to images that have just passed
-`motzkin._contains`.  The public `phi`, `phi_inverse`, `psi1` and `psi2`
-wrap the same cores: each checks its input and raises ValueError on a path
-outside its domain scheme, and none re-checks its output.  That the images
-land in the target scheme is verified by the catalog (prop-3.2, prop-3.6,
-prop-4.4 in `snakelab.checks`), so the claim survives `python -O`.
+Every map has one core on paths given as `(steps, weights)`: `_phi`,
+`_phi_inverse`, and one move table, `_toggle`, read with the row of
+`_MOVES` that names psi1's or psi2's level letter, level shift and pair
+offset.  The cores read per-shape cached plans (the decoded shape of
+`phi`, the level positions and facing pairs of a move) and check nothing.
+The catalog walks apply them to paths from `motzkin._paths` or to images
+that have just passed `motzkin._contains`.  The public `phi`,
+`phi_inverse`, `psi1` and `psi2` call the same cores on a `WeightedPath`'s
+fields: each checks its input and raises ValueError on a path outside its
+domain scheme, and none re-checks its output.  That the images land in the
+target scheme is verified by the catalog (prop-3.2, prop-3.6, prop-4.4 in
+`snakelab.checks`), so the claim survives `python -O`.
 """
 
 from __future__ import annotations
@@ -32,10 +32,10 @@ from __future__ import annotations
 from functools import lru_cache
 
 from snakelab.algebra import Monomial
-from snakelab.motzkin import WeightedPath, _raw, _wrap, in_family, matching_pairs, step_heights
+from snakelab.motzkin import Weight, WeightedPath, in_family, matching_pairs, step_heights
 
-HEAD_Y2 = Monomial(1, 2, 0, 0)
-HEAD_YT = Monomial(1, 1, 1, 0)
+HEAD_Y2 = (2, 0, 0)
+HEAD_YT = (1, 1, 0)
 
 # half-step encoding of a full step and read-back of a half-step pair
 _ENCODE = {"U": ("U", "U"), "L": ("U", "D"), "W": ("D", "U"), "D": ("D", "D")}
@@ -75,7 +75,7 @@ def _phi_inverse(head, steps: tuple[str, ...], weights: tuple) -> tuple:
     return _phi_inverse_steps(steps), (head, *weights)
 
 
-def phi(path: WeightedPath) -> tuple[Monomial, WeightedPath]:
+def phi(path: WeightedPath) -> tuple[Weight, WeightedPath]:
     """Split a scheme-M path of length n >= 1 into its head weight and a
     scheme-H path of length n-1 with the same weight product."""
     _require("M", path)
@@ -85,10 +85,10 @@ def phi(path: WeightedPath) -> tuple[Monomial, WeightedPath]:
     return head, WeightedPath(*image)
 
 
-def phi_inverse(head: Monomial, path: WeightedPath) -> WeightedPath:
+def phi_inverse(head: Weight, path: WeightedPath) -> WeightedPath:
     """Rebuild the scheme-M path from a head weight and a scheme-H path."""
     if head not in (HEAD_Y2, HEAD_YT):
-        raise ValueError(f"head weight must be y^2 or y*t, got {head.text()}")
+        raise ValueError(f"head weight must be y^2 or y*t, got {Monomial(1, *head).text()}")
     _require("H", path)
     return WeightedPath(*_phi_inverse(head, path.steps, path.weights))
 
@@ -149,12 +149,7 @@ def psi1(path: WeightedPath) -> WeightedPath:
     Fixed points are exactly the scheme-F paths.
     """
     _require("H", path)
-    return _wrap(*_toggle(path.steps, _raw(path), "psi1"))
-
-
-def is_fixed_f(path: WeightedPath) -> bool:
-    """Membership in scheme F, the fixed-point set of psi1 inside H."""
-    return in_family("F", path)
+    return WeightedPath(*_toggle(path.steps, path.weights, "psi1"))
 
 
 def psi2(path: WeightedPath) -> WeightedPath:
@@ -166,9 +161,4 @@ def psi2(path: WeightedPath) -> WeightedPath:
     The weight changes by exactly (y^2 q)^(+-1); fixed points are scheme G.
     """
     _require("MSTAR", path)
-    return _wrap(*_toggle(path.steps, _raw(path), "psi2"))
-
-
-def is_fixed_g(path: WeightedPath) -> bool:
-    """Membership in scheme G, the fixed-point set of psi2 inside MSTAR."""
-    return in_family("G", path)
+    return WeightedPath(*_toggle(path.steps, path.weights, "psi2"))

@@ -35,8 +35,8 @@ fixed set is that scheme once the two counts agree.  prop-3.6 and
 lemma-3.8 read one walk of H_n, which records the first witness of each
 claim, so either check still runs alone.
 
-The path maps (prop-3.2 and the involution walks) run on raw paths,
-`(steps, weights)` with exponent-triple weights.  They walk
+The path maps (prop-3.2 and the involution walks) run on paths as
+`(steps, weights)`, the fields of a `WeightedPath`.  They walk
 `motzkin._paths`, test membership with `motzkin._contains`, and apply the
 unchecked cores `bijections._phi`, `_phi_inverse` and `_toggle` only to
 generated paths or to images that have just passed that test.  A
@@ -45,21 +45,22 @@ every witness reads as the public types print it.
 
 The snake walk of thm-5.8 and thm-5.12 runs on raw windows the same way:
 one walk per n generates each snake once by `snakes._windows` and scans
-it once by `snakes._elements`.  Each snake's raw image
-(`snakes._encode`) must pass `motzkin._contains`, decode
-(`snakes._decode`) back to the window, and carry in its weights'
-t-exponents the scan's cs-vector, which is what `arnold_recover`'s closing
-check asks of the public inverse; the snake's key (`snakes._key`, shared
-with `snake_enumerator`) is added to the snake sum.  After the walk the
-count is compared with `path_count` and the sum with Q_n or R_n.  An image
-that fails is worded through the public inverse's guard, as for the path
-maps.  lemma-sign-changes and lemma-pattern also read `snakes._windows`;
-lemma-sign-changes wraps each window in a `Snake` for the public
-`cs_vector` and `arnold_recover` it checks.
+it once by `snakes._elements`.  Each snake's image (`snakes._encode`)
+must pass `motzkin._contains`, decode (`snakes._decode`) back to the
+window, and carry in its weights' t-exponents the scan's cs-vector, which
+is what `arnold_recover`'s closing check asks of the public inverse; the
+snake's key (`snakes._key`, shared with `snake_enumerator`) is added to
+the snake sum.  After the walk the count is compared with `path_count`
+and the sum with Q_n or R_n.  An image that fails is worded through the
+public inverse's guard, as for the path maps.  lemma-sign-changes and
+lemma-pattern also read `snakes._windows`; lemma-sign-changes wraps each
+window in a `Snake` for the public `cs_vector` and `arnold_recover` it
+checks.
 
 The permutation checks read the cached `permstats.a_table` and
-`permstats.b_table`, so the first check to touch an n pays for its table.  Clearing those caches is needed
-only where a test patches what fills them.
+`permstats.b_table`, so the first check to touch an n pays for its table.
+Clearing those caches is needed only where a test patches what fills
+them.
 """
 
 from __future__ import annotations
@@ -244,10 +245,10 @@ def _bijection(n: int, sources: Iterable, forward: Callable, inverse: Callable, 
 
 
 def _text(path: motzkin.RawPath) -> str:
-    return motzkin._wrap(*path).text()
+    return motzkin.WeightedPath(*path).text()
 
 
-_HEADS = tuple((h.ey, h.et, h.eq) for h in (bijections.HEAD_Y2, bijections.HEAD_YT))
+_HEADS = (bijections.HEAD_Y2, bijections.HEAD_YT)
 
 
 def _restructure(n: int) -> str | None:
@@ -258,7 +259,7 @@ def _restructure(n: int) -> str | None:
         if head in _HEADS and motzkin._contains("H", steps, weights):
             return bijections._phi_inverse(head, steps, weights)
         # outside the target: the public inverse's guard raises the witness's error
-        return bijections.phi_inverse(Monomial(1, *head), motzkin._wrap(steps, weights))
+        return bijections.phi_inverse(head, motzkin.WeightedPath(steps, weights))
 
     def law(p, image):
         head, (_, weights) = image
@@ -273,11 +274,12 @@ def _restructure(n: int) -> str | None:
 
 
 def _landing(n: int, source: str, image: motzkin.RawPath, inverse: Callable, target: str) -> str:
-    """The witness for a raw image that failed its tests, worded as
-    `_bijection` words it: the public inverse's guard raises the witness's
-    error, and an image it takes back names a failed round trip."""
+    """The witness for an image (steps, weights) that failed its tests,
+    worded as `_bijection` words it: the public inverse's guard raises the
+    witness's error, and an image it takes back names a failed round
+    trip."""
     try:
-        inverse(motzkin._wrap(*image))
+        inverse(motzkin.WeightedPath(*image))
     except ValueError as err:
         return f"n={n}: image leaves {target} at {source}: {err}"
     return f"n={n}: round trip failed for {source}"
@@ -352,7 +354,7 @@ _INVOLUTIONS = {
 
 @lru_cache(maxsize=None)
 def _involution_walk(scheme: str, n: int) -> dict[str, str]:
-    """One walk of the scheme's raw paths of length n under its involution:
+    """One walk of the scheme's paths of length n under its involution:
     the first witness of each failing claim, keyed "involution",
     "fixed-set", "fixed-parity" and the t-degree slices "<scheme>1" (odd),
     "<scheme>2"."""
@@ -446,7 +448,7 @@ def _profile(s: snakes.Snake, alpha: slice, beta: slice) -> tuple[tuple[int, ...
 
 
 def _first_steps(path) -> list[tuple[str, str]]:
-    return [(s, w.text()) for s, w in zip(path.steps[:2], path.weights[:2])]
+    return [(s, Monomial(1, *w).text()) for s, w in zip(path.steps[:2], path.weights[:2])]
 
 
 # -- registry --------------------------------------------------------------------

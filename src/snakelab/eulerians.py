@@ -57,6 +57,8 @@ def count_alternating(n: int) -> int:
 def seidel_numbers(n_max: int) -> list[int]:
     """E_0..E_n_max by the boustrophedon recurrence
     T(m,k) = T(m,k-1) + T(m-1,m-k) with T(0,0) = 1, T(m,0) = 0."""
+    if n_max < 0:
+        raise ValueError("n must be >= 0")
     out = [1]
     row = [1]
     for m in range(1, n_max + 1):
@@ -71,8 +73,6 @@ def seidel_numbers(n_max: int) -> list[int]:
 @lru_cache(maxsize=None)
 def euler_number(n: int) -> int:
     """The zigzag number E_n (1, 1, 1, 2, 5, 16, 61, ...)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
     return seidel_numbers(n)[n]
 
 
@@ -89,6 +89,8 @@ def springer_number(n: int) -> int:
 def springer_numbers(n_max: int) -> list[int]:
     """S_0..S_n_max as Q_n(1,1): (D + UDU)^n 1 at q = 1, where D is d/dt and
     U is multiplication by t, on integer coefficient lists in t."""
+    if n_max < 0:
+        raise ValueError("n must be >= 0")
     out = [1]
     row = [1]  # row[k] = coefficient of t^k in Q_m(t,1)
     for _ in range(n_max):

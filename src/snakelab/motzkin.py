@@ -30,19 +30,16 @@ one per (ey, et) branch (`_menu_ranges`).  Empty menu ranges (upper exponent
 below the lower one) yield empty menus, not errors; a fall step at height 0
 is an error.
 
-Paths are walked in a raw form, `(steps, weights)` with each weight an
-exponent triple (ey, et, eq) of coefficient 1.  `_paths` is the one
-generator and `_contains` the one membership test; both read per-shape
-caches of the menus (tuples and frozensets of triples shared per step and
-height), so a member is tested by one C-level `all(map(...))` plus the
-scheme's parity and pair rules.  `rho` sums the raw triples and
-`path_count` counts a menu-defined scheme as a sum over shapes of products
-of menu sizes, with no path built.  The public types stay validated at the
-boundary: `gen_weighted` wraps each raw path in a `WeightedPath` of
-`Monomial`s, `in_family` converts a `WeightedPath` and calls `_contains`,
-and `weight_menu` lists a menu as `Monomial`s.  The path-map checks
-(`snakelab.checks`) and the moves of `snakelab.bijections` use the raw
-form directly.
+A path is `(steps, weights)`, each weight an exponent triple (ey, et, eq)
+standing for the monomial y^ey t^et q^eq of coefficient 1; a
+`WeightedPath` holds the same data with its shape validated.  `_paths` is
+the one generator and `_contains` the one membership test; both read
+per-shape caches of the menus (tuples and frozensets of triples shared per
+step and height), so a member is tested by one C-level `all(map(...))`
+plus the scheme's parity and pair rules.  `gen_weighted` and `in_family`
+are their public forms.  `rho` sums the triples and `path_count` counts a
+menu-defined scheme as a sum over shapes of products of menu sizes, with
+no path built.  A weight is printed as a `Monomial`.
 """
 
 from __future__ import annotations
@@ -59,7 +56,7 @@ from snakelab.algebra import Monomial, Poly
 
 STEPS = ("U", "D", "L", "W")
 
-# a raw weight y^ey t^et q^eq and a raw path (steps, weights)
+# a weight y^ey t^et q^eq and a path as a plain pair (steps, weights)
 Weight = tuple[int, int, int]
 RawPath = tuple[tuple[str, ...], tuple[Weight, ...]]
 
@@ -137,7 +134,7 @@ def _menu_ranges(table: str, step: str, h: int) -> tuple[tuple[int, int, int, in
 
 @lru_cache(maxsize=None)
 def _menu(table: str, step: str, h: int) -> tuple[Weight, ...]:
-    """The menu of a step starting at height h as raw weights, in range order."""
+    """The menu of a step starting at height h as weight triples, in range order."""
     return tuple(
         (ey, et, eq)
         for ey, et, lo, hi in _menu_ranges(table, step, h)
@@ -150,9 +147,9 @@ def _menu_set(table: str, step: str, h: int) -> frozenset[Weight]:
     return frozenset(_menu(table, step, h))
 
 
-@lru_cache(maxsize=None)
-def weight_menu(scheme: str, step: str, h: int) -> tuple[Monomial, ...]:
-    """Admissible weights for a step starting at height h, in range order.
+def weight_menu(scheme: str, step: str, h: int) -> tuple[Weight, ...]:
+    """Admissible weight triples for a step starting at height h, in range
+    order.
 
     For F and G the rise/fall menus list every weight that can occur; which
     combinations may face each other is the pair rule checked separately.
@@ -160,7 +157,9 @@ def weight_menu(scheme: str, step: str, h: int) -> tuple[Monomial, ...]:
     table = _scheme_info(scheme)[0]
     if step not in STEPS:
         raise ValueError(f"unknown step {step!r}")
-    return tuple(map(_monomial, _menu(table, step, h)))
+    if h < 0:
+        raise ValueError("height must be >= 0")
+    return _menu(table, step, h)
 
 
 @lru_cache(maxsize=None)
@@ -203,10 +202,10 @@ def matching_pairs(steps: tuple[str, ...]) -> tuple[tuple[int, int], ...]:
 
 @dataclass(frozen=True)
 class WeightedPath:
-    """A path shape together with one weight monomial per step."""
+    """A path shape together with one weight triple (ey, et, eq) per step."""
 
     steps: tuple[str, ...]
-    weights: tuple[Monomial, ...]
+    weights: tuple[Weight, ...]
 
     def __post_init__(self):
         if len(self.steps) != len(self.weights):
@@ -219,42 +218,21 @@ class WeightedPath:
     def heights(self) -> tuple[int, ...]:
         return step_heights(self.steps)
 
-    def weight(self) -> Monomial:
-        coeff, ey, et, eq = 1, 0, 0, 0
-        for w in self.weights:
-            coeff *= w.coeff
-            ey += w.ey
-            et += w.et
-            eq += w.eq
-        return Monomial(coeff, ey, et, eq)
+    def weight(self) -> Weight:
+        return _weight(self.weights)
 
     def t_degree(self) -> int:
-        return sum(w.et for w in self.weights)
+        return self.weight()[1]
 
     def text(self) -> str:
-        return " ".join(f"{s}[{w.text()}]" for s, w in zip(self.steps, self.weights))
+        return " ".join(f"{s}[{Monomial(1, *w).text()}]" for s, w in zip(self.steps, self.weights))
 
 
 EMPTY_PATH = WeightedPath((), ())
 
 
-@lru_cache(maxsize=None)
-def _monomial(w: Weight) -> Monomial:
-    return Monomial(1, *w)
-
-
-def _wrap(steps: tuple[str, ...], weights: tuple[Weight, ...]) -> WeightedPath:
-    """The validated public form of a raw path."""
-    return WeightedPath(steps, tuple(map(_monomial, weights)))
-
-
-def _raw(path: WeightedPath) -> tuple[Weight, ...]:
-    """The raw weights of a path; coefficients are dropped."""
-    return tuple((w.ey, w.et, w.eq) for w in path.weights)
-
-
 def _weight(weights: tuple[Weight, ...]) -> Weight:
-    """The exponent triple of a raw path's weight."""
+    """The exponent triple of a path's weight."""
     ey = et = eq = 0
     for y, t, q in weights:
         ey += y
@@ -329,16 +307,16 @@ def _shapes(table: str, n: int) -> Iterator[tuple[str, ...]]:
 @lru_cache(maxsize=None)
 def _shape_menus(table: str, steps: tuple[str, ...]) -> tuple[tuple, tuple]:
     """The menu of every step of a valid shape, in step order: as tuples of
-    raw weights, for expansion, and as frozensets, for membership.  Both
+    weight triples, for expansion, and as frozensets, for membership.  Both
     are shared per (table, step, height)."""
     at = tuple(zip(steps, step_heights(steps)))
     return tuple(_menu(table, s, h) for s, h in at), tuple(_menu_set(table, s, h) for s, h in at)
 
 
 def _paths(scheme: str, n: int) -> Iterator[RawPath]:
-    """All raw paths of the scheme, shape by shape in `gen_shapes` order,
-    each shape by Cartesian expansion of its menus, then the scheme's parity
-    and pair filters."""
+    """All paths of the scheme as (steps, weights), shape by shape in
+    `gen_shapes` order, each shape by Cartesian expansion of its menus,
+    then the scheme's parity and pair filters."""
     table, parity, pair_rule = _scheme_info(scheme)
     for steps in _shapes(table, n):
         combos = itertools.product(*_shape_menus(table, steps)[0])
@@ -351,8 +329,8 @@ def _paths(scheme: str, n: int) -> Iterator[RawPath]:
 
 
 def _contains(scheme: str, steps: tuple[str, ...], weights: tuple[Weight, ...]) -> bool:
-    """Membership of a raw path whose shape is valid: per-step menus,
-    parity, pair rule."""
+    """Membership of a path (steps, weights) whose shape is valid:
+    per-step menus, parity, pair rule."""
     table, parity, pair_rule = _scheme_info(scheme)
     if not all(map(frozenset.__contains__, _shape_menus(table, steps)[1], weights)):
         return False
@@ -363,17 +341,13 @@ def _contains(scheme: str, steps: tuple[str, ...], weights: tuple[Weight, ...]) 
 
 def gen_weighted(scheme: str, n: int) -> Iterator[WeightedPath]:
     """All weighted paths of the scheme, in `_paths` order."""
-    for steps, weights in _paths(scheme, n):
-        yield _wrap(steps, weights)
+    yield from itertools.starmap(WeightedPath, _paths(scheme, n))
 
 
 def in_family(scheme: str, path: WeightedPath) -> bool:
-    """Full membership test: shape, per-step menus, parity, pair rule.
-
-    The shape is valid by construction of the path; every weight must have
-    coefficient 1 and lie in its step's menu."""
-    return (_contains(scheme, path.steps, _raw(path))
-            and all(w.coeff == 1 for w in path.weights))
+    """Full membership test: per-step menus, parity, pair rule.  The shape
+    is valid by construction of the path."""
+    return _contains(scheme, path.steps, path.weights)
 
 
 def rho(scheme: str, n: int) -> Poly:

@@ -17,23 +17,25 @@ R_n(t,q) after the q^(-n-1) normalization).  Both inverses rebuild the
 absolute permutation in one list of blocks and then recover the signs from
 the cs-vector.
 
-The work runs on raw windows, plain tuples of signed ints, and raw paths,
-`(steps, weights)` with exponent-triple weights:
+The work runs on raw windows, plain tuples of signed ints, and on paths as
+`(steps, weights)` with exponent-triple weights, the fields of a
+`WeightedPath`:
 - `_windows` is the one generator: a pruned depth-first search in which
   each position draws only from the signed values on its side of the
   zigzag bound;
 - `_elements` is the one scan of a window: per element, in value order,
   its step letter, whether a sign change enters it, and its 13-2 and 2-31
   counts, read off running block counts in linear time (lemma-pattern);
-- the cores read that scan: `_encode` gives the raw path, `_cs` the
+- the cores read that scan: `_encode` gives the path, `_cs` the
   cs-vector and `_key` the enumerator's exponent triple, and `_decode`
-  maps a raw path back to its window and cs-vector, by block rebuild
+  maps a path back to its window and cs-vector, by block rebuild
   (`_rebuild_word`) and then sign recovery (`_signs`).
 The public functions keep their types and guards: `generate_snakes` wraps
-each window in a `Snake`, `cs_vector`, `lambda1` and `lambda2` reject a
-window that is not a snake of its variant, the inverses test membership
-first and close with `arnold_recover`'s check, and `snake_enumerator` sums
-`_key` over `_windows`.  `pattern_counts`, `block_profile`,
+each window in a `Snake`; `cs_vector`, `lambda1` and `lambda2` reject a
+window that is not a snake of its variant, and the encodings return
+`_encode`'s pair as a `WeightedPath`; the inverses test membership first,
+rebuild from the path's weights and close with `arnold_recover`'s check;
+and `snake_enumerator` sums `_key` over `_windows`.  `pattern_counts`, `block_profile`,
 `element_class`, `pat_q` and `pat_r` compute the same statistics one
 element at a time; they stay as the oracles the tests check the scan
 against.
@@ -48,7 +50,7 @@ from operator import ge, le
 from typing import Iterator, Sequence
 
 from snakelab.algebra import Key, Poly
-from snakelab.motzkin import RawPath, Weight, WeightedPath, _raw, _wrap, in_family
+from snakelab.motzkin import RawPath, Weight, WeightedPath, in_family
 
 VARIANTS = ("FULL", "S0", "S00")
 
@@ -391,7 +393,7 @@ def pat_r(snake: Snake) -> int:
 
 
 def _encode(elements: Sequence[Element], offset: int) -> RawPath:
-    """The raw path of a snake's scan, shared by the two encodings.
+    """The path of a snake's scan, shared by the two encodings.
 
     offset 0 encodes an S0 snake of size n as n steps; offset 1 encodes an
     S00 snake of size n+1 as n steps (the largest element is skipped).  The
@@ -421,7 +423,7 @@ def lambda1(snake: Snake) -> WeightedPath:
     The weight collects t^cs(snake) q^(2-31 + pat_q)."""
     if snake.variant != "S0":
         raise ValueError("lambda1 expects an S0 snake")
-    return _wrap(*_encode(_checked_scan(snake), offset=0))
+    return WeightedPath(*_encode(_checked_scan(snake), offset=0))
 
 
 def lambda2(snake: Snake) -> WeightedPath:
@@ -432,7 +434,7 @@ def lambda2(snake: Snake) -> WeightedPath:
         raise ValueError("lambda2 expects an S00 snake")
     if snake.size() < 1:
         raise ValueError("lambda2 needs a snake of size >= 1")
-    return _wrap(*_encode(_checked_scan(snake), offset=1))
+    return WeightedPath(*_encode(_checked_scan(snake), offset=1))
 
 
 def _rebuild_word(steps: Sequence[str], weights: Sequence[Weight],
@@ -477,9 +479,9 @@ def _rebuild_word(steps: Sequence[str], weights: Sequence[Weight],
 
 def _decode(steps: Sequence[str], weights: Sequence[Weight],
             offset: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The window and cs-vector a raw path decodes to, by block rebuild and
-    sign recovery, with none of `arnold_recover`'s checks: the caller
-    compares both with the source's."""
+    """The window and cs-vector a path (steps, weights) decodes to, by
+    block rebuild and sign recovery, with none of `arnold_recover`'s
+    checks: the caller compares both with the source's."""
     word, cs = _rebuild_word(steps, weights, offset)
     if not offset:
         word.append(len(word))  # the right boundary of S0, of absolute value n+1
@@ -490,7 +492,7 @@ def lambda1_inv(path: WeightedPath) -> Snake:
     """Decode a scheme-TSTAR path of length n into its S0 snake."""
     if not in_family("TSTAR", path):
         raise ValueError(f"path is not in scheme TSTAR: {path.text()!r}")
-    word, cs = _rebuild_word(path.steps, _raw(path), offset=0)
+    word, cs = _rebuild_word(path.steps, path.weights, offset=0)
     return arnold_recover(tuple(word[1:]), cs, "S0")
 
 
@@ -498,7 +500,7 @@ def lambda2_inv(path: WeightedPath) -> Snake:
     """Decode a scheme-T path of length n into its S00 snake of size n+1."""
     if not in_family("T", path):
         raise ValueError(f"path is not in scheme T: {path.text()!r}")
-    word, cs = _rebuild_word(path.steps, _raw(path), offset=1)
+    word, cs = _rebuild_word(path.steps, path.weights, offset=1)
     return arnold_recover(tuple(word[1:-1]), cs, "S00")
 
 

@@ -9,19 +9,18 @@ from snakelab.algebra import Monomial, Poly, T, Y
 from snakelab.bijections import (
     HEAD_Y2,
     HEAD_YT,
-    is_fixed_f,
-    is_fixed_g,
     phi,
     phi_inverse,
     psi1,
     psi2,
 )
 from snakelab.eulerians import Q_poly, R_poly
-from snakelab.motzkin import EMPTY_PATH, WeightedPath, _raw, _wrap, gen_weighted, matching_pairs, rho
+from snakelab.motzkin import EMPTY_PATH, WeightedPath, gen_weighted, in_family, matching_pairs, rho
 
 
 def mono(ey=0, et=0, eq=0):
-    return Monomial(1, ey, et, eq)
+    """The weight y^ey t^et q^eq as an exponent triple."""
+    return ey, et, eq
 
 
 def path(*pairs):
@@ -57,8 +56,10 @@ class TestPhi:
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             phi(path(("L", mono())))  # weight 1 not in scheme M
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^head weight must be y\^2 or y\*t, got 1$"):
             phi_inverse(mono(), EMPTY_PATH)
+        with pytest.raises(ValueError, match=r"^head weight must be y\^2 or y\*t, got y\*t\*q$"):
+            phi_inverse(mono(ey=1, et=1, eq=1), EMPTY_PATH)
         with pytest.raises(ValueError):
             phi(EMPTY_PATH)
 
@@ -68,7 +69,7 @@ class TestPhi:
         for p in gen_weighted("M", n):
             head, out = phi(p)
             # weight preservation
-            assert head * out.weight() == p.weight()
+            assert tuple(map(sum, zip(head, out.weight()))) == p.weight()
             heads_seen[out].append(head)
             # round trip
             assert phi_inverse(head, out) == p
@@ -89,7 +90,7 @@ class TestPsi1:
     def test_fixed_point(self):
         p = path(("L", mono(ey=1, et=1, eq=1)))
         assert psi1(p) == p
-        assert is_fixed_f(p)
+        assert in_family("F", p)
 
     def test_pair_toggle(self):
         p = path(("U", mono(ey=2)), ("D", mono(ey=1, et=1, eq=1)))
@@ -102,8 +103,8 @@ class TestPsi1:
             psi1(path(("L", mono(ey=2, eq=5))))
 
     def test_is_fixed_examples(self):
-        assert is_fixed_f(path(("W", mono(ey=1, et=1))))
-        assert not is_fixed_f(path(("L", mono())))
+        assert in_family("F", path(("W", mono(ey=1, et=1))))
+        assert not in_family("F", path(("L", mono())))
 
     @pytest.mark.parametrize("n", range(5))
     def test_involution_weight_law_fixed_set(self, n):
@@ -113,14 +114,14 @@ class TestPsi1:
             assert psi1(q) == p
             wp, wq = p.weight(), q.weight()
             if q == p:
-                assert is_fixed_f(p)
+                assert in_family("F", p)
                 # t-degree of a fixed path weight has the parity of n
-                assert wp.et % 2 == n % 2
+                assert wp[1] % 2 == n % 2
             else:
-                assert not is_fixed_f(p)
+                assert not in_family("F", p)
                 # weight changes by exactly y^(+-2): no t or q drift
-                assert abs(wq.ey - wp.ey) == 2
-                assert wq.et == wp.et and wq.eq == wp.eq and wq.coeff == wp.coeff
+                assert abs(wq[0] - wp[0]) == 2
+                assert wq[1:] == wp[1:]
 
     @pytest.mark.parametrize("n", range(5))
     def test_fixed_points_are_scheme_f(self, n):
@@ -132,7 +133,7 @@ class TestPsi1:
         fixed = (p for p in gen_weighted("H", n) if psi1(p) == p)
         acc = Poly()
         for p in fixed:
-            acc = acc + p.weight().to_poly()
+            acc = acc + Poly({p.weight(): 1})
         assert acc == Y ** n * R_poly(n)
 
     @pytest.mark.parametrize("n", range(5))
@@ -148,7 +149,7 @@ def _toggle_reference(path, y2_step, y2_shift, up_offset):
     weights: an oracle for the raw move table `bijections._toggle`."""
     plain_step = "L" if y2_step == "W" else "W"
     steps = list(path.steps)
-    weights = list(path.weights)
+    weights = [Monomial(1, *w) for w in path.weights]
     is_q_power = lambda w: w.ey == 0 and w.et == 0
     is_y2 = lambda w: w.ey == 2 and w.et == 0
     is_yt = lambda w: w.ey == 1 and w.et == 1
@@ -174,7 +175,7 @@ def _toggle_reference(path, y2_step, y2_shift, up_offset):
                 weights[u] = Monomial(1, 2, 0, a)
                 weights[d] = Monomial(1, 1, 1, h + 1 + b)
                 break
-    return WeightedPath(tuple(steps), tuple(weights))
+    return WeightedPath(tuple(steps), tuple((w.ey, w.et, w.eq) for w in weights))
 
 
 class TestRawMoveTable:
@@ -185,16 +186,16 @@ class TestRawMoveTable:
     def test_agrees_with_monomial_reference(self, scheme, name, move, n):
         for p in gen_weighted(scheme, n):
             want = _toggle_reference(p, *move)
-            assert _wrap(*bijections._toggle(p.steps, _raw(p), name)) == want
+            assert WeightedPath(*bijections._toggle(p.steps, p.weights, name)) == want
             assert getattr(bijections, name)(p) == want
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_raw_phi_agrees_with_public_phi(self, n):
         for p in gen_weighted("M", n):
-            head, (steps, weights) = bijections._phi(p.steps, _raw(p))
+            head, (steps, weights) = bijections._phi(p.steps, p.weights)
             want_head, want = phi(p)
-            assert (Monomial(1, *head), _wrap(steps, weights)) == (want_head, want)
-            assert _wrap(*bijections._phi_inverse(head, steps, weights)) == p
+            assert (head, WeightedPath(steps, weights)) == (want_head, want)
+            assert WeightedPath(*bijections._phi_inverse(head, steps, weights)) == p
 
 
 def _psi1_check_reference(n_max):
@@ -207,13 +208,13 @@ def _psi1_check_reference(n_max):
                 return f"n={n}: image leaves H at {p.text()}: {image.text()}"
             if bijections.psi1(image) != p:
                 return f"n={n}: not an involution at {p.text()}"
-            wp, wi = p.weight(), image.weight()
+            wp, wi = (Monomial(1, *x.weight()) for x in (p, image))
             if image == p:
                 fixed.add(p)
-                if not bijections.is_fixed_f(p):
+                if not motzkin.in_family("F", p):
                     return f"n={n}: unexpected fixed point {p.text()}"
             else:
-                if bijections.is_fixed_f(p):
+                if motzkin.in_family("F", p):
                     return f"n={n}: moved point satisfies the fixed-set menus: {p.text()}"
                 if abs(wi.ey - wp.ey) != 2 or wi.et != wp.et or wi.eq != wp.eq:
                     return f"n={n}: weight law broken at {p.text()}: {wp.text()} -> {wi.text()}"
@@ -247,15 +248,15 @@ def _psi2_check_reference(n_max):
                 return f"n={n}: image leaves MSTAR at {p.text()}: {image.text()}"
             if bijections.psi2(image) != p:
                 return f"n={n}: not an involution at {p.text()}"
-            wp, wi = p.weight(), image.weight()
+            wp, wi = (Monomial(1, *x.weight()) for x in (p, image))
             if image == p:
                 fixed.add(p)
-                if not bijections.is_fixed_g(p):
+                if not motzkin.in_family("G", p):
                     return f"n={n}: unexpected fixed point {p.text()}"
                 if wp.et % 2 != n % 2:
                     return f"n={n}: fixed path with t-degree {wp.et}: {p.text()}"
             else:
-                if bijections.is_fixed_g(p):
+                if motzkin.in_family("G", p):
                     return f"n={n}: moved point satisfies the fixed-set menus: {p.text()}"
                 if (wi.ey - wp.ey, wi.eq - wp.eq) not in ((2, 1), (-2, -1)) or wi.et != wp.et:
                     return (
@@ -408,7 +409,7 @@ class TestPsi2:
     def test_fixed_pair(self):
         p = path(("U", mono(ey=2)), ("D", mono()))
         assert psi2(p) == p
-        assert is_fixed_g(p)
+        assert in_family("G", p)
 
     def test_level_toggle(self):
         p = path(("U", mono(ey=2)), ("L", mono(ey=2, eq=1)), ("D", mono()))
@@ -417,9 +418,9 @@ class TestPsi2:
         assert psi2(q) == p
 
     def test_is_fixed_examples(self):
-        assert is_fixed_g(path(("L", mono(ey=1, et=1))))
-        assert not is_fixed_g(path(("U", mono(ey=2)), ("D", mono(ey=1, et=1, eq=1))))
-        assert is_fixed_g(EMPTY_PATH)
+        assert in_family("G", path(("L", mono(ey=1, et=1))))
+        assert not in_family("G", path(("U", mono(ey=2)), ("D", mono(ey=1, et=1, eq=1))))
+        assert in_family("G", EMPTY_PATH)
 
     def test_rejects_non_mstar_path(self):
         with pytest.raises(ValueError):
@@ -432,13 +433,13 @@ class TestPsi2:
             assert psi2(q) == p
             wp, wq = p.weight(), q.weight()
             if q == p:
-                assert is_fixed_g(p)
-                assert wp.et % 2 == n % 2
+                assert in_family("G", p)
+                assert wp[1] % 2 == n % 2
             else:
-                assert not is_fixed_g(p)
+                assert not in_family("G", p)
                 # weight changes by exactly (y^2 q)^(+-1)
-                assert (wq.ey - wp.ey, wq.eq - wp.eq) in ((2, 1), (-2, -1))
-                assert wq.et == wp.et and wq.coeff == wp.coeff
+                assert (wq[0] - wp[0], wq[2] - wp[2]) in ((2, 1), (-2, -1))
+                assert wq[1] == wp[1]
 
     @pytest.mark.parametrize("n", range(5))
     def test_fixed_points_are_scheme_g(self, n):
@@ -450,7 +451,7 @@ class TestPsi2:
         acc = Poly()
         for p in gen_weighted("MSTAR", n):
             if psi2(p) == p:
-                acc = acc + p.weight().to_poly()
+                acc = acc + Poly({p.weight(): 1})
         assert acc == Y ** n * Q_poly(n)
 
     @pytest.mark.parametrize("n", range(5))

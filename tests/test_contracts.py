@@ -6,7 +6,9 @@ witness, not as an exception from the next call.
 """
 
 import ast
+import functools
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -17,20 +19,19 @@ import pytest
 
 import snakelab
 from snakelab import algebra, bijections, checks, cli, eulerians, motzkin, permstats, snakes
-from snakelab.algebra import Monomial
 from snakelab.checks import run_check
-from snakelab.motzkin import WeightedPath, _raw, _wrap
 
 PACKAGE_DIR = Path(snakelab.__file__).resolve().parent
 
 
-def _bump_first(path: WeightedPath, by: int) -> WeightedPath:
-    """The path with its first weight's q-exponent shifted past any menu."""
-    if not path.weights:
+def _bump_first(path: motzkin.RawPath, by: int) -> motzkin.RawPath:
+    """The path (steps, weights) with its first weight's q-exponent shifted
+    past any menu."""
+    steps, weights = path
+    if not weights:
         return path
-    w = path.weights[0]
-    bumped = Monomial(w.coeff, w.ey, w.et, w.eq + by)
-    return WeightedPath(path.steps, (bumped, *path.weights[1:]))
+    (ey, et, eq), *rest = weights
+    return steps, ((ey, et, eq + by), *rest)
 
 
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE_DIR.glob("*.py")))
@@ -74,8 +75,7 @@ def test_involution_check_catches_bad_image(monkeypatch, fresh_caches, check_id,
     real = bijections._toggle
 
     def bad_move(steps, weights, move):
-        image = _wrap(*real(steps, weights, move))
-        return image.steps, _raw(_bump_first(image, 100))
+        return _bump_first(real(steps, weights, move), 100)
 
     monkeypatch.setattr(bijections, "_toggle", bad_move)
     result = run_check(check_id)
@@ -150,8 +150,7 @@ def test_snake_check_catches_bad_image(monkeypatch, check_id, name):
     real = snakes._encode
 
     def bad_encode(elements, offset):
-        image = _bump_first(_wrap(*real(elements, offset)), 100)
-        return image.steps, _raw(image)
+        return _bump_first(real(elements, offset), 100)
 
     monkeypatch.setattr(snakes, "_encode", bad_encode)
     result = run_check(check_id)
@@ -226,9 +225,12 @@ def test_pattern_witness_names_n(monkeypatch):
     lambda: snakes.snake_enumerator(-1, "R"),
     lambda: eulerians.springer_number(-1),
     lambda: eulerians.count_alternating(-1),
+    lambda: eulerians.seidel_numbers(-1),
+    lambda: eulerians.springer_numbers(-1),
 ], ids=[
     "generate-A", "generate-B", "a_table", "b_table", "euler-exc", "full-ytq",
     "jv", "generate_snakes", "snake-Q", "snake-R", "springer_number", "count_alternating",
+    "seidel_numbers", "springer_numbers",
 ])
 def test_negative_n_is_rejected(call):
     # a negative size is an error, never an empty family with a vacuous sum
@@ -270,6 +272,33 @@ def test_tracer_lookups_exist():
     assert {("cli", "_row_value"), ("checks", "run_check"), ("algebra", "Poly")} <= lookups
     for mod, attr in sorted(lookups):
         assert hasattr(importlib.import_module(f"snakelab.{mod}"), attr), f"{mod}.{attr}"
+
+
+def _layer_metric_names() -> list[str]:
+    """The per-layer metrics of BENCHMARK.json that name one traced function
+    or method: <layer>.<fn>.<metric> or <layer>.<Class>.<method>.<metric>.
+    checks.<id>.s and <layer>.self_s name no function."""
+    bench = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
+    return [spec["name"] for spec in bench["per_layer"]
+            if spec["name"].count(".") in (2, 3) and not spec["name"].startswith("checks.")]
+
+
+@pytest.mark.parametrize("name", _layer_metric_names())
+def test_layer_metric_names_a_traced_function(name):
+    # the tracer wraps public functions and lru_caches defined in a module,
+    # and the public methods and dunders written in its public classes; a
+    # metric whose function is gone makes `perfbench/run.py --trace 1` fail
+    layer, *path, _ = name.split(".")
+    module = importlib.import_module(f"snakelab.{layer}")
+    owner = getattr(module, path[0], None)
+    assert not path[0].startswith("_") and getattr(owner, "__module__", None) == module.__name__, name
+    if len(path) == 1:
+        assert isinstance(owner, (types.FunctionType, functools._lru_cache_wrapper)), name
+        return
+    assert isinstance(owner, type), name
+    method = vars(owner).get(path[1], vars(owner).get(f"__{path[1]}__"))
+    assert isinstance(method, types.FunctionType), name
+    assert method.__code__.co_filename == module.__file__, name  # not generated by dataclass
 
 
 @pytest.mark.parametrize("name", ["jfraction_series", "sfraction_series", "operator_step"])

@@ -29,7 +29,8 @@ from snakelab.permstats import corteel_schedule, signed_enumerator
 
 
 def mono(ey=0, et=0, eq=0):
-    return Monomial(1, ey, et, eq)
+    """The weight y^ey t^et q^eq as an exponent triple."""
+    return ey, et, eq
 
 
 class TestMenus:
@@ -62,9 +63,14 @@ class TestMenus:
         with pytest.raises(ValueError):
             weight_menu("M", "Z", 0)
 
+    @pytest.mark.parametrize("scheme, step", [("T", "L"), ("M", "U"), ("H", "W"), ("TSTAR", "D")])
+    def test_negative_height_is_rejected(self, scheme, step):
+        with pytest.raises(ValueError, match="height must be >= 0"):
+            weight_menu(scheme, step, -3)
+
 
 def _in_family_reference(scheme, path):
-    """Membership by scanning each step's menu of monomials, as `in_family`
+    """Membership by scanning each step's menu of weights, as `in_family`
     did before menus became exponent ranges."""
     _, parity, pair_rule = _scheme_info(scheme)
     heights = path.heights()
@@ -77,7 +83,7 @@ def _in_family_reference(scheme, path):
         return False
     if pair_rule:
         for u, d in matching_pairs(path.steps):
-            if (path.weights[u].ey == 2) != (path.weights[d].ey == 0):
+            if (path.weights[u][0] == 2) != (path.weights[d][0] == 0):
                 return False
     return True
 
@@ -88,15 +94,12 @@ def _path_through(scheme, step, h):
     end = h + {"U": 1, "D": -1}.get(step, 0)
     steps = ("U",) * h + (step,) + ("D",) * end
     heights = step_heights(steps)
-    weights = tuple((weight_menu(scheme, s, k) or (Monomial(),))[0] for s, k in zip(steps, heights))
+    weights = tuple((weight_menu(scheme, s, k) or (mono(),))[0] for s, k in zip(steps, heights))
     return WeightedPath(steps, weights), h
 
 
-# every monomial with coeff in {1, -1, 2}, ey 0..3, et 0..3, eq -2..16
-_PROBES = [
-    Monomial(c, ey, et, eq)
-    for c, ey, et, eq in itertools.product((1, -1, 2), range(4), range(4), range(-2, 17))
-]
+# every weight with ey 0..3, et 0..3, eq -2..16
+_PROBES = list(itertools.product(range(4), range(4), range(-2, 17)))
 
 
 class TestMembership:
@@ -114,14 +117,9 @@ class TestMembership:
     @pytest.mark.parametrize("n", range(5))
     def test_weight_is_product_of_step_weights(self, n):
         for p in gen_weighted("H", n):
-            assert p.weight() == functools.reduce(operator.mul, p.weights, Monomial())
-
-    def test_weight_multiplies_coefficients(self):
-        p = WeightedPath(
-            ("U", "L", "D"),
-            (Monomial(-1, 2, 0, 1), Monomial(2, 0, 1, -3), Monomial(-1, 1, 1, 0)),
-        )
-        assert p.weight() == Monomial(2, 3, 2, -2)
+            product = functools.reduce(operator.mul, (Monomial(1, *w) for w in p.weights), Monomial())
+            assert Monomial(1, *p.weight()) == product
+            assert p.t_degree() == product.et
 
 
 class TestShapes:
@@ -175,7 +173,7 @@ class TestGenWeighted:
 
     def test_t_length_zero(self):
         assert list(gen_weighted("T", 0)) == [EMPTY_PATH]
-        assert EMPTY_PATH.weight() == Monomial()
+        assert EMPTY_PATH.weight() == (0, 0, 0)
 
     @pytest.mark.parametrize("scheme", ["M", "H", "T", "TSTAR", "MSTAR", "F", "G"])
     def test_membership_of_generated_paths(self, scheme):
@@ -318,3 +316,15 @@ class TestText:
             (mono(), mono(et=2, eq=4), mono(et=1, eq=5), mono(eq=2), mono()),
         )
         assert p.text() == "U[1] U[t^2*q^4] L[t*q^5] D[q^2] D[1]"
+        p = WeightedPath(("U", "W", "D"), ((2, 3, -1), (0, 0, 1), (1, 0, 0)))
+        assert p.text() == "U[y^2*t^3*q^-1] W[q] D[y]"
+
+    @pytest.mark.parametrize("scheme, first, last", [
+        ("M", "U[y^2] D[1] L[y^2]", "L[y*t] L[y*t] L[y*t]"),
+        ("H", "U[y^2] D[1] L[1]", "W[y*t] W[y*t] W[y*t]"),
+        ("T", "U[1] D[1] L[t*q]", "W[t] W[t] W[t]"),
+        ("TSTAR", "U[1] D[1] L[t]", "L[t] L[t] L[t]"),
+    ])
+    def test_generated_path_text(self, scheme, first, last):
+        paths = list(gen_weighted(scheme, 3))
+        assert (paths[0].text(), paths[-1].text()) == (first, last)
