@@ -241,6 +241,8 @@ Q = Poly.monomial(eq=1)
 
 def q_int(n: int) -> Poly:
     """The q-integer [n]_q = 1 + q + ... + q^(n-1)."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
     return Poly({(0, 0, k): 1 for k in range(n)})
 
 
@@ -256,9 +258,6 @@ class Monomial:
     def __mul__(self, other: "Monomial") -> "Monomial":
         return Monomial(self.coeff * other.coeff, self.ey + other.ey,
                         self.et + other.et, self.eq + other.eq)
-
-    def to_poly(self) -> Poly:
-        return Poly({(self.ey, self.et, self.eq): self.coeff})
 
     def text(self) -> str:
         body = _monomial_body((self.ey, self.et, self.eq))

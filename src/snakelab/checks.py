@@ -22,7 +22,9 @@ Each entry is one row of `CHECKS`, of one of three kinds:
   `_involution_walk` (prop-3.6, lemma-3.8, prop-4.4);
 - a worked-example golden, `_golden_check`: got() equals the literal in its
   row, else `got X, want Y`.
-lemma-pattern alone keeps its own loop.
+Each map check, and lemma-pattern, is a claim at one n that `_each_n` runs
+for n up to the ceiling, so its witness names the smallest n;
+lemma-sign-changes and lemma-pattern read S0, then S00, at each n.
 
 No check holds a family whole.  A bijection walk checks that each image
 lands in the target, which the inverse's domain guard tests, and maps back
@@ -321,27 +323,27 @@ def _snake_code(variant: str, offset: int, scheme: str, which: str) -> Callable[
     return _each_n(claim)
 
 
-def _check_sign_changes(n_max: int) -> str | None:
-    """lemma-sign-changes: s -> (|window|, cs-vector) is one to one on the
-    S0 and S00 snakes, with arnold_recover its inverse, and each cs-vector
-    lies in {0,1,2}^n and sums to the snake's sign changes.  The range test
-    is in the law, since arnold_recover validates through cs_vector itself."""
+def _sign_changes(n: int) -> str | None:
+    """lemma-sign-changes at n: s -> (|window|, cs-vector) is one to one on
+    the S0 and S00 snakes, with arnold_recover its inverse, and each
+    cs-vector lies in {0,1,2}^n and sums to the snake's sign changes.  The
+    range test is in the law, since arnold_recover validates through
+    cs_vector itself."""
 
     def law(s, image):
         if not all(c in (0, 1, 2) for c in image[1]):
-            return f"n={s.size()}: image leaves {{0,1,2}}^n at {s.text()}"
+            return f"n={n}: image leaves {{0,1,2}}^n at {s.text()}"
         if sum(image[1]) != snakes.sign_changes(s):
-            return f"n={s.size()}: {s.text()}: vector {image[1]} does not sum to the total"
+            return f"n={n}: {s.text()}: vector {image[1]} does not sum to the total"
         return None
 
     for variant in ("S0", "S00"):
-        for n in range(n_max + 1):
-            witness = _bijection(
-                n, (snakes.Snake(w, variant) for w in snakes._windows(n, variant)),
-                lambda s: (tuple(abs(x) for x in s.window), snakes.cs_vector(s)),
-                lambda image: snakes.arnold_recover(*image, variant), "{0,1,2}^n", law)
-            if witness:
-                return witness
+        witness = _bijection(
+            n, (snakes.Snake(w, variant) for w in snakes._windows(n, variant)),
+            lambda s: (tuple(abs(x) for x in s.window), snakes.cs_vector(s)),
+            lambda image: snakes.arnold_recover(*image, variant), "{0,1,2}^n", law)
+        if witness:
+            return witness
     return None
 
 
@@ -411,19 +413,18 @@ def _walk(scheme: str, claims: tuple[str, ...]) -> Callable[[int], str | None]:
 # -- snakes and goldens ------------------------------------------------------------
 
 
-def _check_pattern_lemma(n_max: int) -> str | None:
+def _pattern_lemma(n: int) -> str | None:
     for variant in ("S0", "S00"):
-        for n in range(1, n_max + 1):
-            for window in snakes._windows(n, variant):
-                word = tuple(map(abs, window))
-                profile = snakes.block_profile(word, variant)
-                for k in range(1, n + 1):
-                    a, b = snakes.pattern_counts(word, variant, k)
-                    if profile.beta[k] != b or profile.alpha[k] != a + b + 1:
-                        return (
-                            f"n={n}: {snakes.Snake(window, variant).text()}: k={k} blocks"
-                            f" ({profile.alpha[k]}, {profile.beta[k]}) vs patterns ({a}, {b})"
-                        )
+        for window in snakes._windows(n, variant):
+            word = tuple(map(abs, window))
+            profile = snakes.block_profile(word, variant)
+            for k in range(1, n + 1):
+                a, b = snakes.pattern_counts(word, variant, k)
+                if profile.beta[k] != b or profile.alpha[k] != a + b + 1:
+                    return (
+                        f"n={n}: {snakes.Snake(window, variant).text()}: k={k} blocks"
+                        f" ({profile.alpha[k]}, {profile.beta[k]}) vs patterns ({a}, {b})"
+                    )
     return None
 
 
@@ -579,8 +580,8 @@ CHECKS: list[Check] = [
         "lemma-4.3", "the psi2 fixed family sums to y^n Q_n", 5,
         _rho("G"), lambda n: Y ** n * eulerians.Q_poly(n)),
     Check("prop-4.4", "psi2 is an involution on MSTAR with weight factor (y^2 q)^(+-1) and fixed set G", 5, _walk("MSTAR", ("involution", "fixed-parity", "fixed-set"))),
-    Check("lemma-sign-changes", "cs-vectors sum to the sign-change count and determine the snake", 5, _check_sign_changes),
-    Check("lemma-pattern", "block statistics equal the 13-2 and 2-31 pattern counts", 5, _check_pattern_lemma, min_n=1),
+    Check("lemma-sign-changes", "cs-vectors sum to the sign-change count and determine the snake", 5, _each_n(_sign_changes)),
+    Check("lemma-pattern", "block statistics equal the 13-2 and 2-31 pattern counts", 5, _each_n(_pattern_lemma, 1), min_n=1),
     Check("thm-5.8", "the snake encoding is a bijection onto scheme TSTAR and realizes Q_n", 5, _snake_code("S0", 0, "TSTAR", "Q")),
     Check("thm-5.12", "the snake encoding is a bijection onto scheme T and realizes R_n", 5, _snake_code("S00", 1, "T", "R")),
     _golden_check("example-cro-golden", "the worked crossing example has five crossings", lambda: permstats.stats((3, -4, -2, 5, 1)).cro_b, 5),

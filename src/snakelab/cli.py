@@ -39,6 +39,7 @@ MAX_FAILURE_EXIT = 125
 CLOSED_PIPE_EXIT = 141  # 128 + SIGPIPE, as a shell reports a writer killed by it
 
 COMPUTE_OBJECTS = ("Q", "R", "B", "E", "Eq", "S")
+COMPUTE_FORMATS = ("text", "json", "csv")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -65,8 +66,7 @@ def _build_parser() -> _Parser:
     compute.add_argument("object", choices=COMPUTE_OBJECTS)
     compute.add_argument("--n", type=int, required=True, metavar="K",
                          help="largest index")
-    compute.add_argument("--format", choices=("text", "json", "csv"),
-                         default="text")
+    compute.add_argument("--format", choices=COMPUTE_FORMATS, default="text")
 
     sub.add_parser("list-checks", help="print the check catalog")
     return parser
@@ -104,6 +104,8 @@ def emit_table(obj: str, n_max: int, fmt: str) -> str:
     """Render objects 0..n_max; identical inputs give identical bytes."""
     if n_max < 0:
         raise ValueError("n must be >= 0")
+    if fmt not in COMPUTE_FORMATS:
+        raise ValueError(f"unknown format {fmt!r}")
     rows = list(enumerate(_table(obj, n_max)))
     if fmt == "csv":
         return "\n".join(f"{n},{value}" for n, value in rows)

@@ -18,8 +18,10 @@ and D* are its rows with even neg, no fixed point, or both.  `a_table(n)`
 walks A_n once and counts (exc, fixed).  Both are cached per n and shared
 by every caller: `signed_enumerator` projects the EULER_EXC scheme and the
 three type-B schemes from them, and `family_table` hands the family's rows
-to the catalog.  Crossings of type A stay out of `a_table` (they would
-triple its cost), so the JV schemes keep their own per-window loop.
+to the catalog.  `cro_b` is the one crossing count: on an all-positive
+window it counts the crossings of a permutation, and the JV schemes call
+it window by window.  `a_table` keeps no crossings, since eulercan1 and
+eulercan2 read A_8 and crossings there would roughly triple its cost.
 """
 
 from __future__ import annotations
@@ -92,18 +94,13 @@ def cro_b(window: tuple[int, ...]) -> int:
     """Number of crossings: ordered pairs (i, j), i, j >= 1, with
     i < j <= sigma_i < sigma_j, or -i < j <= -sigma_i < sigma_j, or
     i > j > sigma_i > sigma_j.  The three conditions are mutually
-    exclusive, so their sum counts each crossing once."""
-    n = len(window)
+    exclusive, so their sum counts each crossing once.  Each pair of
+    positions i < j is read once, the signed condition in both orders.  On
+    an all-positive window these are the crossings of a permutation: pairs
+    i < j with i < j <= sigma_i < sigma_j or sigma_i < sigma_j < i < j."""
     total = 0
-    for i in range(1, n + 1):
-        si = window[i - 1]
-        for j in range(1, n + 1):
-            sj = window[j - 1]
-            total += (
-                (i < j <= si < sj)
-                + (-i < j <= -si < sj)
-                + (i > j > si > sj)
-            )
+    for (i, si), (j, sj) in itertools.combinations(enumerate(window, start=1), 2):
+        total += (j <= si < sj) + (si < sj < i) + (j <= -si < sj) + (i <= -sj < si)
     return total
 
 
@@ -123,21 +120,6 @@ def stats(window: tuple[int, ...]) -> StatRecord:
         des_b=des,
         fixed_count=fixed,
     )
-
-
-def cro_type_a(window: tuple[int, ...]) -> int:
-    """Crossings of an ordinary permutation: pairs (i, j) with
-    i < j <= sigma_i < sigma_j or sigma_i < sigma_j < i < j."""
-    if any(v < 0 for v in window):
-        raise ValueError("type A crossings need an all-positive window")
-    n = len(window)
-    total = 0
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            si, sj = window[i - 1], window[j - 1]
-            if i < j <= si < sj or si < sj < i < j:
-                total += 1
-    return total
 
 
 @lru_cache(maxsize=None)
@@ -216,7 +198,7 @@ def signed_enumerator(n: int, family: str, scheme: str) -> Poly:
     else:
         for window in generate(n, family):
             wex = sum(1 for i, v in enumerate(window, start=1) if v >= i)
-            cro = cro_type_a(window)
+            cro = cro_b(window)
             shift = -wex if scheme == "JV_DERANGE" else 0
             add((0, 0, cro + shift), -1 if wex % 2 else 1)
     return Poly(acc)

@@ -253,6 +253,10 @@ class TestCompute:
         with pytest.raises(ValueError):
             emit_table("E", -1, "text")
 
+    def test_emit_table_rejects_unknown_format(self):
+        with pytest.raises(ValueError, match="unknown format 'xml'"):
+            emit_table("Q", 1, "xml")
+
 
 class TestUsageErrors:
     def test_bad_subcommand(self, capsys):

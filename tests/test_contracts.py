@@ -212,6 +212,31 @@ def test_pattern_witness_names_n(monkeypatch):
     assert witness == "n=1: (1)[S0]: k=1 blocks (1, 0) vs patterns (0, 1)"
 
 
+def _wrong_for_s00_and_large(variant, size):
+    return variant == "S00" or size >= 3
+
+
+def test_sign_change_witness_is_smallest_over_variants(monkeypatch):
+    # S00 fails from n=0 and S0 only from n=3: the smallest n wins
+    real = snakes.sign_changes
+    monkeypatch.setattr(snakes, "sign_changes",
+                        lambda s: real(s) + _wrong_for_s00_and_large(s.variant, s.size()))
+    witness = run_check("lemma-sign-changes").witness
+    assert witness == "n=0: ()[S00]: vector () does not sum to the total"
+
+
+def test_pattern_witness_is_smallest_over_variants(monkeypatch):
+    real = snakes.pattern_counts
+
+    def bad(word, variant, k):
+        a, b = real(word, variant, k)
+        return a, b + _wrong_for_s00_and_large(variant, len(word))
+
+    monkeypatch.setattr(snakes, "pattern_counts", bad)
+    witness = run_check("lemma-pattern").witness
+    assert witness == "n=1: (1)[S00]: k=1 blocks (1, 0) vs patterns (0, 1)"
+
+
 @pytest.mark.parametrize("call", [
     lambda: list(permstats.generate(-1, "A")),
     lambda: list(permstats.generate(-1, "B")),
@@ -227,10 +252,11 @@ def test_pattern_witness_names_n(monkeypatch):
     lambda: eulerians.count_alternating(-1),
     lambda: eulerians.seidel_numbers(-1),
     lambda: eulerians.springer_numbers(-1),
+    lambda: algebra.q_int(-2),
 ], ids=[
     "generate-A", "generate-B", "a_table", "b_table", "euler-exc", "full-ytq",
     "jv", "generate_snakes", "snake-Q", "snake-R", "springer_number", "count_alternating",
-    "seidel_numbers", "springer_numbers",
+    "seidel_numbers", "springer_numbers", "q_int",
 ])
 def test_negative_n_is_rejected(call):
     # a negative size is an error, never an empty family with a vacuous sum
