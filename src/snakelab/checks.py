@@ -61,8 +61,11 @@ checks.
 
 The permutation checks read the cached `permstats.a_table` and
 `permstats.b_table`, so the first check to touch an n pays for its table.
-Clearing those caches is needed only where a test patches what fills
-them.
+Both are built by one insertion walk, `permstats._walk`, that updates
+each child's statistics from its parent's: a_table keys (exc, fixed, cro)
+and b_table (fwex, neg, cro_b, des_b, fixed), and every signed enumerator,
+the JV sums included, is a projection of one of them.  Clearing those
+caches is needed only where a test patches what fills them.
 """
 
 from __future__ import annotations
@@ -185,11 +188,13 @@ def _q_euler_side(entry: Callable[[int, list[Poly]], object]) -> _Series:
 
 
 def _distribution(n: int, family: str, stat: Callable[[tuple], int]) -> dict[int, int]:
-    """Counts of stat(row) over the rows of `permstats.family_table(n, family)`."""
+    """Counts of stat(row) over the rows of `permstats.family_table(n,
+    family)`, in order of value, so a witness does not depend on the order
+    in which the table met its rows."""
     out: Counter = Counter()
     for row, count in permstats.family_table(n, family).items():
         out[stat(row)] += count
-    return dict(out)
+    return dict(sorted(out.items()))
 
 
 def _basis_expansion(coeffs: list[int], degree: int) -> dict[int, int]:

@@ -12,16 +12,27 @@ Families:
   D   signed permutations with an even number of negative entries
   D*  fixed-point-free members of D
 
-Each family has one statistics pass per n.  `b_table(n)` walks B_n once and
-counts the joint distribution of (fwex, neg, cro_b, des_b, fixed); D, B*
-and D* are its rows with even neg, no fixed point, or both.  `a_table(n)`
-walks A_n once and counts (exc, fixed).  Both are cached per n and shared
-by every caller: `signed_enumerator` projects the EULER_EXC scheme and the
-three type-B schemes from them, and `family_table` hands the family's rows
-to the catalog.  `cro_b` is the one crossing count: on an all-positive
-window it counts the crossings of a permutation, and the JV schemes call
-it window by window.  `a_table` keeps no crossings, since eulercan1 and
-eulercan2 read A_8 and crossings there would roughly triple its cost.
+Each family has one statistics pass per n.  `b_table(n)` counts the joint
+distribution of (fwex, neg, cro_b, des_b, fixed) over B_n, and D, B* and D*
+are its rows with even neg, no fixed point, or both.  `a_table(n)` counts
+(exc, fixed, cro) over A_n, and A* is its rows with no fixed point.  Both
+are cached per n and shared by every caller: `signed_enumerator` projects
+all six schemes from them, and `family_table` hands the family's rows to
+the catalog.
+
+Both tables come from one walk, `_walk`, that builds each size from the
+one below by insertion.  A window w of size n-1 has 2n children in B_n:
+w with +-n appended, and for each position i, w with +-n at i and w_i
+moved to position n (A_n takes + only, n children).  wex, neg, fixed and
+des_b change in O(1) from the parent's values; appending adds no crossing,
+and one pass over the parent's position pairs (`_cro_steps_b`, or
+`_cro_steps_a` without the terms that vanish on positive windows) gives
+the crossing change of every other child.  No child is handed to `stats`
+or `cro_b`.  Only the Counters are cached; the walk streams its windows.
+
+`generate`, `stats` and `cro_b` are the independent route: one window at a
+time, straight from the definitions.  `cro_b` is the one crossing count;
+on an all-positive window it counts the crossings of a permutation.
 """
 
 from __future__ import annotations
@@ -122,35 +133,102 @@ def stats(window: tuple[int, ...]) -> StatRecord:
     )
 
 
+def _cro_steps_b(w: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """The crossings gained by each child of the window w of B_m in
+    `_walk`, indexed by the position i of the new entry: up[i] for the child
+    with +(m+1) at i <= m, down[i] for -(m+1), and up[m+1] = down[m+1] = 0
+    for the appended children (index 0 is unused).
+
+    A child at i keeps the pairs of w away from i, changes the pairs
+    through i (the arc at i now ends at +-(m+1)), adds the arc from m+1 to
+    w_i against every other position, and adds the pair (i, m+1).  With
+    m+1 above every |w_j|, each term is a comparison of w's entries, so one
+    pass over the position pairs of w gives every child's change."""
+    up = [0] * (len(w) + 2)
+    down = up.copy()
+    for (pj, b), (pk, c) in itertools.combinations(enumerate(w, start=1), 2):
+        ab = abs(b)
+        if ab >= pk:
+            if ab > c:
+                up[pk] += 1
+            elif ab < c:
+                down[pk] -= 1
+        dj = (c < b < pk) - (pk <= b < c) - (b < c < pj) - (pj <= -c < b)
+        up[pj] += (-c >= pj) + dj
+        down[pj] += (c < pj) + dj
+    for pj, b in enumerate(w, start=1):
+        up[pj] += -b >= pj
+        down[pj] += b < pj
+    return up, down
+
+
+def _cro_steps_a(w: tuple[int, ...]) -> tuple[list[int], None]:
+    """`_cro_steps_b` on an all-positive window, whose children take +(m+1)
+    only: the terms that need a negative entry are dropped."""
+    up = [0] * (len(w) + 2)
+    for (pj, b), (pk, c) in itertools.combinations(enumerate(w, start=1), 2):
+        if b > c:
+            if b >= pk:
+                up[pk] += 1
+            else:
+                up[pj] += 1
+        elif b >= pk or c < pj:
+            up[pj] -= 1
+    return up, None
+
+
+def _walk(n: int, signed: bool) -> Iterator[tuple]:
+    """Every window of B_n (signed) or A_n, each once, as (window, wex,
+    neg, fixed, des_b, cro_b), grown by insertion from the windows of size
+    n-1 as the module docstring describes."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if n == 0:
+        yield (), 0, 0, 0, 0, 0
+        return
+    steps = _cro_steps_b if signed else _cro_steps_a
+    for w, wex, neg, fixed, des, cro in _walk(n - 1, signed):
+        up, down = steps(w)
+        yield (*w, n), wex + 1, neg, fixed + 1, des, cro + up[-1]
+        if signed:
+            yield (*w, -n), wex, neg + 1, fixed, des + 1, cro + down[-1]
+        padded = (0, *w, *w[-1:])
+        last = padded[-1]
+        for i, a in enumerate(w, start=1):
+            # w_i leaves its neighbours to follow the last entry; +n at i
+            # descends to its right, -n at i is descended to from its left
+            d = des + 1 - (padded[i - 1] > a) - (a > padded[i + 1]) + (last > a)
+            f = fixed - (a == i)
+            x = wex - (a >= i)
+            yield (*w[:i - 1], n, *w[i:], a), x + 1, neg, f, d, cro + up[i]
+            if signed:
+                yield (*w[:i - 1], -n, *w[i:], a), x, neg + 1, f, d, cro + down[i]
+
+
 @lru_cache(maxsize=None)
 def b_table(n: int) -> Mapping[tuple[int, ...], int]:
     """Joint distribution over B_n: window counts keyed by
-    (fwex, neg, cro_b, des_b, fixed_count), from one pass of `stats`.
-    Cached and shared, so read-only."""
-    out: Counter = Counter()
-    for window in generate(n, "B"):
-        s = stats(window)
-        out[s.fwex, s.neg, s.cro_b, s.des_b, s.fixed_count] += 1
-    return MappingProxyType(out)
+    (fwex, neg, cro_b, des_b, fixed_count), from one `_walk`.  Cached and
+    shared, so read-only."""
+    return MappingProxyType(Counter(
+        (2 * wex + neg, neg, cro, des, fixed)
+        for _, wex, neg, fixed, des, cro in _walk(n, True)
+    ))
 
 
 @lru_cache(maxsize=None)
 def a_table(n: int) -> Mapping[tuple[int, ...], int]:
     """Joint distribution over A_n: permutation counts keyed by
-    (exc, fixed_count).  Cached and shared, so read-only."""
-    out: Counter = Counter()
-    for window in generate(n, "A"):
-        exc = fixed = 0
-        for i, v in enumerate(window, start=1):
-            exc += v > i
-            fixed += v == i
-        out[exc, fixed] += 1
-    return MappingProxyType(out)
+    (exc, fixed_count, cro), from one `_walk`.  Cached and shared, so
+    read-only."""
+    return MappingProxyType(Counter(
+        (wex - fixed, fixed, cro) for _, wex, _, fixed, _, cro in _walk(n, False)
+    ))
 
 
 def family_table(n: int, family: str) -> dict[tuple[int, ...], int]:
     """The family's rows of `a_table(n)` (A, A*) or `b_table(n)` (B, D, B*,
-    D*), in first-seen order: D keeps even neg, a starred family keeps
+    D*), in the table's order: D keeps even neg, a starred family keeps
     fixed_count 0."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
@@ -166,10 +244,9 @@ def family_table(n: int, family: str) -> dict[tuple[int, ...], int]:
 
 
 def signed_enumerator(n: int, family: str, scheme: str) -> Poly:
-    """Sum of the scheme's signed monomial over the family.
-
-    EULER_EXC and the type-B schemes are projections of `family_table`; the
-    JV schemes walk the family window by window."""
+    """Sum of the scheme's signed monomial over the family: a projection of
+    `family_table`, whose type-A rows carry crossings for the JV schemes
+    (wex = exc + fixed)."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     type_a_family = family in ("A", "A*")
@@ -183,9 +260,14 @@ def signed_enumerator(n: int, family: str, scheme: str) -> Poly:
         acc[key] = acc.get(key, 0) + c
 
     if scheme == "EULER_EXC":
-        for (exc, _), count in family_table(n, family).items():
+        for (exc, _, _), count in family_table(n, family).items():
             add((0, 0, 0), -count if exc % 2 else count)
-    elif scheme in _TYPE_B_SCHEMES:
+    elif scheme in _TYPE_A_SCHEMES:
+        for (exc, fixed, cro), count in family_table(n, family).items():
+            wex = exc + fixed
+            shift = -wex if scheme == "JV_DERANGE" else 0
+            add((0, 0, cro + shift), -count if wex % 2 else count)
+    else:
         for (fwex, neg, cro, _, _), count in family_table(n, family).items():
             half = fwex // 2
             sign = -count if half % 2 else count
@@ -195,12 +277,6 @@ def signed_enumerator(n: int, family: str, scheme: str) -> Poly:
                 add((0, neg, cro - half), sign)
             else:  # FULL_YTQ
                 add((fwex, neg, cro), count)
-    else:
-        for window in generate(n, family):
-            wex = sum(1 for i, v in enumerate(window, start=1) if v >= i)
-            cro = cro_b(window)
-            shift = -wex if scheme == "JV_DERANGE" else 0
-            add((0, 0, cro + shift), -1 if wex % 2 else 1)
     return Poly(acc)
 
 

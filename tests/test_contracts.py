@@ -91,13 +91,41 @@ def test_public_involutions_guard_their_domain(name, scheme):
 
 
 def test_table_checks_catch_bad_crossings(monkeypatch, fresh_caches):
-    real = permstats.cro_b
-    monkeypatch.setattr(permstats, "cro_b",
-                        lambda w: real(w) + (1 if any(v < 0 for v in w) else 0))
+    # every child that takes -n gains one crossing too many
+    real = permstats._cro_steps_b
+
+    def bad_steps(w):
+        up, down = real(w)
+        return up, [d + 1 for d in down]
+
+    monkeypatch.setattr(permstats, "_cro_steps_b", bad_steps)
     for check_id in ("thm-corteel", "thm-1.3-i"):
         result = run_check(check_id)
         assert result.status == "fail", check_id
         assert result.witness.startswith("n=1: lhs - rhs = "), result.witness
+
+
+def test_jv_check_catches_bad_type_a_crossings(monkeypatch, fresh_caches):
+    real = permstats._cro_steps_a
+
+    def bad_steps(w):
+        up, none = real(w)
+        return [d + 1 for d in up], none
+
+    monkeypatch.setattr(permstats, "_cro_steps_a", bad_steps)
+    result = run_check("jv1")
+    assert result.status == "fail"
+    assert result.witness.startswith("n=1: lhs - rhs = "), result.witness
+
+
+def test_distribution_ignores_table_order(monkeypatch):
+    # a des-b, gamma or xi witness prints these counts, so their order must
+    # not follow the order in which the table met its rows
+    want = list(checks._distribution(4, "B", lambda row: row[3]).items())
+    real = permstats.family_table
+    monkeypatch.setattr(permstats, "family_table",
+                        lambda n, family: dict(reversed(real(n, family).items())))
+    assert list(checks._distribution(4, "B", lambda row: row[3]).items()) == want
 
 
 _REAL_PHI = bijections._phi

@@ -10,6 +10,7 @@ from snakelab.algebra import ONE, Poly, Q, T, Y, jfraction_series, q_int
 from snakelab.permstats import (
     FAMILIES,
     SCHEMES,
+    _walk,
     corteel_schedule,
     cro_b,
     family_table,
@@ -268,14 +269,15 @@ class TestTables:
     def test_every_valid_pair_is_covered(self):
         assert len(_PAIRS) == 2 * 3 + 4 * 3
 
-    @pytest.mark.parametrize("family", FAMILIES)
-    @pytest.mark.parametrize("n", range(5))
+    @pytest.mark.parametrize("n, family", [
+        (n, family) for family in FAMILIES for n in range(8 if family in ("A", "A*") else 7)
+    ])
     def test_family_rows_match_window_stats(self, n, family):
         want = Counter()
         for w in generate(n, family):
             s = stats(w)
             if family in ("A", "A*"):
-                want[s.exc, s.fixed_count] += 1
+                want[s.exc, s.fixed_count, _cro_type_a_reference(w)] += 1
             else:
                 want[s.fwex, s.neg, s.cro_b, s.des_b, s.fixed_count] += 1
         assert Counter(family_table(n, family)) == want
@@ -283,6 +285,19 @@ class TestTables:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             family_table(2, "C")
+
+
+class TestWalk:
+    @pytest.mark.parametrize("signed, family", [(True, "B"), (False, "A")])
+    @pytest.mark.parametrize("n", range(6))
+    def test_yields_each_window_once_with_its_stats(self, n, signed, family):
+        records = list(_walk(n, signed))
+        # the insertion order differs from generation order
+        assert sorted(w for w, *_ in records) == sorted(_generate_reference(n, family))
+        for w, wex, neg, fixed, des, cro in records:
+            s = stats(w)
+            assert (wex, neg, fixed, des, cro) == (
+                s.wex, s.neg, s.fixed_count, s.des_b, _cro_b_reference(w)), w
 
 
 class TestEquidistribution:
