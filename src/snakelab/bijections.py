@@ -13,18 +13,16 @@ between its mixed branch forms; its weight changes by exactly y^(+-2) and
 its fixed points are scheme F.  `psi2` is the analogue on scheme MSTAR with
 weight factor (y^2 q)^(+-1) and fixed points scheme G.
 
-Every map has one core on paths given as `(steps, weights)`: `_phi`,
-`_phi_inverse`, and one move table, `_toggle`, read with the row of
-`_MOVES` that names psi1's or psi2's level letter, level shift and pair
-offset.  The cores read per-shape cached plans (the decoded shape of
-`phi`, the level positions and facing pairs of a move) and check nothing.
-The catalog walks apply them to paths from `motzkin._paths` or to images
-that have just passed `motzkin._contains`.  The public `phi`,
-`phi_inverse`, `psi1` and `psi2` call the same cores on a `WeightedPath`'s
-fields: each checks its input and raises ValueError on a path outside its
-domain scheme, and none re-checks its output.  That the images land in the
-target scheme is verified by the catalog (prop-3.2, prop-3.6, prop-4.4 in
-`snakelab.checks`), so the claim survives `python -O`.
+Each map has one unchecked core on boxes `(steps, ranges)` (see
+`snakelab.motzkin`): `_phi`, `_phi_inverse` and the move table `_toggle`,
+read with psi1's or psi2's row of `_MOVES`.  A core picks its move from
+letters and branches alone and translates q intervals, so it sends a box
+to a box; it reads per-shape cached plans (the decoded shape of `phi`, the
+level positions and facing pairs of a move).  The public maps call the
+same cores on a path's one-point box; each raises ValueError on a path
+outside its domain scheme and none re-checks its output.  The catalog
+(prop-3.2, prop-3.6, prop-4.4 in `snakelab.checks`) verifies the images
+box by box, so the claim survives `python -O`.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from snakelab.algebra import Monomial
-from snakelab.motzkin import Weight, WeightedPath, in_family, matching_pairs, step_heights
+from snakelab.motzkin import Weight, WeightedPath, _corner, _point, in_family, matching_pairs, step_heights
 
 HEAD_Y2 = (2, 0, 0)
 HEAD_YT = (1, 1, 0)
@@ -64,15 +62,14 @@ def _phi_inverse_steps(steps: tuple[str, ...]) -> tuple[str, ...]:
     return tuple(map(_DECODE.__getitem__, zip(halves[::2], halves[1::2])))
 
 
-def _phi(steps: tuple[str, ...], weights: tuple) -> tuple:
-    """phi on a nonempty path given as (steps, weights), with no check of
-    the input: (head weight, (steps, weights) of the image)."""
-    return weights[0], (_phi_steps(steps), weights[1:])
+def _phi(steps: tuple[str, ...], ranges: tuple) -> tuple:
+    """phi on a nonempty box, unchecked: (head range, image box)."""
+    return ranges[0], (_phi_steps(steps), ranges[1:])
 
 
-def _phi_inverse(head, steps: tuple[str, ...], weights: tuple) -> tuple:
-    """phi_inverse on (steps, weights), with no check of the input."""
-    return _phi_inverse_steps(steps), (head, *weights)
+def _phi_inverse(head, steps: tuple[str, ...], ranges: tuple) -> tuple:
+    """phi_inverse on a head range and a box, unchecked."""
+    return _phi_inverse_steps(steps), (head, *ranges)
 
 
 def phi(path: WeightedPath) -> tuple[Weight, WeightedPath]:
@@ -81,8 +78,8 @@ def phi(path: WeightedPath) -> tuple[Weight, WeightedPath]:
     _require("M", path)
     if len(path) < 1:
         raise ValueError("phi needs a nonempty path")
-    head, image = _phi(path.steps, path.weights)
-    return head, WeightedPath(*image)
+    head, (steps, ranges) = _phi(path.steps, _point(path.weights))
+    return head[:3], WeightedPath(steps, _corner(ranges))
 
 
 def phi_inverse(head: Weight, path: WeightedPath) -> WeightedPath:
@@ -90,7 +87,8 @@ def phi_inverse(head: Weight, path: WeightedPath) -> WeightedPath:
     if head not in (HEAD_Y2, HEAD_YT):
         raise ValueError(f"head weight must be y^2 or y*t, got {Monomial(1, *head).text()}")
     _require("H", path)
-    return WeightedPath(*_phi_inverse(head, path.steps, path.weights))
+    steps, ranges = _phi_inverse((*head, head[2]), path.steps, _point(path.weights))
+    return WeightedPath(steps, _corner(ranges))
 
 
 @lru_cache(maxsize=None)
@@ -102,9 +100,14 @@ def _plan(steps: tuple[str, ...]) -> tuple[tuple[int, ...], tuple[tuple[int, int
     return levels, tuple((u, d, heights[u]) for u, d in matching_pairs(steps))
 
 
-def _toggle(steps: tuple[str, ...], weights: tuple, name: str) -> tuple:
-    """The first applicable move of psi1 or psi2 (`name`) on a raw path,
-    with no check of the input.
+def _shift(r: tuple, ey: int, et: int, by: int) -> tuple:
+    """The range r moved to branch (ey, et) with its q interval shifted by `by`."""
+    return ey, et, r[2] + by, r[3] + by
+
+
+def _toggle(steps: tuple[str, ...], ranges: tuple, name: str) -> tuple:
+    """The first applicable move of psi1 or psi2 (`name`) on a box, with no
+    check of the input.
 
     With (y2_step, y2_shift, up_offset) the involution's row of `_MOVES`:
     level toggle: a plain q^a level step of the other letter becomes
@@ -114,30 +117,36 @@ def _toggle(steps: tuple[str, ...], weights: tuple, name: str) -> tuple:
     y2_step, y2_shift, up_offset = _MOVES[name]
     levels, pairs = _plan(steps)
     for i in levels:
-        ey, et, eq = weights[i]
-        if et:
+        r = ranges[i]
+        if r[1]:
             continue
         if steps[i] == y2_step:
-            if ey != 2:
+            if r[0] != 2:
                 continue
-            step, w = ("L" if y2_step == "W" else "W"), (0, 0, eq - y2_shift)
-        elif ey:
+            step, r = ("L" if y2_step == "W" else "W"), _shift(r, 0, 0, -y2_shift)
+        elif r[0]:
             continue
         else:
-            step, w = y2_step, (2, 0, eq + y2_shift)
-        return steps[:i] + (step,) + steps[i + 1:], weights[:i] + (w,) + weights[i + 1:]
+            step, r = y2_step, _shift(r, 2, 0, y2_shift)
+        return steps[:i] + (step,) + steps[i + 1:], ranges[:i] + (r,) + ranges[i + 1:]
     for u, d, h in pairs:
-        (uy, ut, uq), (dy, dt, dq) = weights[u], weights[d]
-        if uy == 2 and ut == 0 and dy == 1 and dt == 1:
-            wu, wd = (1, 1, h + up_offset + uq), (0, 0, dq - (h + 1))
-        elif uy == 1 and ut == 1 and dy == 0 and dt == 0:
-            wu, wd = (2, 0, uq - (h + up_offset)), (1, 1, h + 1 + dq)
+        ru, rd = ranges[u], ranges[d]
+        if ru[:2] == (2, 0) and rd[:2] == (1, 1):
+            ru, rd = _shift(ru, 1, 1, h + up_offset), _shift(rd, 0, 0, -(h + 1))
+        elif ru[:2] == (1, 1) and rd[:2] == (0, 0):
+            ru, rd = _shift(ru, 2, 0, -(h + up_offset)), _shift(rd, 1, 1, h + 1)
         else:
             continue
-        out = list(weights)
-        out[u], out[d] = wu, wd
+        out = list(ranges)
+        out[u], out[d] = ru, rd
         return steps, tuple(out)
-    return steps, weights
+    return steps, ranges
+
+
+def _on_path(path: WeightedPath, name: str, scheme: str) -> WeightedPath:
+    _require(scheme, path)
+    steps, ranges = _toggle(path.steps, _point(path.weights), name)
+    return WeightedPath(steps, _corner(ranges))
 
 
 def psi1(path: WeightedPath) -> WeightedPath:
@@ -148,8 +157,7 @@ def psi1(path: WeightedPath) -> WeightedPath:
       pair toggle    (y^2 q^a, yt q^(h+1+b)) <-> (yt q^(h+1+a), q^b)
     Fixed points are exactly the scheme-F paths.
     """
-    _require("H", path)
-    return WeightedPath(*_toggle(path.steps, path.weights, "psi1"))
+    return _on_path(path, "psi1", "H")
 
 
 def psi2(path: WeightedPath) -> WeightedPath:
@@ -160,5 +168,4 @@ def psi2(path: WeightedPath) -> WeightedPath:
       pair toggle    (y^2 q^a, yt q^(h+1+b)) <-> (yt q^(h+a), q^b)
     The weight changes by exactly (y^2 q)^(+-1); fixed points are scheme G.
     """
-    _require("MSTAR", path)
-    return WeightedPath(*_toggle(path.steps, path.weights, "psi2"))
+    return _on_path(path, "psi2", "MSTAR")

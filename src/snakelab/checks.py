@@ -2,70 +2,50 @@
 
 Every identity the library implements is registered here once, under a
 stable id, with a default size ceiling chosen so that running the whole
-catalog stays within minutes on one core.  Exhaustive checks over signed
-permutations or weighted paths default to n <= 5; purely polynomial checks
-default to n <= 8.  A check function receives the ceiling and returns None
-on success or a witness string describing the smallest counterexample.
+catalog stays within minutes on one core: n <= 5 for exhaustive checks
+over signed permutations or weighted paths, n <= 8 for polynomial ones.
+A check function receives the ceiling and returns None on success or a
+witness string describing the smallest counterexample.
 
 Each entry is one row of `CHECKS`, of one of three kinds:
 - a series identity "lhs(n) == rhs(n) for n = start, start + step, ...,
-  n_max", run by one loop, `_identity`; its start is also its `min_n`.  A
-  side given as `_Series(build)` is entry n of one table built once per
-  run; the right sides that read q-Euler numbers share the form
-  `_q_euler_side`, one `q_euler_numbers` table per run.  The witness names
-  the smallest n: `n=N: lhs - rhs = <difference>` for polynomials,
-  `n=N: got X, want Y` otherwise, and for a pair of sides (thm-1.2) the
-  first component that differs;
-- a map between finite families: a bijection streamed by `_bijection`
-  (prop-3.2, lemma-sign-changes) or by the snake walk `_snake_code`
-  (thm-5.8, thm-5.12), or an involution read off the cached
-  `_involution_walk` (prop-3.6, lemma-3.8, prop-4.4);
-- a worked-example golden, `_golden_check`: got() equals the literal in its
-  row, else `got X, want Y`.
+  n_max", run by `_identity`; its start is also its `min_n`.  A side given
+  as `_Series(build)` is entry n of one table built once per run (the
+  q-Euler sides share `_q_euler_side`).  The witness names the smallest
+  n: `n=N: lhs - rhs = <difference>` for polynomials, `n=N: got X, want Y`
+  otherwise, and for a pair of sides (thm-1.2) the first that differs;
+- a map between finite families: prop-3.2 by `_restructure`,
+  lemma-sign-changes by `_bijection`, thm-5.8 and thm-5.12 by the snake
+  walk `_snake_code`, and prop-3.6, lemma-3.8 and prop-4.4 read off the
+  cached `_involution_walk`;
+- a worked-example golden, `_golden_check`: got() equals the literal in
+  its row, else `got X, want Y`.
 Each map check, and lemma-pattern, is a claim at one n that `_each_n` runs
 for n up to the ceiling, so its witness names the smallest n;
 lemma-sign-changes and lemma-pattern read S0, then S00, at each n.
 
-No check holds a family whole.  A bijection walk checks that each image
-lands in the target, which the inverse's domain guard tests, and maps back
-to its source, so the map is injective, hence onto once the source count
-equals the target's.  The path targets (H, TSTAR, T) are counted by
-`motzkin.path_count` as sums over shapes of products of menu sizes, not by
-a second enumeration.  An involution walk checks each fixed point to lie
-in the fixed-point scheme (F or G) and each moved point outside it, so the
-fixed set is that scheme once the two counts agree.  prop-3.6 and
-lemma-3.8 read one walk of H_n, which records the first witness of each
-claim, so either check still runs alone.
+No check holds a family whole.  A bijection check tests that each image
+lands in the target and maps back to its source, so the map is injective,
+hence onto once the source count equals the target's, which
+`motzkin.path_count` gives for the path targets H, TSTAR and T.  An image
+that fails is worded through the public inverse's domain guard.
 
-The path maps (prop-3.2 and the involution walks) run on paths as
-`(steps, weights)`, the fields of a `WeightedPath`.  They walk
-`motzkin._paths`, test membership with `motzkin._contains`, and apply the
-unchecked cores `bijections._phi`, `_phi_inverse` and `_toggle` only to
-generated paths or to images that have just passed that test.  A
-`WeightedPath` is built only to render a witness through its `text()`, so
-every witness reads as the public types print it.
+The path maps are proved once per box of paths (`motzkin._boxes`): one
+branch per step, each q exponent over an interval.  `bijections._phi`
+and `_toggle` pick their move from letters and branches and translate the
+intervals, so each box is checked whole: its image lies in the target
+(else `motzkin._first_outside` names the first path that leaves), maps
+back, keeps the weight law and the t-parity, and is fixed exactly when it
+lies in F or G, which branches decide.  Counts are sums of box sizes.  A
+witness is the failing path first in `_paths` order (`motzkin._order`),
+worded off its one-point box as the public maps word it.  prop-3.6 and
+lemma-3.8 share one walk of H_n, so either check still runs alone.
 
-The snake walk of thm-5.8 and thm-5.12 runs on raw windows the same way:
-one walk per n generates each snake once by `snakes._windows` and scans
-it once by `snakes._elements`.  Each snake's image (`snakes._encode`)
-must pass `motzkin._contains`, decode (`snakes._decode`) back to the
-window, and carry in its weights' t-exponents the scan's cs-vector, which
-is what `arnold_recover`'s closing check asks of the public inverse; the
-snake's key (`snakes._key`, shared with `snake_enumerator`) is added to
-the snake sum.  After the walk the count is compared with `path_count`
-and the sum with Q_n or R_n.  An image that fails is worded through the
-public inverse's guard, as for the path maps.  lemma-sign-changes and
-lemma-pattern also read `snakes._windows`; lemma-sign-changes wraps each
-window in a `Snake` for the public `cs_vector` and `arnold_recover` it
-checks.
-
-The permutation checks read the cached `permstats.a_table` and
-`permstats.b_table`, so the first check to touch an n pays for its table.
-Both are built by one insertion walk, `permstats._walk`, that updates
-each child's statistics from its parent's: a_table keys (exc, fixed, cro)
-and b_table (fwex, neg, cro_b, des_b, fixed), and every signed enumerator,
-the JV sums included, is a projection of one of them.  Clearing those
-caches is needed only where a test patches what fills them.
+The snake walk of thm-5.8 and thm-5.12 reads each raw window once
+(`snakes._windows`, `snakes._elements`); the permutation checks read the
+cached `permstats.a_table` and `b_table`, of which every signed
+enumerator, the JV sums included, is a projection.  Clearing those caches
+is needed only where a test patches what fills them.
 """
 
 from __future__ import annotations
@@ -74,7 +54,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import methodcaller
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from snakelab import bijections, eulerians, motzkin, permstats, snakes
@@ -226,13 +206,11 @@ def _equal(n: int, lhs, rhs) -> str | None:
 
 
 def _bijection(n: int, sources: Iterable, forward: Callable, inverse: Callable, target: str,
-               law=None, target_size: int | None = None,
-               text: Callable[[object], str] = methodcaller("text")) -> str | None:
+               law=None, target_size: int | None = None) -> str | None:
     """The first witness against `forward` being a bijection from the
     sources onto the target: for each source x in order, inverse(image) == x
     and no witness from law(x, image); then the count.  A ValueError from
-    the inverse, which guards the target, means the image left it.  A
-    witness names a source by text(x)."""
+    the inverse, which guards the target, means the image left it."""
     count = 0
     for x in sources:
         count += 1
@@ -240,9 +218,9 @@ def _bijection(n: int, sources: Iterable, forward: Callable, inverse: Callable, 
         try:
             back = inverse(image)
         except ValueError as err:
-            return f"n={n}: image leaves {target} at {text(x)}: {err}"
+            return f"n={n}: image leaves {target} at {x.text()}: {err}"
         if back != x:
-            return f"n={n}: round trip failed for {text(x)}"
+            return f"n={n}: round trip failed for {x.text()}"
         witness = law(x, image) if law else None
         if witness:
             return witness
@@ -255,36 +233,55 @@ def _text(path: motzkin.RawPath) -> str:
     return motzkin.WeightedPath(*path).text()
 
 
-_HEADS = (bijections.HEAD_Y2, bijections.HEAD_YT)
+def _first(found: dict, claim: str, scheme: str, path: motzkin.RawPath | None) -> None:
+    """Keep, for each claim, the failing path first in the scheme's `_paths` order."""
+    if path is not None and (claim not in found or motzkin._order(scheme, *path) < found[claim][0]):
+        found[claim] = motzkin._order(scheme, *path), path
+
+
+_HEAD_MENU = tuple((*head, head[2]) for head in (bijections.HEAD_Y2, bijections.HEAD_YT))
+_COVER = "{y^2, yt} x H"
+
+
+def _restructure_box(steps: tuple[str, ...], ranges: tuple) -> tuple:
+    """phi on one box of M: (head, image, outside, broken), with outside
+    the first path whose image leaves {y^2, yt} x H and broken the start of
+    the witness of the first claim that fails on the whole box."""
+    head, image = bijections._phi(steps, ranges)
+    menus = (_HEAD_MENU, *motzkin._shape_menus("H", image[0])[0])
+    outside = motzkin._first_outside(menus, steps, ranges, (head, *image[1]))
+    weights = motzkin._corner((head, *image[1])), motzkin._corner(ranges)
+    broken = ("round trip failed for" if bijections._phi_inverse(head, *image) != (steps, ranges) else
+              "weight not preserved for" if motzkin._weight(weights[0]) != motzkin._weight(weights[1]) else None)
+    return head, image, outside, broken
 
 
 def _restructure(n: int) -> str | None:
-    """prop-3.2 at n: phi maps M_n one to one onto {y^2, yt} x H_(n-1)."""
-
-    def inverse(image):
-        head, (steps, weights) = image
-        if head in _HEADS and motzkin._contains("H", steps, weights):
-            return bijections._phi_inverse(head, steps, weights)
-        # outside the target: the public inverse's guard raises the witness's error
-        return bijections.phi_inverse(head, motzkin.WeightedPath(steps, weights))
-
-    def law(p, image):
-        head, (_, weights) = image
-        if motzkin._weight((head, *weights)) != motzkin._weight(p[1]):
-            return f"n={n}: weight not preserved for {_text(p)}"
-        return None
-
-    return _bijection(
-        n, motzkin._paths("M", n), lambda p: bijections._phi(*p), inverse,
-        "{y^2, yt} x H", law, 2 * motzkin.path_count("H", n - 1), _text,
-    ) or _equal(n, motzkin.rho("M", n), (Y ** 2 + Y * T) * motzkin.rho("H", n - 1))
+    """prop-3.2 at n: phi maps M_n one to one onto {y^2, yt} x H_(n-1).
+    Each box of M_n maps to a head and a box of H_(n-1) and back, keeping
+    the weight, and the box sizes sum to the target's count."""
+    found: dict = {}
+    count = 0
+    for steps, ranges in motzkin._boxes("M", n):
+        count += motzkin._size(ranges)
+        _, _, outside, broken = _restructure_box(steps, ranges)
+        _first(found, "cover", "M", (steps, motzkin._corner(ranges)) if broken else outside)
+    if found:
+        path = steps, weights = found["cover"][1]
+        head, (steps_h, ranges_h), outside, broken = _restructure_box(steps, motzkin._point(weights))
+        if not outside:
+            return f"n={n}: {broken} {_text(path)}"
+        return _landing(n, _text(path), (steps_h, motzkin._corner(ranges_h)),
+                        lambda p: bijections.phi_inverse(head[:3], p), _COVER)
+    target_size = 2 * motzkin.path_count("H", n - 1)
+    if count != target_size:
+        return f"n={n}: {count} sources, {target_size} in {_COVER}"
+    return _equal(n, motzkin.rho("M", n), (Y ** 2 + Y * T) * motzkin.rho("H", n - 1))
 
 
 def _landing(n: int, source: str, image: motzkin.RawPath, inverse: Callable, target: str) -> str:
     """The witness for an image (steps, weights) that failed its tests,
-    worded as `_bijection` words it: the public inverse's guard raises the
-    witness's error, and an image it takes back names a failed round
-    trip."""
+    worded by the public inverse's guard as `_bijection` words it."""
     try:
         inverse(motzkin.WeightedPath(*image))
     except ValueError as err:
@@ -295,12 +292,9 @@ def _landing(n: int, source: str, image: motzkin.RawPath, inverse: Callable, tar
 def _snake_code(variant: str, offset: int, scheme: str, which: str) -> Callable[[int], str | None]:
     """thm-5.8 (lambda1, Q) or thm-5.12 (lambda2, R): the encoding maps the
     variant's snakes of size n + offset one to one onto the scheme's paths
-    of length n, and the snake sums equal Q_n or R_n.
-
-    One walk per n reads each raw window once: its scan gives the image,
-    the scan's cs-vector and the enumerator key.  Each image must lie in
-    the scheme and decode to the window and to the scan's cs-vector (what
-    `arnold_recover`'s closing check asks of the public inverse)."""
+    of length n, and the snake sums equal Q_n or R_n.  The decoded
+    cs-vector is what `arnold_recover`'s closing check asks of the public
+    inverse."""
     inverse = "lambda1_inv" if which == "Q" else "lambda2_inv"
     poly = eulerians.Q_poly if which == "Q" else eulerians.R_poly
 
@@ -359,47 +353,64 @@ _INVOLUTIONS = {
 }
 
 
+def _involution_box(scheme: str, steps: tuple[str, ...], ranges: tuple) -> tuple:
+    """One box of the scheme under its involution: (image, outside, broken,
+    corner, (wp, wi)), with outside the first path whose image leaves the
+    scheme, broken the witness format (of the path `p` and the weights
+    `wp`, `wi`) of the first claim that fails on the whole box, and wp, wi
+    the weights of the corner and its image.  F and G keep whole ranges of
+    H and MSTAR, so the corner decides membership in them."""
+    name, fixed_scheme, shifts = _INVOLUTIONS[scheme]
+    image = bijections._toggle(steps, ranges, name)
+    outside = motzkin._first_outside(motzkin._shape_menus(scheme, image[0])[0], steps, ranges, image[1])
+    corner = motzkin._corner(ranges)
+    wp, wi = motzkin._weight(corner), motzkin._weight(motzkin._corner(image[1]))
+    in_fixed = motzkin._contains(fixed_scheme, steps, corner)
+    if image == (steps, ranges):
+        broken = None if in_fixed else "unexpected fixed point {p}"
+    elif bijections._toggle(*image, name) != (steps, ranges):
+        broken = "not an involution at {p}"
+    elif in_fixed:
+        broken = "moved point satisfies the fixed-set menus: {p}"
+    elif (wi[0] - wp[0], wi[2] - wp[2]) not in shifts or wi[1] != wp[1]:
+        broken = "weight law broken at {p}: {wp} -> {wi}"
+    else:
+        broken = None
+    return image, outside, broken, corner, (wp, wi)
+
+
 @lru_cache(maxsize=None)
 def _involution_walk(scheme: str, n: int) -> dict[str, str]:
-    """One walk of the scheme's paths of length n under its involution:
+    """One walk of the scheme's boxes of length n under its involution:
     the first witness of each failing claim, keyed "involution",
     "fixed-set", "fixed-parity" and the t-degree slices "<scheme>1" (odd),
-    "<scheme>2"."""
-    name, fixed_scheme, shifts = _INVOLUTIONS[scheme]
-    toggle, contains, weight = bijections._toggle, motzkin._contains, motzkin._weight
+    "<scheme>2".  A witness is the failing path first in `_paths` order;
+    the involution's is worded off that path's own one-point box."""
+    name, fixed_scheme, _ = _INVOLUTIONS[scheme]
     pieces = (f"{scheme}2", f"{scheme}1")
-    found: dict[str, str] = {}
+    first: dict = {}
     fixed = 0
-    for p in motzkin._paths(scheme, n):
-        image = toggle(*p, name)
-        inside = contains(scheme, *image)
-        wp, wi = weight(p[1]), weight(image[1])
-        (py, pt, pq), (iy, it, iq) = wp, wi
-        piece = pieces[pt % 2]
-        if piece not in found and not (inside and (it - pt) % 2 == 0):
-            found[piece] = f"n={n}: {name} leaves the {piece} slice at {_text(p)}"
-        if "involution" in found:
-            continue
-        in_fixed, claim = contains(fixed_scheme, *p), None
-        if not inside:
-            claim = f"image leaves {scheme} at {_text(p)}: {_text(image)}"
-        elif toggle(*image, name) != p:
-            claim = f"not an involution at {_text(p)}"
-        elif image == p:
-            fixed += in_fixed
-            claim = None if in_fixed else f"unexpected fixed point {_text(p)}"
-        elif in_fixed:
-            claim = f"moved point satisfies the fixed-set menus: {_text(p)}"
-        elif (iy - py, iq - pq) not in shifts or it != pt:
-            claim = f"weight law broken at {_text(p)}: {Monomial(1, *wp).text()} -> {Monomial(1, *wi).text()}"
-        if claim:
-            found["involution"] = f"n={n}: {claim}"
+    for steps, ranges in motzkin._boxes(scheme, n):
+        image, outside, broken, corner, (wp, wi) = _involution_box(scheme, steps, ranges)
+        _first(first, pieces[wp[1] % 2], scheme, (steps, corner) if (wi[1] - wp[1]) % 2 else outside)
+        _first(first, "involution", scheme, (steps, corner) if broken else outside)
+        if not broken and image == (steps, ranges):
+            fixed += motzkin._size(ranges)
+    found = {piece: f"n={n}: {name} leaves the {piece} slice at {_text(first[piece][1])}"
+             for piece in pieces if piece in first}
+    if "involution" in first:
+        path = steps, weights = first["involution"][1]
+        image, outside, broken, _, (wp, wi) = _involution_box(scheme, steps, motzkin._point(weights))
+        found["involution"] = f"n={n}: " + (
+            f"image leaves {scheme} at {_text(path)}: {_text((image[0], motzkin._corner(image[1])))}" if outside
+            else broken.format(p=_text(path), wp=Monomial(1, *wp).text(), wi=Monomial(1, *wi).text()))
     size = 0
-    for p in motzkin._paths(fixed_scheme, n):
-        size += 1
-        t_degree = weight(p[1])[1]
-        if "fixed-parity" not in found and t_degree % 2 != n % 2:
-            found["fixed-parity"] = f"n={n}: fixed path with t-degree {t_degree}: {_text(p)}"
+    for steps, ranges in motzkin._boxes(fixed_scheme, n):
+        size += motzkin._size(ranges)
+        t_degree = sum(map(itemgetter(1), ranges))
+        if t_degree % 2 != n % 2:
+            path = _text((steps, motzkin._corner(ranges)))
+            found.setdefault("fixed-parity", f"n={n}: fixed path with t-degree {t_degree}: {path}")
     if fixed != size:
         found["fixed-set"] = f"n={n}: fixed set differs from the restricted path family"
     return found

@@ -25,21 +25,22 @@ monomial weights.  Implemented schemes:
 plus the parity slices MPRIME, MSTARPRIME (even powers of t in the path
 weight) and H1, H2 (odd and even powers of t).
 
-Each menu is stored as at most two exponent ranges (ey, et, eq_lo, eq_hi),
-one per (ey, et) branch (`_menu_ranges`).  Empty menu ranges (upper exponent
-below the lower one) yield empty menus, not errors; a fall step at height 0
-is an error.
+Each menu is at most two exponent ranges (ey, et, eq_lo, eq_hi), one per
+(ey, et) branch, with empty ranges dropped (`_menu_ranges`); a fall step
+at height 0 is an error.
 
 A path is `(steps, weights)`, each weight an exponent triple (ey, et, eq)
-standing for the monomial y^ey t^et q^eq of coefficient 1; a
-`WeightedPath` holds the same data with its shape validated.  `_paths` is
-the one generator and `_contains` the one membership test; both read
-per-shape caches of the menus (tuples and frozensets of triples shared per
-step and height), so a member is tested by one C-level `all(map(...))`
-plus the scheme's parity and pair rules.  `gen_weighted` and `in_family`
-are their public forms.  `rho` sums the triples and `path_count` counts a
-menu-defined scheme as a sum over shapes of products of menu sizes, with
-no path built.  A weight is printed as a `Monomial`.
+for the monomial y^ey t^et q^eq; a `WeightedPath` holds the same data with
+its shape validated.  A box is `(steps, ranges)`, one menu range per step:
+a branch per step, each q exponent over an interval.  A scheme's paths of
+one shape are the disjoint union of its boxes, and a path is the box whose
+intervals are points (`_point`, `_corner`).  One generator, `_paths`,
+lists both (`_boxes` is its box view) from one per-shape menu cache
+(`_shape_menus`) and applies the parity and pair rules, which read only
+branches.  `_contains` tests a path, `_first_outside` finds the first path
+of a box whose translate leaves the menus, and `_order` sorts paths as
+`_paths` lists them.  `rho` sums the weights and `path_count` counts a
+menu-defined scheme as a sum over shapes of products of menu sizes.
 """
 
 from __future__ import annotations
@@ -85,8 +86,9 @@ _SCHEME_INFO = {
 def _menu_ranges(table: str, step: str, h: int) -> tuple[tuple[int, int, int, int], ...]:
     """The menu of a step starting at height h as at most two exponent
     ranges (ey, et, eq_lo, eq_hi), each standing for the weights
-    y^ey t^et q^eq with eq_lo <= eq <= eq_hi.  F and G are the menus of H
-    and MSTAR with level steps kept on the yt branch only."""
+    y^ey t^et q^eq with eq_lo <= eq <= eq_hi; empty ranges are dropped.
+    F and G are the menus of H and MSTAR with level steps kept on the yt
+    branch only."""
     if table in ("F", "G"):
         ranges = _menu_ranges("H" if table == "F" else "MSTAR", step, h)
         return ranges if step in ("U", "D") else tuple(r for r in ranges if r[:2] == (1, 1))
@@ -129,17 +131,13 @@ def _menu_ranges(table: str, step: str, h: int) -> tuple[tuple[int, int, int, in
             ranges = ((0, 0, 0, h - 1), (1, 1, h, 2 * h - 1))
         else:  # H
             ranges = ((2, 0, 0, h), (1, 1, h, 2 * h))
-    return ranges
+    return tuple(r for r in ranges if r[2] <= r[3])
 
 
 @lru_cache(maxsize=None)
 def _menu(table: str, step: str, h: int) -> tuple[Weight, ...]:
     """The menu of a step starting at height h as weight triples, in range order."""
-    return tuple(
-        (ey, et, eq)
-        for ey, et, lo, hi in _menu_ranges(table, step, h)
-        for eq in range(lo, hi + 1)
-    )
+    return tuple((ey, et, eq) for ey, et, lo, hi in _menu_ranges(table, step, h) for eq in range(lo, hi + 1))
 
 
 @lru_cache(maxsize=None)
@@ -149,11 +147,8 @@ def _menu_set(table: str, step: str, h: int) -> frozenset[Weight]:
 
 def weight_menu(scheme: str, step: str, h: int) -> tuple[Weight, ...]:
     """Admissible weight triples for a step starting at height h, in range
-    order.
-
-    For F and G the rise/fall menus list every weight that can occur; which
-    combinations may face each other is the pair rule checked separately.
-    """
+    order.  For F and G, which rise and fall weights may face each other is
+    the pair rule, checked separately."""
     table = _scheme_info(scheme)[0]
     if step not in STEPS:
         raise ValueError(f"unknown step {step!r}")
@@ -184,11 +179,8 @@ def step_heights(steps: tuple[str, ...]) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def matching_pairs(steps: tuple[str, ...]) -> tuple[tuple[int, int], ...]:
-    """Facing (rise, fall) index pairs, 0-based, ordered by rise index.
-
-    Level steps are transparent: each rise is paired with the first later
-    fall at the same matched depth.
-    """
+    """Facing (rise, fall) index pairs, 0-based, ordered by rise index;
+    level steps are transparent."""
     step_heights(steps)
     stack: list[int] = []
     pairs: list[tuple[int, int]] = []
@@ -245,15 +237,10 @@ _ET = itemgetter(1)
 
 
 def _pairs_ok(weights: tuple[Weight, ...], pairs: tuple[tuple[int, int], ...]) -> bool:
-    """The pair rule of the fixed-point families F and G.  Exponent ranges
-    are already enforced by the per-step menus; only the branch coupling,
-    which F and G share, is decided here: every facing pair is weighted
-    F: (y^2 q^a, q^b) or (yt q^(h+1+a), yt q^(h+1+b));
-    G: (y^2 q^a, q^b) or (yt q^(h+a), yt q^(h+1+b))."""
-    for u, d in pairs:
-        if (weights[u][0] == 2) != (weights[d][0] == 0):
-            return False
-    return True
+    """The pair rule of F and G on weights or ranges: each facing pair is
+    coupled by its branches, (y^2, q-power) or (yt, yt); the menus enforce
+    the exponent ranges."""
+    return all((weights[u][0] == 2) == (weights[d][0] == 0) for u, d in pairs)
 
 
 def gen_shapes(n: int, forbid_wavy_on_axis: bool = False) -> Iterator[tuple[str, ...]]:
@@ -305,21 +292,22 @@ def _shapes(table: str, n: int) -> Iterator[tuple[str, ...]]:
 
 
 @lru_cache(maxsize=None)
-def _shape_menus(table: str, steps: tuple[str, ...]) -> tuple[tuple, tuple]:
-    """The menu of every step of a valid shape, in step order: as tuples of
-    weight triples, for expansion, and as frozensets, for membership.  Both
-    are shared per (table, step, height)."""
+def _shape_menus(table: str, steps: tuple[str, ...]) -> tuple[tuple, tuple, tuple]:
+    """The menu of every step of a valid shape as ranges, as weight triples
+    and as a frozenset of them, each shared per (table, step, height)."""
     at = tuple(zip(steps, step_heights(steps)))
-    return tuple(_menu(table, s, h) for s, h in at), tuple(_menu_set(table, s, h) for s, h in at)
+    return (tuple(_menu_ranges(table, s, h) for s, h in at), tuple(_menu(table, s, h) for s, h in at),
+            tuple(_menu_set(table, s, h) for s, h in at))
 
 
-def _paths(scheme: str, n: int) -> Iterator[RawPath]:
-    """All paths of the scheme as (steps, weights), shape by shape in
-    `gen_shapes` order, each shape by Cartesian expansion of its menus,
-    then the scheme's parity and pair filters."""
+def _paths(scheme: str, n: int, view: int = 1) -> Iterator[tuple]:
+    """All paths of the scheme as (steps, weights): each shape in
+    `gen_shapes` order with the Cartesian product of its menus, filtered by
+    the scheme's parity and pair rules.  View 0 lists the boxes instead,
+    as (steps, ranges)."""
     table, parity, pair_rule = _scheme_info(scheme)
     for steps in _shapes(table, n):
-        combos = itertools.product(*_shape_menus(table, steps)[0])
+        combos = itertools.product(*_shape_menus(table, steps)[view])
         if parity is not None:
             combos = (c for c in combos if sum(map(_ET, c)) % 2 == parity)
         if pair_rule:
@@ -328,11 +316,59 @@ def _paths(scheme: str, n: int) -> Iterator[RawPath]:
         yield from zip(itertools.repeat(steps), combos)
 
 
+def _boxes(scheme: str, n: int) -> Iterator[tuple]:
+    """All boxes of the scheme as (steps, ranges), in `_paths` order of their corners."""
+    return _paths(scheme, n, 0)
+
+
+_CORNER = itemgetter(0, 1, 2)
+
+
+def _point(weights: tuple[Weight, ...]) -> tuple:
+    """The ranges of the box that holds just the path with these weights."""
+    return tuple((ey, et, eq, eq) for ey, et, eq in weights)
+
+
+def _corner(ranges: tuple) -> tuple[Weight, ...]:
+    """The weights of a box's first path, every q at its low end."""
+    return tuple(map(_CORNER, ranges))
+
+
+def _size(ranges: tuple) -> int:
+    return math.prod(hi - lo + 1 for _, _, lo, hi in ranges)
+
+
+def _first_outside(menus: tuple, steps: tuple[str, ...], box: tuple, image: tuple) -> RawPath | None:
+    """For a box and its image (each range translated by a fixed amount),
+    the first path of the box, in `_paths` order, whose image leaves the
+    per-step menus, or None.  Paths of a box run in lexicographic order of
+    their q, so this is the corner if it leaves, else the corner with the
+    last step that can leave raised just past its good interval."""
+    if all(map(tuple.__contains__, menus, image)):
+        return None
+    good = [next(((m[2] - ilo + lo, m[3] - ilo + lo) for m in menu if m[:2] == (ey, et)), (hi + 1, hi))
+            for menu, (_, _, lo, hi), (ey, et, ilo, _) in zip(menus, box, image)]
+    qs = [r[2] for r in box]
+    if all(a <= q <= b for q, (a, b) in zip(qs, good)):
+        i = next((i for i in reversed(range(len(box))) if good[i][1] < box[i][3]), None)
+        if i is None:
+            return None
+        qs[i] = good[i][1] + 1
+    return steps, tuple((ey, et, q) for (ey, et, _, _), q in zip(box, qs))
+
+
+def _order(scheme: str, steps: tuple[str, ...], weights: tuple[Weight, ...]) -> tuple:
+    """The sort key of a path of the scheme in `_paths` order: its shape's
+    letters in `gen_shapes` order, then each weight's index in its menu."""
+    menus = _shape_menus(_scheme_info(scheme)[0], steps)[1]
+    return tuple(map(STEPS.index, steps)), tuple(map(tuple.index, menus, weights))
+
+
 def _contains(scheme: str, steps: tuple[str, ...], weights: tuple[Weight, ...]) -> bool:
     """Membership of a path (steps, weights) whose shape is valid:
     per-step menus, parity, pair rule."""
     table, parity, pair_rule = _scheme_info(scheme)
-    if not all(map(frozenset.__contains__, _shape_menus(table, steps)[1], weights)):
+    if not all(map(frozenset.__contains__, _shape_menus(table, steps)[2], weights)):
         return False
     if parity is not None and sum(map(_ET, weights)) % 2 != parity:
         return False
@@ -360,7 +396,7 @@ def path_count(scheme: str, n: int) -> int:
     (M, MSTAR, H, T, TSTAR): the sum over shapes of the product of the menu
     sizes, with no path built.  Schemes with a parity or pair rule raise."""
     table = _menu_table(scheme)
-    return sum(math.prod(map(len, _shape_menus(table, steps)[0])) for steps in _shapes(table, n))
+    return sum(math.prod(map(len, _shape_menus(table, steps)[1])) for steps in _shapes(table, n))
 
 
 def flajolet_schedule(scheme: str) -> "CoefficientSchedule":

@@ -35,10 +35,9 @@ each window in a `Snake`; `cs_vector`, `lambda1` and `lambda2` reject a
 window that is not a snake of its variant, and the encodings return
 `_encode`'s pair as a `WeightedPath`; the inverses test membership first,
 rebuild from the path's weights and close with `arnold_recover`'s check;
-and `snake_enumerator` sums `_key` over `_windows`.  `pattern_counts`, `block_profile`,
-`element_class`, `pat_q` and `pat_r` compute the same statistics one
-element at a time; they stay as the oracles the tests check the scan
-against.
+and `snake_enumerator` sums `_key` over `_windows`.  `pattern_counts` and
+`block_profile` compute the same statistics one element at a time; they
+stay as the oracles the tests check the scan against.
 """
 
 from __future__ import annotations
@@ -337,61 +336,6 @@ def pattern_counts(abs_window: Sequence[int], variant: str, j: int) -> tuple[int
     return thirteen_two, two_thirty_one
 
 
-def two_thirty_one_total(abs_window: Sequence[int], variant: str) -> int:
-    return sum(
-        pattern_counts(abs_window, variant, j)[1]
-        for j in range(1, len(abs_window) + 1)
-    )
-
-
-def element_class(snake: Snake, j: int) -> str:
-    """Classify element j: 'valley0' (valley, no sign change), 'X' (valley
-    with sign changes), 'Y' (double ascent or double descent), 'Z' (peak)."""
-    word = snake.abs_extended()
-    ext = snake.extended()
-    i = word.index(j, 1)
-    left, right = word[i - 1], word[i + 1]
-    if left > j < right:
-        return "X" if _changes(ext[i - 1], ext[i]) else "valley0"
-    if left < j > right:
-        return "Z"
-    return "Y"
-
-
-def _pattern_stat(snake: Snake, x_shift: int, count_peaks: bool) -> int:
-    total = 0
-    word = tuple(abs(v) for v in snake.window)
-    for j in word:
-        cls = element_class(snake, j)
-        a, b = pattern_counts(word, snake.variant, j)
-        if cls == "X":
-            total += 2 * (a + b) + x_shift
-        elif cls == "Y":
-            total += a + b
-        elif cls == "Z" and count_peaks:
-            total += 1
-    return total
-
-
-def pat_q(snake: Snake) -> int:
-    """q-pattern statistic of an S0 snake:
-    sum over valleys with sign changes of 2*(13-2 + 2-31) - 1, plus
-    sum over double ascents/descents of (13-2 + 2-31)."""
-    if snake.variant != "S0":
-        raise ValueError("pat_q expects an S0 snake")
-    return _pattern_stat(snake, x_shift=-1, count_peaks=False)
-
-
-def pat_r(snake: Snake) -> int:
-    """q-pattern statistic of an S00 snake:
-    sum over valleys with sign changes of 2*(13-2 + 2-31 - 1), plus
-    sum over double ascents/descents of (13-2 + 2-31), plus the number
-    of peaks."""
-    if snake.variant != "S00":
-        raise ValueError("pat_r expects an S00 snake")
-    return _pattern_stat(snake, x_shift=-2, count_peaks=True)
-
-
 def _encode(elements: Sequence[Element], offset: int) -> RawPath:
     """The path of a snake's scan, shared by the two encodings.
 
@@ -508,8 +452,9 @@ def _key(elements: Sequence[Element], offset: int) -> Key:
     """The exponent triple of a snake in `snake_enumerator`, from its scan:
     t^cs q^(2-31 + pat_q) for offset 0 (an S0 snake, the Q sum) and
     t^cs q^(2-31 + pat_r - size) for offset 1 (an S00 snake, the R sum).
-    cs is the sum of the cs-vector; the pattern statistic is `_pattern_stat`
-    with x_shift -1 - offset, counting peaks for offset 1."""
+    cs is the sum of the cs-vector.  pat_q adds 2*(13-2 + 2-31) - 1 per
+    valley with a sign change and 13-2 + 2-31 per double ascent or
+    descent; pat_r adds 2 less per such valley and 1 per peak."""
     changes = exponent = 0
     for step, change, thirteen_two, two_thirty_one in elements:
         exponent += two_thirty_one

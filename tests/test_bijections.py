@@ -186,16 +186,18 @@ class TestRawMoveTable:
     def test_agrees_with_monomial_reference(self, scheme, name, move, n):
         for p in gen_weighted(scheme, n):
             want = _toggle_reference(p, *move)
-            assert WeightedPath(*bijections._toggle(p.steps, p.weights, name)) == want
+            steps, ranges = bijections._toggle(p.steps, motzkin._point(p.weights), name)
+            assert WeightedPath(steps, motzkin._corner(ranges)) == want
             assert getattr(bijections, name)(p) == want
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_raw_phi_agrees_with_public_phi(self, n):
         for p in gen_weighted("M", n):
-            head, (steps, weights) = bijections._phi(p.steps, p.weights)
+            head, (steps, ranges) = bijections._phi(p.steps, motzkin._point(p.weights))
             want_head, want = phi(p)
-            assert (head, WeightedPath(steps, weights)) == (want_head, want)
-            assert WeightedPath(*bijections._phi_inverse(head, steps, weights)) == p
+            assert (head[:3], WeightedPath(steps, motzkin._corner(ranges))) == (want_head, want)
+            steps, ranges = bijections._phi_inverse(head, steps, ranges)
+            assert WeightedPath(steps, motzkin._corner(ranges)) == p
 
 
 def _psi1_check_reference(n_max):
@@ -299,14 +301,14 @@ class TestSharedPsi1Walk:
             assert walk is not None and walk == reference
 
     def test_fixed_set_is_compared_by_count(self, monkeypatch):
-        # F_0 loses its one path, so one fixed point of psi1 is left uncounted
-        real = motzkin._paths
+        # F_0 loses its one box, so one fixed point of psi1 is left uncounted
+        real = motzkin._boxes
 
         def short_f(scheme, n):
-            paths = list(real(scheme, n))
-            return iter(paths[:-1] if scheme == "F" else paths)
+            boxes = list(real(scheme, n))
+            return iter(boxes[:-1] if scheme == "F" else boxes)
 
-        monkeypatch.setattr(motzkin, "_paths", short_f)
+        monkeypatch.setattr(motzkin, "_boxes", short_f)
         assert _catalog("prop-3.6")(0) == "n=0: fixed set differs from the restricted path family"
 
     def test_weight_law_is_checked(self, monkeypatch):
@@ -336,9 +338,78 @@ class TestPsi2Walk:
 
     def test_identity_move_fails_both_routes(self, monkeypatch):
         # every path is fixed, so the first one outside G is reported
-        monkeypatch.setattr(bijections, "_toggle", lambda steps, weights, name: (steps, weights))
+        monkeypatch.setattr(bijections, "_toggle", lambda steps, ranges, name: (steps, ranges))
         walk = _catalog("prop-4.4")(4)
         assert "unexpected fixed point" in walk and walk == _psi2_check_reference(4)
+
+
+def _cover_reference(n_max):
+    """prop-3.2 as one walk of the guarded phi per path."""
+    for n in range(1, n_max + 1):
+        def law(p, image, n=n):
+            head, out = image
+            if tuple(map(sum, zip(head, out.weight()))) != p.weight():
+                return f"n={n}: weight not preserved for {p.text()}"
+            return None
+
+        witness = checks._bijection(
+            n, gen_weighted("M", n), phi, lambda image: phi_inverse(*image), "{y^2, yt} x H", law,
+            2 * motzkin.path_count("H", n - 1),
+        ) or checks._equal(n, rho("M", n), (Y ** 2 + Y * T) * rho("H", n - 1))
+        if witness:
+            return witness
+    return None
+
+
+@pytest.fixture
+def widen_menu(monkeypatch):
+    """Widen the first range of one menu by one at the top, so that a box's
+    image can overhang its target at the top only and the first failing
+    path of the box is not its corner."""
+    real = motzkin._menu_ranges
+    caches = (real, motzkin._menu, motzkin._menu_set, motzkin._shape_menus, checks._involution_walk)
+
+    def widen(table, step):
+        def widened(t, s, h):
+            out = real(t, s, h)
+            if (t, s) == (table, step):
+                (ey, et, lo, hi), *rest = out
+                out = ((ey, et, lo, hi + 1), *rest)
+            return out
+
+        monkeypatch.setattr(motzkin, "_menu_ranges", widened)
+        for cache in caches:
+            cache.cache_clear()
+
+    yield widen
+    for cache in caches:
+        cache.cache_clear()
+
+
+class TestBoxWitnesses:
+    @pytest.mark.parametrize("n_max", range(1, 6))
+    def test_cover_walk_agrees_with_reference(self, n_max):
+        assert _catalog("prop-3.2")(n_max) is None
+        assert _cover_reference(n_max) is None
+
+    def test_cover_witness_past_a_box_corner(self, widen_menu):
+        # the box U[y^2] D[q^0..q^1] maps to L[q^0..q^1], one past H's L[1]
+        widen_menu("M", "D")
+        walk = _catalog("prop-3.2")(4)
+        assert walk == _cover_reference(4)
+        assert walk == "n=2: image leaves {y^2, yt} x H at U[y^2] D[q]: path is not in scheme H: 'L[q]'"
+
+    @pytest.mark.parametrize("table, step, check_id, reference", [
+        ("H", "D", "prop-3.6", _psi1_check_reference),
+        ("H", "L", "prop-3.6", _psi1_check_reference),
+        ("MSTAR", "D", "prop-4.4", _psi2_check_reference),
+        ("MSTAR", "L", "prop-4.4", _psi2_check_reference),
+    ])
+    def test_involution_witness_past_a_box_corner(self, widen_menu, table, step, check_id, reference):
+        widen_menu(table, step)
+        walk = _catalog(check_id)(4)
+        assert walk is not None and walk == reference(4)
+        assert "image leaves" in walk
 
 
 class _Item:

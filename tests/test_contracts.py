@@ -34,6 +34,16 @@ def _bump_first(path: motzkin.RawPath, by: int) -> motzkin.RawPath:
     return steps, ((ey, et, eq + by), *rest)
 
 
+def _bump_first_range(box: tuple, by: int) -> tuple:
+    """The box (steps, ranges) with its first q interval shifted past any
+    menu."""
+    steps, ranges = box
+    if not ranges:
+        return box
+    (ey, et, lo, hi), *rest = ranges
+    return steps, ((ey, et, lo + by, hi + by), *rest)
+
+
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE_DIR.glob("*.py")))
 def test_no_assert_statements(module):
     tree = ast.parse((PACKAGE_DIR / module).read_text(), filename=module)
@@ -71,11 +81,11 @@ def test_checks_pass_under_optimize(check_id):
     [("prop-3.6", "psi1", "H"), ("prop-4.4", "psi2", "MSTAR")],
 )
 def test_involution_check_catches_bad_image(monkeypatch, fresh_caches, check_id, name, scheme):
-    # the checks apply the unguarded raw move behind the public map
+    # the checks apply the unguarded box move behind the public map
     real = bijections._toggle
 
-    def bad_move(steps, weights, move):
-        return _bump_first(real(steps, weights, move), 100)
+    def bad_move(steps, ranges, move):
+        return _bump_first_range(real(steps, ranges, move), 100)
 
     monkeypatch.setattr(bijections, "_toggle", bad_move)
     result = run_check(check_id)
@@ -131,14 +141,14 @@ def test_distribution_ignores_table_order(monkeypatch):
 _REAL_PHI = bijections._phi
 
 
-def _bad_phi(steps, weights):
-    # the raw map behind prop-3.2; the head absorbs the shift, so the weight
+def _bad_phi(steps, ranges):
+    # the box map behind prop-3.2; the head absorbs the shift, so the weight
     # is preserved and only the comparison with scheme H can see the bad image
-    head, (out_steps, out) = _REAL_PHI(steps, weights)
-    if not out:
-        return head, (out_steps, out)
-    (ey, et, eq), (fy, ft, fq) = head, out[0]
-    return (ey, et, eq - 100), (out_steps, ((fy, ft, fq + 100), *out[1:]))
+    head, image = _REAL_PHI(steps, ranges)
+    if not image[1]:
+        return head, image
+    ey, et, lo, hi = head
+    return (ey, et, lo - 100, hi - 100), _bump_first_range(image, 100)
 
 
 def test_cover_check_catches_bad_image(monkeypatch):

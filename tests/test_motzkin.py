@@ -18,8 +18,12 @@ from snakelab.motzkin import (
     gen_weighted,
     in_family,
     matching_pairs,
+    _boxes,
+    _first_outside,
+    _order,
     _paths,
     _scheme_info,
+    _size,
     path_count,
     rho,
     step_heights,
@@ -203,6 +207,60 @@ class TestGenWeighted:
             h1 = set(gen_weighted("H1", n))
             h2 = set(gen_weighted("H2", n))
             assert h1 | h2 == h_all and not (h1 & h2)
+
+
+class TestBoxes:
+    def _expand(self, scheme, n):
+        for steps, ranges in _boxes(scheme, n):
+            yield from self._expand_box(steps, ranges)
+
+    @pytest.mark.parametrize("scheme", ["H", "M", "MSTAR"])
+    @pytest.mark.parametrize("n", range(7))
+    def test_box_sizes_sum_to_path_count(self, scheme, n):
+        assert sum(_size(ranges) for _, ranges in _boxes(scheme, n)) == path_count(scheme, n)
+
+    def test_box_counts_at_seven(self):
+        assert [sum(1 for _ in _boxes(s, 7)) for s in ("H", "M", "MSTAR")] == [183040, 54912, 34825]
+
+    @pytest.mark.parametrize("scheme", ["F", "G"])
+    @pytest.mark.parametrize("n", range(6))
+    def test_fixed_family_box_sizes(self, scheme, n):
+        assert sum(_size(ranges) for _, ranges in _boxes(scheme, n)) == sum(1 for _ in _paths(scheme, n))
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("n", range(5))
+    def test_boxes_expand_to_the_paths(self, scheme, n):
+        expanded = list(self._expand(scheme, n))
+        assert len(expanded) == len(set(expanded))
+        assert set(expanded) == set(_paths(scheme, n))
+
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_order_key_is_generation_order(self, scheme):
+        for n in range(5):
+            paths = list(_paths(scheme, n))
+            assert sorted(paths, key=lambda p: _order(scheme, *p)) == paths
+
+    def test_first_outside_is_the_first_failing_path(self):
+        # every good interval on a box of three steps with q in 0..2 each
+        steps, box = ("L", "L", "L"), ((0, 0, 0, 2),) * 3
+        failing_all = (steps, ((0, 0, 0),) * 3)
+        intervals = [(a, b) for a in range(4) for b in range(-1, 3)]
+        for good in itertools.product(intervals, repeat=3):
+            failing = [p for p in self._expand_box(steps, box)
+                       if any(not a <= w[2] <= b for w, (a, b) in zip(p[1], good))]
+            menus = tuple(((0, 0, a, b),) for a, b in good)
+            assert _first_outside(menus, steps, box, box) == (failing[0] if failing else None)
+            # the same menus against the box translated by one, and on another branch
+            moved = tuple((0, 0, lo + 1, hi + 1) for _, _, lo, hi in box)
+            menus = tuple(((0, 0, a + 1, b + 1),) for a, b in good)
+            assert _first_outside(menus, steps, box, moved) == (failing[0] if failing else None)
+            assert _first_outside(menus, steps, box, ((1, 1, 1, 3),) * 3) == failing_all
+
+    @staticmethod
+    def _expand_box(steps, ranges):
+        for qs in itertools.product(*(range(lo, hi + 1) for _, _, lo, hi in ranges)):
+            yield steps, tuple((ey, et, q) for (ey, et, _, _), q in zip(ranges, qs))
 
 
 class TestPathCount:
