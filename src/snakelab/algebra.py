@@ -15,16 +15,18 @@ The module also provides the q-derivative operator D with (Df)(t) =
 step `operator_step` (D + UDU or D + DUU in one pass), and truncated series
 expansion of Jacobi- and Stieltjes-type continued fractions.
 
-All of these run on one row kernel: the terms grouped as (ey, et) rows of
-dense q-coefficients, added into each other as shifted, scaled slices by
-`_add_row`, with one `Poly` built per result.  Per route, with r rows of
-width w in the input:
+All of these, and the text form, run on one row kernel: the terms grouped
+as (ey, et) rows of dense q-coefficients (`_rows`), added into each other as
+shifted, scaled slices by `_add_row` and printed by `_text`, with a `Poly`
+built only for a result.  Per route, with r rows of width w in the input:
 - `q_derivative`, `u_multiply`, `operator_step`: one sort of the terms, then
-  one or two window-sum rows per input row, O(r w) list work in C;
+  one or two window-sum rows per input row, O(r w) list work in C; the
+  rows -> rows core `_step` needs no sort, so Q_n and R_n go from rows to
+  rows (`eulerians._qr_rows`);
 - `jfraction_series`: each weight's terms are read once, and each edge of
   the path sum adds one shifted, scaled copy of every row of its source
-  height per weight term, with no `Poly` product inside; `sfraction_series`
-  is the J-fraction with no level weights, read at even lengths.
+  height per weight term; `sfraction_series` is the J-fraction with no
+  level weights, read at even lengths.
 """
 
 from __future__ import annotations
@@ -72,14 +74,6 @@ class Poly:
     @classmethod
     def monomial(cls, coeff: int = 1, ey: int = 0, et: int = 0, eq: int = 0) -> "Poly":
         return cls({(ey, et, eq): coeff})
-
-    @classmethod
-    def from_quadruples(cls, rows: Iterable[Iterable[int]]) -> "Poly":
-        acc: dict[Key, int] = {}
-        for c, ey, et, eq in rows:
-            key = (ey, et, eq)
-            acc[key] = acc.get(key, 0) + c
-        return cls(acc)
 
     # -- ring operations ---------------------------------------------------
 
@@ -200,24 +194,8 @@ class Poly:
 
     # -- serialization -------------------------------------------------------
 
-    def to_quadruples(self) -> list[list[int]]:
-        return [[self.terms[key], *key] for key in sorted(self.terms)]
-
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        out = []
-        for (ey, et), row in groupby(sorted(self.terms), itemgetter(0, 1)):
-            head = _monomial_body((ey, et, 0))  # shared by the whole row
-            joint = f"{head}*" if head else ""
-            for key in row:
-                c, eq = self.terms[key], key[2]
-                body = head if not eq else f"{joint}q" if eq == 1 else f"{joint}q^{eq}"
-                mag = abs(c)
-                txt = (body if mag == 1 else f"{mag}*{body}") if body else str(mag)
-                out.append(f"- {txt}" if c < 0 else f"+ {txt}")
-        text = " ".join(out)
-        return text[2:] if text[0] == "+" else f"-{text[2:]}"
+        return _text(_rows(self))
 
     def __repr__(self) -> str:
         return f"Poly({self})"
@@ -260,14 +238,7 @@ class Monomial:
                         self.et + other.et, self.eq + other.eq)
 
     def text(self) -> str:
-        body = _monomial_body((self.ey, self.et, self.eq))
-        if not body:
-            return str(self.coeff)
-        if self.coeff == 1:
-            return body
-        if self.coeff == -1:
-            return f"-{body}"
-        return f"{self.coeff}*{body}"
+        return _text({(self.ey, self.et): [self.eq, [self.coeff]]})
 
 
 # -- row kernel -----------------------------------------------------------------
@@ -276,20 +247,43 @@ class Monomial:
 Rows = dict[tuple[int, int], list]
 
 
-def _tq_rows(p: Poly) -> Rows:
-    """The t-rows of a t,q polynomial, each dense from its lowest q exponent
-    (which may be negative), in t order."""
+def _rows(p: Poly) -> Rows:
+    """The rows of p, each dense from its lowest q exponent (which may be
+    negative), in (ey, et) order."""
     terms = p.terms
-    keys = sorted(terms)
-    if keys and keys[-1][0]:  # keys sort by ey first, so a y term is last
-        raise ValueError("operator domain is t,q polynomials")
     rows: Rows = {}
-    for (ey, et), row in groupby(keys, itemgetter(0, 1)):
+    for (ey, et), row in groupby(sorted(terms), itemgetter(0, 1)):
         row = list(row)
         lo = row[0][2]
         span = zip(repeat(ey), repeat(et), range(lo, row[-1][2] + 1))
         rows[ey, et] = [lo, list(map(terms.get, span, repeat(0)))]
     return rows
+
+
+def _tq_rows(p: Poly) -> Rows:
+    """The rows of p, which the operators take only with no y term."""
+    rows = _rows(p)
+    if any(ey for ey, _ in rows):
+        raise ValueError("operator domain is t,q polynomials")
+    return rows
+
+
+def _text(rows: Rows) -> str:
+    """The text form of rows, in canonical term order, zero slots skipped.
+    Reads rows only, so cached rows may be printed."""
+    out = []
+    for (ey, et), (lo, dense) in sorted(rows.items()):
+        head = _monomial_body((ey, et, 0))  # shared by the whole row
+        joint = f"{head}*" if head else ""
+        for eq, c in enumerate(dense, lo):
+            if not c:
+                continue
+            body = head if not eq else f"{joint}q" if eq == 1 else f"{joint}q^{eq}"
+            mag = abs(c)
+            txt = (body if mag == 1 else f"{mag}*{body}") if body else str(mag)
+            out.append(f"- {txt}" if c < 0 else f"+ {txt}")
+    text = " ".join(out) or "+ 0"
+    return text[2:] if text[0] == "+" else f"-{text[2:]}"
 
 
 def _poly(rows: Rows) -> Poly:
@@ -346,17 +340,22 @@ def q_derivative(p: Poly) -> Poly:
     return _poly(acc)
 
 
-def operator_step(p: Poly, shift: int) -> Poly:
-    """D p + U^(2-shift) D U^shift p: (D + UDU) p for shift 1, the step of
-    Q_n, and (D + DUU) p for shift 2, the step of R_n.  One pass over the
-    t-rows of p: row t^et adds its width-et window sums to row et-1 and its
-    width-(et+shift) window sums to row et+1, whole rows at a time."""
+def _step(rows: Rows, shift: int) -> Rows:
+    """The rows of D f + U^(2-shift) D U^shift f, given the t-rows of f, in
+    one pass that reads them only: row t^et adds its width-et window sums to
+    row et-1 and its width-(et+shift) window sums to row et+1."""
     acc: Rows = {}
-    for (_, et), (lo, dense) in _tq_rows(p).items():
+    for (_, et), (lo, dense) in rows.items():
         if et:
             _add_row(acc, (0, et - 1), lo, _window_sums(dense, et))
         _add_row(acc, (0, et + 1), lo, _window_sums(dense, et + shift))
-    return _poly(acc)
+    return acc
+
+
+def operator_step(p: Poly, shift: int) -> Poly:
+    """D p + U^(2-shift) D U^shift p: (D + UDU) p for shift 1, the step of
+    Q_n, and (D + DUU) p for shift 2, the step of R_n, as one `_step`."""
+    return _poly(_step(_tq_rows(p), shift))
 
 
 def u_multiply(p: Poly) -> Poly:

@@ -10,10 +10,10 @@ Subcommands:
       Print Q, R, B (polynomials), E, S (integers) or Eq (q-polynomials)
       for indices 0..K in canonical order, byte-for-byte deterministic.
       Every table takes a polynomial-time route: Q and R by the operators
-      (D + UDU)^n 1 and (D + DUU)^n 1, one fused pass per step, B by the
-      Corteel J-fraction, E by the Seidel boustrophedon, S by (D + UDU)^n 1
-      at q = 1 on integer coefficient lists, Eq by one q-secant and one
-      q-tangent S-fraction.
+      (D + UDU)^n 1 and (D + DUU)^n 1, kept as q-rows from each step to the
+      printed text, B by the Corteel J-fraction, E by the Seidel
+      boustrophedon, S by (D + UDU)^n 1 at q = 1 on integer coefficient
+      lists, Eq by one q-secant and one q-tangent S-fraction.
   list-checks
       Print the catalog of check ids with default ceilings.
 
@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 
 from snakelab import checks as checklib
 from snakelab import eulerians, permstats
-from snakelab.algebra import jfraction_series
+from snakelab.algebra import _text, jfraction_series
 from snakelab.checks import CheckResult
 
 USAGE_EXIT = 126
@@ -73,12 +73,11 @@ def _build_parser() -> _Parser:
 
 
 def _row_value(obj: str, n: int):
-    """Value of object n, for the objects computed index by index."""
-    if obj == "Q":
-        return str(eulerians.Q_poly(n))
-    if obj == "R":
-        return str(eulerians.R_poly(n))
-    raise ValueError(f"unknown object {obj!r}")
+    """Value of object n, for the objects computed index by index: Q and R,
+    printed straight from their cached rows (steps D + UDU and D + DUU)."""
+    if obj not in ("Q", "R"):
+        raise ValueError(f"unknown object {obj!r}")
+    return _text(eulerians._qr_rows(1 if obj == "Q" else 2, n))
 
 
 def _table(obj: str, n_max: int) -> list:

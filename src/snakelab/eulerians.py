@@ -7,24 +7,23 @@ D and the multiplication operator U:
 
     Q_n(t,q) = (D + UDU)^n 1        R_n(t,q) = (D + DUU)^n 1
 
-Each step is one fused `algebra.operator_step` pass over the t-rows, with no
-intermediate polynomial.  Both are also obtainable as coefficients of
-Jacobi-type continued fractions; `q_fraction_schedule` and
-`r_fraction_schedule` provide the schedules so the two routes can be checked
-against each other.
+Both stay as t-rows from one `algebra._step` to the next (`_qr_rows`), and
+`Q_poly` and `R_poly` are `Poly` views of those rows.  They are also the
+coefficients of the J-fractions of `q_fraction_schedule` and
+`r_fraction_schedule`, so the two routes check each other.
 
 Integer tables take polynomial-time routes: `seidel_numbers` runs the
 Seidel boustrophedon for E_0..E_n, `springer_numbers` applies D + UDU at
 q = 1 to integer coefficient lists in t, since S_n = Q_n(1,1), and
 `q_euler_numbers` reads E_0(q)..E_n(q) off one S-fraction per parity.  The
-brute-force counters `count_alternating` and `springer_number` enumerate
-permutations and snakes; they are kept as independent oracles for the
-checks, not as routes.
+brute-force oracles enumerate: `count_alternating` permutations, for the
+tests, and `springer_number` snakes, for the checks.
 
-`euler_number`, `springer_number`, `q_euler`, `Q_poly` and `R_poly` are
-memoized; the table functions (`seidel_numbers`, `springer_numbers`,
-`q_euler_numbers`, `qr_series`) and `count_alternating` recompute on each
-call.  Everything here is pure and safe for concurrent readers.
+`euler_number`, `springer_number`, `q_euler`, `Q_poly`, `R_poly` and
+`_qr_rows` are memoized; the table functions (`seidel_numbers`,
+`springer_numbers`, `q_euler_numbers`, `qr_series`) and `count_alternating`
+recompute on each call.  Everything here is pure, and no caller mutates a
+cached value, so it is safe for concurrent readers.
 """
 
 from __future__ import annotations
@@ -39,8 +38,10 @@ from snakelab.algebra import (
     T,
     CoefficientSchedule,
     Poly,
+    Rows,
+    _poly,
+    _step,
     jfraction_series,
-    operator_step,
     q_int,
     sfraction_series,
 )
@@ -129,23 +130,24 @@ def q_euler_numbers(n_max: int) -> list[Poly]:
 
 
 @lru_cache(maxsize=None)
-def Q_poly(n: int) -> Poly:
-    """Q_n(t,q) = (D + UDU)^n applied to 1."""
+def _qr_rows(shift: int, n: int) -> Rows:
+    """The t-rows of Q_n (shift 1) or R_n (shift 2), one `_step` from those
+    of n-1.  Every caller shares them, so none may mutate them."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 0:
-        return ONE
-    return operator_step(Q_poly(n - 1), 1)
+    return _step(_qr_rows(shift, n - 1), shift) if n else {(0, 0): [0, [1]]}
+
+
+@lru_cache(maxsize=None)
+def Q_poly(n: int) -> Poly:
+    """Q_n(t,q) = (D + UDU)^n applied to 1."""
+    return _poly(_qr_rows(1, n))
 
 
 @lru_cache(maxsize=None)
 def R_poly(n: int) -> Poly:
     """R_n(t,q) = (D + DUU)^n applied to 1."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        return ONE
-    return operator_step(R_poly(n - 1), 2)
+    return _poly(_qr_rows(2, n))
 
 
 def q_fraction_schedule() -> CoefficientSchedule:

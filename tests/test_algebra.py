@@ -1,8 +1,11 @@
 """Laurent-polynomial arithmetic, operator algebra and continued fractions."""
 
+import copy
+
 import pytest
 from hypothesis import example, given, strategies as st
 
+from snakelab import cli
 from snakelab.algebra import (
     ONE,
     Q,
@@ -12,6 +15,8 @@ from snakelab.algebra import (
     CoefficientSchedule,
     Monomial,
     Poly,
+    _poly,
+    _text,
     jfraction_series,
     operator_step,
     q_derivative,
@@ -19,13 +24,23 @@ from snakelab.algebra import (
     sfraction_series,
     u_multiply,
 )
-from snakelab.eulerians import Q_poly, R_poly, q_fraction_schedule, r_fraction_schedule
+from snakelab.eulerians import Q_poly, R_poly, _qr_rows, q_fraction_schedule, r_fraction_schedule
 from snakelab.permstats import corteel_schedule
 
 Q2 = ONE + (ONE + Q) * T ** 2  # 1 + (1+q)t^2
 
+
+def _from_quadruples(rows) -> Poly:
+    """The Poly with coefficient c at (ey, et, eq) for each [c, ey, et, eq],
+    repeated keys summed."""
+    acc = {}
+    for c, ey, et, eq in rows:
+        acc[ey, et, eq] = acc.get((ey, et, eq), 0) + c
+    return Poly(acc)
+
+
 polys = st.builds(
-    Poly.from_quadruples,
+    _from_quadruples,
     st.lists(
         st.tuples(
             st.integers(-5, 5),
@@ -39,7 +54,7 @@ polys = st.builds(
 
 # wide enough for windows of width up to 12 and q-rows with gaps
 tq_polys = st.builds(
-    Poly.from_quadruples,
+    _from_quadruples,
     st.lists(
         st.tuples(
             st.integers(-50, 50),
@@ -106,7 +121,7 @@ def _sfraction_reference(a, n_max: int) -> list[Poly]:
 fraction_weights = st.one_of(
     st.just(ZERO),
     st.builds(
-        Poly.from_quadruples,
+        _from_quadruples,
         st.lists(
             st.tuples(
                 st.integers(-3, 3),
@@ -174,7 +189,7 @@ class TestRingOps:
 
     def test_mul_monomials(self):
         assert T * T == T ** 2
-        assert (ONE + Q) * T * T == Poly.from_quadruples([[1, 0, 2, 0], [1, 0, 2, 1]])
+        assert (ONE + Q) * T * T == _from_quadruples([[1, 0, 2, 0], [1, 0, 2, 1]])
 
     def test_laurent_cancellation(self):
         qinv = Poly.monomial(eq=-1)
@@ -415,13 +430,13 @@ class TestSerialization:
 
     def test_quadruples_roundtrip(self):
         p = Q2 * Y - Poly.monomial(2, 0, 0, -1)
-        rows = p.to_quadruples()
+        rows = [[p.terms[key], *key] for key in sorted(p.terms)]
         assert rows == sorted(rows, key=lambda r: (r[1], r[2], r[3]))
-        assert Poly.from_quadruples(rows) == p
+        assert _from_quadruples(rows) == p
 
     def test_from_quadruples_sums_repeats(self):
         rows = [[1, 0, 1, 0], [2, 0, 1, 0], [4, 1, 0, -1], [-4, 1, 0, -1]]
-        assert Poly.from_quadruples(rows) == 3 * T
+        assert _from_quadruples(rows) == 3 * T
 
     def test_monomial_text(self):
         assert Monomial().text() == "1"
@@ -432,3 +447,54 @@ class TestSerialization:
     def test_monomial_product(self):
         m = Monomial(1, 1, 1, 2) * Monomial(1, 1, 0, -3)
         assert m == Monomial(1, 2, 1, -1)
+
+
+# rows as the kernel holds them: y rows, negative q exponents, +-1 and zero
+# slots anywhere in a row, rows that are all zeros, and no rows at all
+raw_rows = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 3)),
+    st.tuples(st.integers(-4, 3), st.lists(st.integers(-3, 3), max_size=6)).map(list),
+    max_size=4,
+)
+
+
+class TestRowCache:
+    @example({})
+    @example({(0, 1): [-2, [0, 0]], (1, 0): [0, []]})
+    @example({(0, 0): [-1, [0, -1, 0, 1, 0]], (2, 3): [1, [1, 0, 0, -3]]})
+    @given(raw_rows)
+    def test_text_matches_reference(self, rows):
+        before = copy.deepcopy(rows)
+        assert _text(rows) == _str_reference(_poly(rows))
+        assert rows == before
+
+    @pytest.mark.parametrize("n", range(26))
+    def test_row_value_matches_reference(self, n):
+        assert cli._row_value("Q", n) == _str_reference(Q_poly(n))
+        assert cli._row_value("R", n) == _str_reference(R_poly(n))
+
+    @pytest.mark.parametrize("shift", (1, 2))
+    def test_rows_match_composition(self, shift):
+        f = ONE
+        for n in range(13):
+            assert _poly(_qr_rows(shift, n)) == f
+            f = _STEP_REFERENCE[shift](f)
+
+    def test_cached_rows_are_only_read(self):
+        _qr_rows.cache_clear()  # so that step n+1 below reads the rows of n
+        n = 9
+        before = {shift: copy.deepcopy(_qr_rows(shift, n)) for shift in (1, 2)}
+        routes = ((1, "Q", Q_poly), (2, "R", R_poly))
+        texts = {obj: cli._row_value(obj, n) for _, obj, _ in routes}
+        for shift, obj, poly in routes:
+            assert str(poly(n)) == texts[obj]
+            assert operator_step(poly(n), shift) == poly(n + 1)
+            assert cli._row_value(obj, n + 1) == str(poly(n + 1))
+        for shift, obj, poly in routes:
+            assert _qr_rows(shift, n) == before[shift]
+            assert cli._row_value(obj, n) == texts[obj] == str(poly(n))
+
+    def test_negative_n_rejected(self):
+        for make in (Q_poly, R_poly, lambda n: cli._row_value("Q", n)):
+            with pytest.raises(ValueError, match="n must be >= 0"):
+                make(-1)
