@@ -12,16 +12,16 @@ terms in canonical order as ``c*y^a*t^b*q^e`` with unit parts omitted, e.g.::
 
 The module also provides the q-derivative operator D with (Df)(t) =
 (f(qt) - f(t)) / ((q-1)t), the multiplication-by-t operator U, the fused
-step `operator_step` (D + UDU or D + DUU in one pass), and truncated series
+rows step `_step` (D + UDU or D + DUU in one pass), and truncated series
 expansion of Jacobi- and Stieltjes-type continued fractions.
 
 All of these, and the text form, run on one row kernel: the terms grouped
 as (ey, et) rows of dense q-coefficients (`_rows`), added into each other as
 shifted, scaled slices by `_add_row` and printed by `_text`, with a `Poly`
 built only for a result.  Per route, with r rows of width w in the input:
-- `q_derivative`, `u_multiply`, `operator_step`: one sort of the terms, then
-  one or two window-sum rows per input row, O(r w) list work in C; the
-  rows -> rows core `_step` needs no sort, so Q_n and R_n go from rows to
+- `q_derivative`, `u_multiply`: one sort of the terms, then one
+  window-sum row per input row, O(r w) list work in C; `_step` sends each
+  row to two window-sum rows with no sort, so Q_n and R_n go from rows to
   rows (`eulerians._qr_rows`);
 - `jfraction_series`: each weight's terms are read once, and each edge of
   the path sum adds one shifted, scaled copy of every row of its source
@@ -350,12 +350,6 @@ def _step(rows: Rows, shift: int) -> Rows:
             _add_row(acc, (0, et - 1), lo, _window_sums(dense, et))
         _add_row(acc, (0, et + 1), lo, _window_sums(dense, et + shift))
     return acc
-
-
-def operator_step(p: Poly, shift: int) -> Poly:
-    """D p + U^(2-shift) D U^shift p: (D + UDU) p for shift 1, the step of
-    Q_n, and (D + DUU) p for shift 2, the step of R_n, as one `_step`."""
-    return _poly(_step(_tq_rows(p), shift))
 
 
 def u_multiply(p: Poly) -> Poly:

@@ -36,10 +36,11 @@ and `_toggle` pick their move from letters and branches and translate the
 intervals, so each box is checked whole: its image lies in the target
 (else `motzkin._first_outside` names the first path that leaves), maps
 back, keeps the weight law and the t-parity, and is fixed exactly when it
-lies in F or G, which branches decide.  Counts are sums of box sizes.  A
-witness is the failing path first in `_paths` order (`motzkin._order`),
-worded off its one-point box as the public maps word it.  prop-3.6 and
-lemma-3.8 share one walk of H_n, so either check still runs alone.
+lies in F or G, which branches decide.  Counts are sums of box sizes.
+`motzkin._paths` lists the paths box by box, so a claim's witness is the
+first failing path of its first failing box, worded off that path's
+one-point box as the public maps word it.  prop-3.6 and lemma-3.8 share
+one walk of H_n, so either check still runs alone.
 
 The snake walk of thm-5.8 and thm-5.12 reads each raw window once
 (`snakes._windows`, `snakes._elements`); the permutation checks read the
@@ -233,12 +234,6 @@ def _text(path: motzkin.RawPath) -> str:
     return motzkin.WeightedPath(*path).text()
 
 
-def _first(found: dict, claim: str, scheme: str, path: motzkin.RawPath | None) -> None:
-    """Keep, for each claim, the failing path first in the scheme's `_paths` order."""
-    if path is not None and (claim not in found or motzkin._order(scheme, *path) < found[claim][0]):
-        found[claim] = motzkin._order(scheme, *path), path
-
-
 _HEAD_MENU = tuple((*head, head[2]) for head in (bijections.HEAD_Y2, bijections.HEAD_YT))
 _COVER = "{y^2, yt} x H"
 
@@ -248,7 +243,7 @@ def _restructure_box(steps: tuple[str, ...], ranges: tuple) -> tuple:
     the first path whose image leaves {y^2, yt} x H and broken the start of
     the witness of the first claim that fails on the whole box."""
     head, image = bijections._phi(steps, ranges)
-    menus = (_HEAD_MENU, *motzkin._shape_menus("H", image[0])[0])
+    menus = (_HEAD_MENU, *motzkin._shape_menus("H", image[0]))
     outside = motzkin._first_outside(menus, steps, ranges, (head, *image[1]))
     weights = motzkin._corner((head, *image[1])), motzkin._corner(ranges)
     broken = ("round trip failed for" if bijections._phi_inverse(head, *image) != (steps, ranges) else
@@ -259,20 +254,19 @@ def _restructure_box(steps: tuple[str, ...], ranges: tuple) -> tuple:
 def _restructure(n: int) -> str | None:
     """prop-3.2 at n: phi maps M_n one to one onto {y^2, yt} x H_(n-1).
     Each box of M_n maps to a head and a box of H_(n-1) and back, keeping
-    the weight, and the box sizes sum to the target's count."""
-    found: dict = {}
+    the weight, and the box sizes sum to the target's count.  The witness
+    is the first failing path of the first failing box."""
     count = 0
     for steps, ranges in motzkin._boxes("M", n):
         count += motzkin._size(ranges)
         _, _, outside, broken = _restructure_box(steps, ranges)
-        _first(found, "cover", "M", (steps, motzkin._corner(ranges)) if broken else outside)
-    if found:
-        path = steps, weights = found["cover"][1]
-        head, (steps_h, ranges_h), outside, broken = _restructure_box(steps, motzkin._point(weights))
-        if not outside:
-            return f"n={n}: {broken} {_text(path)}"
-        return _landing(n, _text(path), (steps_h, motzkin._corner(ranges_h)),
-                        lambda p: bijections.phi_inverse(head[:3], p), _COVER)
+        if broken or outside:
+            path = steps, weights = (steps, motzkin._corner(ranges)) if broken else outside
+            head, (steps_h, ranges_h), outside, broken = _restructure_box(steps, motzkin._point(weights))
+            if not outside:
+                return f"n={n}: {broken} {_text(path)}"
+            return _landing(n, _text(path), (steps_h, motzkin._corner(ranges_h)),
+                            lambda p: bijections.phi_inverse(head[:3], p), _COVER)
     target_size = 2 * motzkin.path_count("H", n - 1)
     if count != target_size:
         return f"n={n}: {count} sources, {target_size} in {_COVER}"
@@ -362,7 +356,7 @@ def _involution_box(scheme: str, steps: tuple[str, ...], ranges: tuple) -> tuple
     H and MSTAR, so the corner decides membership in them."""
     name, fixed_scheme, shifts = _INVOLUTIONS[scheme]
     image = bijections._toggle(steps, ranges, name)
-    outside = motzkin._first_outside(motzkin._shape_menus(scheme, image[0])[0], steps, ranges, image[1])
+    outside = motzkin._first_outside(motzkin._shape_menus(scheme, image[0]), steps, ranges, image[1])
     corner = motzkin._corner(ranges)
     wp, wi = motzkin._weight(corner), motzkin._weight(motzkin._corner(image[1]))
     in_fixed = motzkin._contains(fixed_scheme, steps, corner)
@@ -384,22 +378,26 @@ def _involution_walk(scheme: str, n: int) -> dict[str, str]:
     """One walk of the scheme's boxes of length n under its involution:
     the first witness of each failing claim, keyed "involution",
     "fixed-set", "fixed-parity" and the t-degree slices "<scheme>1" (odd),
-    "<scheme>2".  A witness is the failing path first in `_paths` order;
-    the involution's is worded off that path's own one-point box."""
+    "<scheme>2".  A witness is the first failing path of the first box
+    that fails the claim; the involution's is worded off that path's own
+    one-point box."""
     name, fixed_scheme, _ = _INVOLUTIONS[scheme]
     pieces = (f"{scheme}2", f"{scheme}1")
     first: dict = {}
     fixed = 0
     for steps, ranges in motzkin._boxes(scheme, n):
         image, outside, broken, corner, (wp, wi) = _involution_box(scheme, steps, ranges)
-        _first(first, pieces[wp[1] % 2], scheme, (steps, corner) if (wi[1] - wp[1]) % 2 else outside)
-        _first(first, "involution", scheme, (steps, corner) if broken else outside)
+        slice_path = (steps, corner) if (wi[1] - wp[1]) % 2 else outside
+        if slice_path:
+            first.setdefault(pieces[wp[1] % 2], slice_path)
+        if broken or outside:
+            first.setdefault("involution", (steps, corner) if broken else outside)
         if not broken and image == (steps, ranges):
             fixed += motzkin._size(ranges)
-    found = {piece: f"n={n}: {name} leaves the {piece} slice at {_text(first[piece][1])}"
+    found = {piece: f"n={n}: {name} leaves the {piece} slice at {_text(first[piece])}"
              for piece in pieces if piece in first}
     if "involution" in first:
-        path = steps, weights = first["involution"][1]
+        path = steps, weights = first["involution"]
         image, outside, broken, _, (wp, wi) = _involution_box(scheme, steps, motzkin._point(weights))
         found["involution"] = f"n={n}: " + (
             f"image leaves {scheme} at {_text(path)}: {_text((image[0], motzkin._corner(image[1])))}" if outside

@@ -34,13 +34,14 @@ for the monomial y^ey t^et q^eq; a `WeightedPath` holds the same data with
 its shape validated.  A box is `(steps, ranges)`, one menu range per step:
 a branch per step, each q exponent over an interval.  A scheme's paths of
 one shape are the disjoint union of its boxes, and a path is the box whose
-intervals are points (`_point`, `_corner`).  One generator, `_paths`,
-lists both (`_boxes` is its box view) from one per-shape menu cache
-(`_shape_menus`) and applies the parity and pair rules, which read only
-branches.  `_contains` tests a path, `_first_outside` finds the first path
-of a box whose translate leaves the menus, and `_order` sorts paths as
-`_paths` lists them.  `rho` sums the weights and `path_count` counts a
-menu-defined scheme as a sum over shapes of products of menu sizes.
+intervals are points (`_point`, `_corner`).  The one generator, `_boxes`,
+takes per shape the product of its step menus and applies the parity and
+pair rules, which read only branches.  `_paths` expands each box in that
+order, its q exponents lexicographically, so the first failing path of
+the first failing box is the first failing path.  `_contains` tests a path
+against a frozenset per step, and `_first_outside` finds the first path
+of a box whose translate leaves the menus.  `rho` sums a box as a monomial
+times q-integers, and `path_count` multiplies menu sizes per shape.
 """
 
 from __future__ import annotations
@@ -49,11 +50,11 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
-from operator import itemgetter
+from functools import lru_cache, reduce
+from operator import itemgetter, sub
 from typing import Iterator
 
-from snakelab.algebra import Monomial, Poly
+from snakelab.algebra import Monomial, Poly, _add_row, _poly, _window_sums
 
 STEPS = ("U", "D", "L", "W")
 
@@ -134,15 +135,15 @@ def _menu_ranges(table: str, step: str, h: int) -> tuple[tuple[int, int, int, in
     return tuple(r for r in ranges if r[2] <= r[3])
 
 
-@lru_cache(maxsize=None)
-def _menu(table: str, step: str, h: int) -> tuple[Weight, ...]:
-    """The menu of a step starting at height h as weight triples, in range order."""
-    return tuple((ey, et, eq) for ey, et, lo, hi in _menu_ranges(table, step, h) for eq in range(lo, hi + 1))
+def _points(r: tuple) -> list[Weight]:
+    """The weight triples of one range, q ascending."""
+    ey, et, lo, hi = r
+    return [(ey, et, eq) for eq in range(lo, hi + 1)]
 
 
 @lru_cache(maxsize=None)
 def _menu_set(table: str, step: str, h: int) -> frozenset[Weight]:
-    return frozenset(_menu(table, step, h))
+    return frozenset(weight_menu(table, step, h))
 
 
 def weight_menu(scheme: str, step: str, h: int) -> tuple[Weight, ...]:
@@ -154,7 +155,7 @@ def weight_menu(scheme: str, step: str, h: int) -> tuple[Weight, ...]:
         raise ValueError(f"unknown step {step!r}")
     if h < 0:
         raise ValueError("height must be >= 0")
-    return _menu(table, step, h)
+    return tuple(itertools.chain.from_iterable(map(_points, _menu_ranges(table, step, h))))
 
 
 @lru_cache(maxsize=None)
@@ -288,26 +289,29 @@ def _menu_table(scheme: str) -> str:
 
 
 def _shapes(table: str, n: int) -> Iterator[tuple[str, ...]]:
-    return gen_shapes(n, forbid_wavy_on_axis=not _menu(table, "W", 0))
+    return gen_shapes(n, forbid_wavy_on_axis=not _menu_ranges(table, "W", 0))
 
 
 @lru_cache(maxsize=None)
-def _shape_menus(table: str, steps: tuple[str, ...]) -> tuple[tuple, tuple, tuple]:
-    """The menu of every step of a valid shape as ranges, as weight triples
-    and as a frozenset of them, each shared per (table, step, height)."""
-    at = tuple(zip(steps, step_heights(steps)))
-    return (tuple(_menu_ranges(table, s, h) for s, h in at), tuple(_menu(table, s, h) for s, h in at),
-            tuple(_menu_set(table, s, h) for s, h in at))
+def _shape_menus(table: str, steps: tuple[str, ...]) -> tuple:
+    """The menu ranges of every step of a valid shape."""
+    return tuple(map(_menu_ranges, itertools.repeat(table), steps, step_heights(steps)))
 
 
-def _paths(scheme: str, n: int, view: int = 1) -> Iterator[tuple]:
-    """All paths of the scheme as (steps, weights): each shape in
-    `gen_shapes` order with the Cartesian product of its menus, filtered by
-    the scheme's parity and pair rules.  View 0 lists the boxes instead,
-    as (steps, ranges)."""
+@lru_cache(maxsize=None)
+def _shape_sets(table: str, steps: tuple[str, ...]) -> tuple[frozenset[Weight], ...]:
+    """The menu of every step of a valid shape as a frozenset of weights,
+    each shared per (table, step, height)."""
+    return tuple(map(_menu_set, itertools.repeat(table), steps, step_heights(steps)))
+
+
+def _boxes(scheme: str, n: int) -> Iterator[tuple]:
+    """All boxes of the scheme as (steps, ranges): each shape in
+    `gen_shapes` order with the Cartesian product of its menu ranges,
+    filtered by the scheme's parity and pair rules."""
     table, parity, pair_rule = _scheme_info(scheme)
     for steps in _shapes(table, n):
-        combos = itertools.product(*_shape_menus(table, steps)[view])
+        combos = itertools.product(*_shape_menus(table, steps))
         if parity is not None:
             combos = (c for c in combos if sum(map(_ET, c)) % 2 == parity)
         if pair_rule:
@@ -316,9 +320,11 @@ def _paths(scheme: str, n: int, view: int = 1) -> Iterator[tuple]:
         yield from zip(itertools.repeat(steps), combos)
 
 
-def _boxes(scheme: str, n: int) -> Iterator[tuple]:
-    """All boxes of the scheme as (steps, ranges), in `_paths` order of their corners."""
-    return _paths(scheme, n, 0)
+def _paths(scheme: str, n: int) -> Iterator[RawPath]:
+    """All paths of the scheme as (steps, weights): each box in `_boxes`
+    order, its q exponents in lexicographic order."""
+    for steps, ranges in _boxes(scheme, n):
+        yield from zip(itertools.repeat(steps), itertools.product(*map(_points, ranges)))
 
 
 _CORNER = itemgetter(0, 1, 2)
@@ -357,18 +363,11 @@ def _first_outside(menus: tuple, steps: tuple[str, ...], box: tuple, image: tupl
     return steps, tuple((ey, et, q) for (ey, et, _, _), q in zip(box, qs))
 
 
-def _order(scheme: str, steps: tuple[str, ...], weights: tuple[Weight, ...]) -> tuple:
-    """The sort key of a path of the scheme in `_paths` order: its shape's
-    letters in `gen_shapes` order, then each weight's index in its menu."""
-    menus = _shape_menus(_scheme_info(scheme)[0], steps)[1]
-    return tuple(map(STEPS.index, steps)), tuple(map(tuple.index, menus, weights))
-
-
 def _contains(scheme: str, steps: tuple[str, ...], weights: tuple[Weight, ...]) -> bool:
     """Membership of a path (steps, weights) whose shape is valid:
     per-step menus, parity, pair rule."""
     table, parity, pair_rule = _scheme_info(scheme)
-    if not all(map(frozenset.__contains__, _shape_menus(table, steps)[2], weights)):
+    if not all(map(frozenset.__contains__, _shape_sets(table, steps), weights)):
         return False
     if parity is not None and sum(map(_ET, weights)) % 2 != parity:
         return False
@@ -387,8 +386,18 @@ def in_family(scheme: str, path: WeightedPath) -> bool:
 
 
 def rho(scheme: str, n: int) -> Poly:
-    """Total weight of the scheme's paths of length n."""
-    return Poly(Counter(_weight(weights) for _, weights in _paths(scheme, n)))
+    """Total weight of the scheme's paths of length n, with no path built:
+    a box weighs y^ey t^et q^lo times the product of [hi-lo+1]_q over its
+    ranges, with ey, et and lo summed over them.  Boxes are grouped by
+    (ey, et, lo, sorted spans) before the products are taken."""
+    groups: Counter = Counter()
+    for _, ranges in _boxes(scheme, n):
+        ey, et, lo, hi = zip(*ranges) if ranges else ((),) * 4
+        groups[sum(ey), sum(et), sum(lo), tuple(sorted(map(sub, hi, lo)))] += 1
+    rows: dict = {}
+    for (ey, et, lo, spans), c in groups.items():  # [s+1]_q is a window sum of width s+1
+        _add_row(rows, (ey, et), lo, reduce(lambda row, s: _window_sums(row, s + 1), spans, [1]), c)
+    return _poly(rows)
 
 
 def path_count(scheme: str, n: int) -> int:
@@ -396,7 +405,7 @@ def path_count(scheme: str, n: int) -> int:
     (M, MSTAR, H, T, TSTAR): the sum over shapes of the product of the menu
     sizes, with no path built.  Schemes with a parity or pair rule raise."""
     table = _menu_table(scheme)
-    return sum(math.prod(map(len, _shape_menus(table, steps)[1])) for steps in _shapes(table, n))
+    return sum(math.prod(map(len, _shape_sets(table, steps))) for steps in _shapes(table, n))
 
 
 def flajolet_schedule(scheme: str) -> "CoefficientSchedule":
@@ -408,7 +417,7 @@ def flajolet_schedule(scheme: str) -> "CoefficientSchedule":
     table = _menu_table(scheme)
 
     def menu_sum(step: str, h: int) -> Poly:
-        return Poly(Counter(_menu(table, step, h)))
+        return Poly(Counter(weight_menu(table, step, h)))
 
     return CoefficientSchedule(
         mu=lambda h: menu_sum("L", h) + menu_sum("W", h),

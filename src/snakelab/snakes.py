@@ -92,9 +92,6 @@ class Snake:
     def extended(self) -> tuple[int, ...]:
         return _extended(self.window, self.variant)
 
-    def abs_extended(self) -> tuple[int, ...]:
-        return tuple(abs(v) for v in self.extended())
-
     def text(self) -> str:
         body = ",".join(str(v) for v in self.window)
         return f"({body})[{self.variant}]"

@@ -16,9 +16,10 @@ from snakelab.algebra import (
     Monomial,
     Poly,
     _poly,
+    _step,
     _text,
+    _tq_rows,
     jfraction_series,
-    operator_step,
     q_derivative,
     q_int,
     sfraction_series,
@@ -28,6 +29,11 @@ from snakelab.eulerians import Q_poly, R_poly, _qr_rows, q_fraction_schedule, r_
 from snakelab.permstats import corteel_schedule
 
 Q2 = ONE + (ONE + Q) * T ** 2  # 1 + (1+q)t^2
+
+
+def _step_poly(p: Poly, shift: int) -> Poly:
+    """D p + U^(2-shift) D U^shift p through the rows step of Q_n and R_n."""
+    return _poly(_step(_tq_rows(p), shift))
 
 
 def _from_quadruples(rows) -> Poly:
@@ -304,25 +310,25 @@ class TestOperators:
     @pytest.mark.parametrize("shift", (1, 2))
     def test_operator_step_matches_composition_on_q_r(self, n, shift):
         for f in (Q_poly(n), R_poly(n)):
-            assert operator_step(f, shift) == _STEP_REFERENCE[shift](f)
+            assert _step_poly(f, shift) == _STEP_REFERENCE[shift](f)
 
     @given(tq_polys, st.sampled_from((1, 2)))
     def test_operator_step_matches_composition(self, p, shift):
         f = p.subst("y", 1)
-        assert operator_step(f, shift) == _STEP_REFERENCE[shift](f)
+        assert _step_poly(f, shift) == _STEP_REFERENCE[shift](f)
 
     def test_operator_step_domain_error(self):
         for shift in (1, 2):
             with pytest.raises(ValueError, match="t,q polynomials"):
-                operator_step(T ** 3 + Y * Q, shift)
+                _step_poly(T ** 3 + Y * Q, shift)
             with pytest.raises(ValueError, match="t,q polynomials"):
-                operator_step(Y, shift)
+                _step_poly(Y, shift)
 
     def test_operator_step_first_rows(self):
-        assert operator_step(ONE, 1) == T
-        assert operator_step(T, 1) == ONE + (ONE + Q) * T ** 2
-        assert operator_step(ONE, 2) == (ONE + Q) * T
-        assert operator_step(ZERO, 1) == ZERO
+        assert _step_poly(ONE, 1) == T
+        assert _step_poly(T, 1) == ONE + (ONE + Q) * T ** 2
+        assert _step_poly(ONE, 2) == (ONE + Q) * T
+        assert _step_poly(ZERO, 1) == ZERO
 
     @given(tq_polys)
     def test_derivative_matches_difference_quotient(self, p):
@@ -488,7 +494,7 @@ class TestRowCache:
         texts = {obj: cli._row_value(obj, n) for _, obj, _ in routes}
         for shift, obj, poly in routes:
             assert str(poly(n)) == texts[obj]
-            assert operator_step(poly(n), shift) == poly(n + 1)
+            assert _step_poly(poly(n), shift) == poly(n + 1)
             assert cli._row_value(obj, n + 1) == str(poly(n + 1))
         for shift, obj, poly in routes:
             assert _qr_rows(shift, n) == before[shift]

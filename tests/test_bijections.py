@@ -367,7 +367,8 @@ def widen_menu(monkeypatch):
     image can overhang its target at the top only and the first failing
     path of the box is not its corner."""
     real = motzkin._menu_ranges
-    caches = (real, motzkin._menu, motzkin._menu_set, motzkin._shape_menus, checks._involution_walk)
+    # every cache filled from the menu ranges
+    caches = (real, motzkin._menu_set, motzkin._shape_menus, motzkin._shape_sets, checks._involution_walk)
 
     def widen(table, step):
         def widened(t, s, h):

@@ -365,7 +365,7 @@ def test_layer_metric_names_a_traced_function(name):
     assert method.__code__.co_filename == module.__file__, name  # not generated by dataclass
 
 
-@pytest.mark.parametrize("name", ["jfraction_series", "sfraction_series", "operator_step"])
+@pytest.mark.parametrize("name", ["jfraction_series", "sfraction_series"])
 def test_series_routes_stay_traced(name):
     # the tracer wraps public module-level functions only; the benchmark reads
     # algebra.jfraction_series.self_s and algebra.sfraction_series.self_s

@@ -3,10 +3,13 @@
 import functools
 import itertools
 import operator
+from collections import Counter
 
 import pytest
 
-from snakelab.algebra import Monomial, jfraction_series, ONE, Q, T, Y
+from snakelab import motzkin
+from snakelab.algebra import Monomial, Poly, jfraction_series, ONE, Q, T, Y
+from snakelab.checks import run_check
 from snakelab.eulerians import Q_poly, R_poly, euler_number, q_fraction_schedule, r_fraction_schedule
 from snakelab.motzkin import (
     EMPTY_PATH,
@@ -20,10 +23,10 @@ from snakelab.motzkin import (
     matching_pairs,
     _boxes,
     _first_outside,
-    _order,
     _paths,
     _scheme_info,
     _size,
+    _weight,
     path_count,
     rho,
     step_heights,
@@ -209,11 +212,21 @@ class TestGenWeighted:
             assert h1 | h2 == h_all and not (h1 & h2)
 
 
-class TestBoxes:
-    def _expand(self, scheme, n):
-        for steps, ranges in _boxes(scheme, n):
-            yield from self._expand_box(steps, ranges)
+def _paths_reference(scheme, n):
+    """Each shape's Cartesian product of its weight menus, with the parity
+    and pair rules applied per path: the paths with no box in between."""
+    _, parity, pair_rule = _scheme_info(scheme)
+    for steps in gen_shapes(n):
+        pairs = matching_pairs(steps)
+        for weights in itertools.product(*map(functools.partial(weight_menu, scheme), steps, step_heights(steps))):
+            if parity is not None and sum(w[1] for w in weights) % 2 != parity:
+                continue
+            if pair_rule and any((weights[u][0] == 2) != (weights[d][0] == 0) for u, d in pairs):
+                continue
+            yield steps, weights
 
+
+class TestBoxes:
     @pytest.mark.parametrize("scheme", ["H", "M", "MSTAR"])
     @pytest.mark.parametrize("n", range(7))
     def test_box_sizes_sum_to_path_count(self, scheme, n):
@@ -230,16 +243,24 @@ class TestBoxes:
     @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("n", range(5))
     def test_boxes_expand_to_the_paths(self, scheme, n):
-        expanded = list(self._expand(scheme, n))
-        assert len(expanded) == len(set(expanded))
-        assert set(expanded) == set(_paths(scheme, n))
-
+        paths = list(_paths(scheme, n))
+        assert len(paths) == len(set(paths))
+        assert set(paths) == set(_paths_reference(scheme, n))
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_order_key_is_generation_order(self, scheme):
+        # box order: the shape's letters in `gen_shapes` order, then each
+        # step's branch in its menu, then the q exponents
+        def key(path):
+            steps, weights = path
+            branches = (list(dict.fromkeys(w[:2] for w in weight_menu(scheme, s, h)))
+                        for s, h in zip(steps, step_heights(steps)))
+            return (tuple(map(STEPS.index, steps)), tuple(b.index(w[:2]) for b, w in zip(branches, weights)),
+                    tuple(w[2] for w in weights))
+
         for n in range(5):
             paths = list(_paths(scheme, n))
-            assert sorted(paths, key=lambda p: _order(scheme, *p)) == paths
+            assert sorted(paths, key=key) == paths
 
     def test_first_outside_is_the_first_failing_path(self):
         # every good interval on a box of three steps with q in 0..2 each
@@ -325,6 +346,17 @@ class TestRho:
     def test_fixed_sets_sum_to_shifted_qr(self, n):
         assert rho("F", n) == Y ** n * R_poly(n)
         assert rho("G", n) == Y ** n * Q_poly(n)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("n", range(7))
+    def test_box_sums_equal_the_enumerated_sum(self, scheme, n):
+        assert rho(scheme, n) == Poly(Counter(_weight(weights) for _, weights in _paths(scheme, n)))
+
+    @pytest.mark.parametrize("check_id", ["lemma-3.5", "lemma-4.3"])
+    def test_pair_rule_is_needed(self, monkeypatch, check_id):
+        monkeypatch.setattr(motzkin, "_pairs_ok", lambda weights, pairs: True)
+        result = run_check(check_id)
+        assert result.status == "fail" and result.witness.startswith("n=2: lhs - rhs = "), result.witness
 
 
 class TestFlajolet:

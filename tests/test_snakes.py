@@ -37,8 +37,8 @@ def two_thirty_one_total(abs_window, variant):
 def element_class(snake, j):
     """Classify element j: 'valley0' (valley, no sign change), 'X' (valley
     with sign changes), 'Y' (double ascent or double descent), 'Z' (peak)."""
-    word = snake.abs_extended()
     ext = snake.extended()
+    word = tuple(map(abs, ext))
     i = word.index(j, 1)
     left, right = word[i - 1], word[i + 1]
     if left > j < right:
