@@ -15,18 +15,20 @@ The module also provides the q-derivative operator D with (Df)(t) =
 rows step `_step` (D + UDU or D + DUU in one pass), and truncated series
 expansion of Jacobi- and Stieltjes-type continued fractions.
 
-All of these, and the text form, run on one row kernel: the terms grouped
-as (ey, et) rows of dense q-coefficients (`_rows`), added into each other as
-shifted, scaled slices by `_add_row` and printed by `_text`, with a `Poly`
-built only for a result.  Per route, with r rows of width w in the input:
-- `q_derivative`, `u_multiply`: one sort of the terms, then one
-  window-sum row per input row, O(r w) list work in C; `_step` sends each
-  row to two window-sum rows with no sort, so Q_n and R_n go from rows to
-  rows (`eulerians._qr_rows`);
-- `jfraction_series`: each weight's terms are read once, and each edge of
-  the path sum adds one shifted, scaled copy of every row of its source
-  height per weight term; `sfraction_series` is the J-fraction with no
-  level weights, read at even lengths.
+All of these, and the text form, run on (ey, et) rows of q-coefficients
+(`_rows`), printed by `_text`, with a `Poly` built only for a result: dense
+lists for the operators, one packed int per row inside the J-fraction.
+Per route, with r rows of width w in the input:
+- `q_derivative`, `u_multiply`: one sort of the terms, then one window-sum
+  row per input row added as a shifted slice (`_add_row`), O(r w) list work
+  in C; `_step` sends each row to two window-sum rows with no sort, so Q_n
+  and R_n go from rows to rows (`eulerians._qr_rows`).  These rows stay
+  dense: a window sum is linear list work already, and every Q_n and R_n
+  is printed, so packed rows would be unpacked at every step;
+- `jfraction_series`: each row packed into one int, its value at q = 2^bits
+  (Kronecker substitution), so a path-sum edge is one int product per row
+  and weight row, not one row add per weight term; `sfraction_series` is
+  the J-fraction with no level weights, read at even lengths.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate, chain, count, groupby, islice, repeat
 from operator import add, itemgetter, sub
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 Key = tuple[int, int, int]
 
@@ -369,12 +371,46 @@ class CoefficientSchedule:
     lam: Callable[[int], Poly]
 
 
-def _add_product(acc: Rows, rows: Rows, weight: Iterable[tuple[Key, int]]) -> None:
-    """acc += rows * weight, given weight's terms: one shifted, scaled copy
-    of each row per term."""
-    for (ey, et), (lo, dense) in rows.items():
-        for (wy, wt, wq), c in weight:
-            _add_row(acc, (ey + wy, et + wt), lo + wq, dense, c)
+def _path_sums(mu: list, lam: list, rise, n_max: int, edge: Callable) -> list:
+    """Height-0 path sums of lengths 0..n_max, from `rise` at height 0;
+    edge(new, h, sums, w) adds sums times w into new[h].  Heights that
+    cannot return to 0 by n_max are dropped: mu, lam are read to n_max//2."""
+    out, state = [], {0: rise}
+    for left in reversed(range(n_max)):  # steps left after this one
+        out.append(state[0])
+        new: dict = {}
+        for h, sums in state.items():
+            if h <= left:
+                edge(new, h, sums, mu[h])
+            if h < left:
+                edge(new, h + 1, sums, rise)
+            if h:
+                edge(new, h - 1, sums, lam[h])
+        state = new
+    return out + [state[0]]
+
+
+def _slot_bits(mu: list[Poly], lam: list[Poly], n_max: int) -> int:
+    """Bits per packed slot.  The path sum on ints with each weight replaced
+    by the sum of its |coefficients| bounds every output coefficient, and
+    outputs are all that is unpacked; add a sign bit, in whole bytes."""
+    def edge(new, h, v, w):
+        new[h] = new.get(h, 0) + v * w
+
+    norms = [[sum(map(abs, p.terms.values())) for p in ws] for ws in (mu, lam)]
+    return 8 * (max(_path_sums(*norms, 1, n_max, edge)).bit_length() // 8 + 1)
+
+
+def _unpack(packed: dict, bits: int) -> Rows:
+    """Dense rows of packed rows with every |coefficient| < 2^(bits-1):
+    2^(bits-1) added to each slot makes the bytes of x its digits."""
+    size, half = bits // 8, 1 << bits - 1
+    bias = bytes(size - 1) + b"\x80"
+    rows: Rows = {}
+    for key, (lo, end, x) in packed.items():
+        data = (x + int.from_bytes(bias * (end - lo), "little")).to_bytes((end - lo) * size, "little")
+        rows[key] = [lo, [int.from_bytes(data[i:i + size], "little") - half for i in range(0, len(data), size)]]
+    return rows
 
 
 def jfraction_series(schedule: CoefficientSchedule, n_max: int) -> list[Poly]:
@@ -383,27 +419,32 @@ def jfraction_series(schedule: CoefficientSchedule, n_max: int) -> list[Poly]:
     Computed as weighted Motzkin path sums: coefficient n is the total weight
     of length-n paths with level weight mu(h) at height h, rise weight 1, and
     fall weight lam(h) for a fall starting at height h.  Each height keeps
-    its path sum as rows, and each edge adds shifted, scaled copies of them.
+    its path sum, and each weight, as packed rows (ey, et) -> (lo, end, x):
+    x is the sum of c * 2^(i*bits) over the coefficients c of q^(lo+i) for
+    lo+i < end.  An edge is one int product and one shifted int add per
+    (row, weight row), and only the height-0 sums are unpacked.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    mu = [schedule.mu(h).terms.items() for h in range(n_max + 1)]
-    lam = [ZERO.terms.items()] + [schedule.lam(h).terms.items() for h in range(1, n_max + 1)]
-    out = []
-    state: dict[int, Rows] = {0: {(0, 0): [0, [1]]}}
-    for step in range(n_max + 1):
-        out.append(_poly(state.get(0, {})))
-        if step == n_max:
-            break
-        new: dict[int, Rows] = {}
-        for h, rows in state.items():
-            if h <= n_max - step - 1:
-                _add_product(new.setdefault(h, {}), rows, mu[h])
-                _add_product(new.setdefault(h + 1, {}), rows, ONE.terms.items())
-            if h >= 1:
-                _add_product(new.setdefault(h - 1, {}), rows, lam[h])
-        state = new
-    return out
+    mu = [schedule.mu(h) for h in range(n_max // 2 + 1)]
+    lam = [ZERO] + [schedule.lam(h) for h in range(1, n_max // 2 + 1)]
+    bits = _slot_bits(mu, lam, n_max)
+
+    def pack(p: Poly) -> dict:
+        return {key: (lo, lo + len(dense), sum(c << i * bits for i, c in enumerate(dense)))
+                for key, (lo, dense) in _rows(p).items()}
+
+    def edge(new, h, rows, weight):
+        acc = new.setdefault(h, {})
+        for (ey, et), (lo, end, x) in rows.items():
+            for (wy, wt), (wlo, wend, wx) in weight.items():
+                key, lo2, end2, x2 = (ey + wy, et + wt), lo + wlo, end + wend - 1, x * wx
+                lo1, end1, x1 = acc.get(key, (lo2, lo2, 0))
+                base = min(lo1, lo2)
+                acc[key] = base, max(end1, end2), (x1 << (lo1 - base) * bits) + (x2 << (lo2 - base) * bits)
+
+    sums = _path_sums(list(map(pack, mu)), list(map(pack, lam)), pack(ONE), n_max, edge)
+    return [_poly(_unpack(rows, bits)) for rows in sums]
 
 
 def sfraction_series(a: Callable[[int], Poly], n_max: int) -> list[Poly]:

@@ -407,19 +407,3 @@ def path_count(scheme: str, n: int) -> int:
     table = _menu_table(scheme)
     return sum(math.prod(map(len, _shape_sets(table, steps))) for steps in _shapes(table, n))
 
-
-def flajolet_schedule(scheme: str) -> "CoefficientSchedule":
-    """The Jacobi continued-fraction schedule induced by a menu scheme:
-    mu_h = total level weight at height h, lam_h = (total rise weight at
-    h-1) * (total fall weight starting at h)."""
-    from snakelab.algebra import CoefficientSchedule
-
-    table = _menu_table(scheme)
-
-    def menu_sum(step: str, h: int) -> Poly:
-        return Poly(Counter(weight_menu(table, step, h)))
-
-    return CoefficientSchedule(
-        mu=lambda h: menu_sum("L", h) + menu_sum("W", h),
-        lam=lambda h: menu_sum("U", h - 1) * menu_sum("D", h),
-    )

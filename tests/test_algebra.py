@@ -5,7 +5,7 @@ import copy
 import pytest
 from hypothesis import example, given, strategies as st
 
-from snakelab import cli
+from snakelab import algebra, cli
 from snakelab.algebra import (
     ONE,
     Q,
@@ -122,15 +122,18 @@ def _sfraction_reference(a, n_max: int) -> list[Poly]:
     return out
 
 
-# fraction weights: y terms, negative coefficients, Laurent q exponents and
-# ZERO at some heights
+# coefficients at the edges of 8- and 64-bit slots, +-(2^k - 1) and +-2^k
+_SLOT_EDGES = [sign * (2 ** k - d) for k in (7, 8, 63, 64) for d in (0, 1) for sign in (1, -1)]
+
+# fraction weights: y terms, negative coefficients, coefficients at slot
+# edges, Laurent q exponents and ZERO at some heights
 fraction_weights = st.one_of(
     st.just(ZERO),
     st.builds(
         _from_quadruples,
         st.lists(
             st.tuples(
-                st.integers(-3, 3),
+                st.one_of(st.integers(-3, 3), st.sampled_from(_SLOT_EDGES)),
                 st.integers(0, 2),
                 st.integers(0, 2),
                 st.integers(-3, 4),
@@ -380,6 +383,23 @@ class TestContinuedFractions:
         mu, lam, n_max = drawn
         a = mu + lam  # a(h) for h up to 2 * n_max + 1
         assert sfraction_series(a.__getitem__, n_max) == _sfraction_reference(a.__getitem__, n_max)
+
+    def test_weights_are_read_up_to_half_the_length(self):
+        # a path of length 7 can return to height 0 only from heights <= 3
+        read = []
+        schedule = CoefficientSchedule(lambda h: read.append(h) or T + q_int(h),
+                                       lambda h: read.append(h) or Y * q_int(h) - 3)
+        got = jfraction_series(schedule, 7)
+        assert sorted(read) == [0, 1, 1, 2, 2, 3, 3]
+        assert got == _jfraction_reference(schedule, 7)
+
+    def test_narrowed_slots_lose_carries(self, monkeypatch):
+        # mu = 2^64 - 1 + q puts nearly all of the coefficient bound on q^0,
+        # so slots one byte narrower than _slot_bits gives must carry wrongly
+        real = algebra._slot_bits
+        monkeypatch.setattr(algebra, "_slot_bits", lambda *args: real(*args) - 8)
+        schedule = CoefficientSchedule(lambda h: 2 ** 64 - 1 + Q, lambda h: 2 ** 63 * T)
+        assert jfraction_series(schedule, 12) != _jfraction_reference(schedule, 12)
 
     @pytest.mark.parametrize("make", [q_fraction_schedule, r_fraction_schedule, corteel_schedule])
     def test_jfraction_matches_reference_on_paper_schedules(self, make):

@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 from snakelab import motzkin
-from snakelab.algebra import Monomial, Poly, jfraction_series, ONE, Q, T, Y
+from snakelab.algebra import CoefficientSchedule, Monomial, Poly, jfraction_series, ONE, Q, T, Y
 from snakelab.checks import run_check
 from snakelab.eulerians import Q_poly, R_poly, euler_number, q_fraction_schedule, r_fraction_schedule
 from snakelab.motzkin import (
@@ -16,7 +16,6 @@ from snakelab.motzkin import (
     SCHEMES,
     STEPS,
     WeightedPath,
-    flajolet_schedule,
     gen_shapes,
     gen_weighted,
     in_family,
@@ -38,6 +37,22 @@ from snakelab.permstats import corteel_schedule, signed_enumerator
 def mono(ey=0, et=0, eq=0):
     """The weight y^ey t^et q^eq as an exponent triple."""
     return ey, et, eq
+
+
+def _flajolet_schedule(scheme: str) -> CoefficientSchedule:
+    """The Jacobi continued-fraction schedule induced by a menu scheme:
+    mu_h = total level weight at height h, lam_h = (total rise weight at
+    h-1) * (total fall weight starting at h).  Schemes with a parity or
+    pair rule, and unknown schemes, raise ValueError."""
+    table = motzkin._menu_table(scheme)
+
+    def menu_sum(step: str, h: int) -> Poly:
+        return Poly(Counter(weight_menu(table, step, h)))
+
+    return CoefficientSchedule(
+        mu=lambda h: menu_sum("L", h) + menu_sum("W", h),
+        lam=lambda h: menu_sum("U", h - 1) * menu_sum("D", h),
+    )
 
 
 class TestMenus:
@@ -361,7 +376,7 @@ class TestRho:
 
 class TestFlajolet:
     def test_t_schedule_matches_r_schedule(self):
-        mine = flajolet_schedule("T")
+        mine = _flajolet_schedule("T")
         ref = r_fraction_schedule()
         for h in range(6):
             assert mine.mu(h) == ref.mu(h)
@@ -369,7 +384,7 @@ class TestFlajolet:
                 assert mine.lam(h) == ref.lam(h)
 
     def test_tstar_schedule_matches_q_schedule(self):
-        mine = flajolet_schedule("TSTAR")
+        mine = _flajolet_schedule("TSTAR")
         ref = q_fraction_schedule()
         for h in range(6):
             assert mine.mu(h) == ref.mu(h)
@@ -378,7 +393,7 @@ class TestFlajolet:
 
     def test_m_schedule_closed_form(self):
         # the menu-induced schedule of scheme M is Corteel's closed form
-        sched = flajolet_schedule("M")
+        sched = _flajolet_schedule("M")
         closed = corteel_schedule()
         for h in range(6):
             assert sched.mu(h) == closed.mu(h)
@@ -387,16 +402,16 @@ class TestFlajolet:
 
     @pytest.mark.parametrize("n", range(5))
     def test_jfraction_route_equals_path_route(self, n):
-        series = jfraction_series(flajolet_schedule("M"), n)
+        series = jfraction_series(_flajolet_schedule("M"), n)
         assert series[n] == rho("M", n)
 
     def test_filtered_scheme_has_no_schedule(self):
         with pytest.raises(ValueError):
-            flajolet_schedule("F")
+            _flajolet_schedule("F")
         with pytest.raises(ValueError):
-            flajolet_schedule("MPRIME")
+            _flajolet_schedule("MPRIME")
         with pytest.raises(ValueError, match="unknown scheme"):
-            flajolet_schedule("NOPE")
+            _flajolet_schedule("NOPE")
 
 
 class TestText:
