@@ -24,15 +24,15 @@ exit status 141 and no traceback.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-from snakelab import checks as checklib
-from snakelab import eulerians, permstats
+from snakelab import eulerians
 from snakelab.algebra import _text, jfraction_series
-from snakelab.checks import CheckResult
+
+if TYPE_CHECKING:
+    from snakelab.checks import CheckResult
 
 USAGE_EXIT = 126
 MAX_FAILURE_EXIT = 125
@@ -85,6 +85,7 @@ def _table(obj: str, n_max: int) -> list:
     if obj == "Eq":
         return [str(p) for p in eulerians.q_euler_numbers(n_max)]
     if obj == "B":
+        from snakelab import permstats
         return [str(p) for p in jfraction_series(permstats.corteel_schedule(), n_max)]
     if obj == "E":
         return eulerians.seidel_numbers(n_max)
@@ -109,6 +110,7 @@ def emit_table(obj: str, n_max: int, fmt: str) -> str:
     if fmt == "csv":
         return "\n".join(f"{n},{value}" for n, value in rows)
     if fmt == "json":
+        import json
         return json.dumps(
             {"object": obj, "rows": [[n, value] for n, value in rows]},
             sort_keys=True,
@@ -120,6 +122,7 @@ def emit_table(obj: str, n_max: int, fmt: str) -> str:
 def _print_results(results: list[CheckResult], fmt: str, out: Callable[[str], None]) -> int:
     failures = sum(1 for r in results if r.status == "fail")
     if fmt == "json":
+        import json
         payload = {
             "checks": [
                 {
@@ -155,6 +158,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else USAGE_EXIT
 
     if args.command == "list-checks":
+        from snakelab import checks as checklib
         for check in checklib.CHECKS:
             ceiling = f"n<={check.default_n}" if check.scalable else "fixed"
             print(f"{check.id:<24} {ceiling:<8} {check.description}")
@@ -168,7 +172,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(emit_table(args.object, args.n, args.format))
         return 0
 
-    # verify
+    from snakelab import checks as checklib  # verify
     if args.check is not None:
         unknown = [i for i in args.check if i not in checklib.CHECKS_BY_ID]
         if unknown:

@@ -17,7 +17,8 @@ Seidel boustrophedon for E_0..E_n, `springer_numbers` applies D + UDU at
 q = 1 to integer coefficient lists in t, since S_n = Q_n(1,1), and
 `q_euler_numbers` reads E_0(q)..E_n(q) off one S-fraction per parity.  The
 brute-force oracles enumerate: `count_alternating` permutations, for the
-tests, and `springer_number` snakes, for the checks.
+tests, and `springer_number` snakes, for the checks.  Only they read
+`snakes`, and they import it on call, so the tables load `algebra` alone.
 
 `euler_number`, `springer_number`, `q_euler`, `Q_poly`, `R_poly` and
 `_qr_rows` are memoized; the table functions (`seidel_numbers`,
@@ -31,7 +32,6 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from snakelab import snakes
 from snakelab.algebra import (
     ONE,
     Q,
@@ -52,6 +52,7 @@ def count_alternating(n: int) -> int:
     checking `seidel_numbers`, exponential in n."""
     if n < 0:
         raise ValueError("n must be >= 0")
+    from snakelab import snakes
     return sum(1 for p in itertools.permutations(range(1, n + 1)) if snakes._zigzag((0, *p)))
 
 
@@ -84,6 +85,7 @@ def springer_number(n: int) -> int:
     `springer_numbers` and Q_n(1,1), exponential in n."""
     if n < 0:
         raise ValueError("n must be >= 0")
+    from snakelab import snakes
     return sum(1 for _ in snakes._windows(n, "S0"))
 
 

@@ -326,3 +326,33 @@ class TestClosedPipe:
             os.close(write_end)
         assert proc.returncode == CLOSED_PIPE_EXIT
         assert proc.stderr == ""  # no traceback, no "Exception ignored" report
+
+
+_FOOTPRINT = """
+import contextlib, io, sys
+from snakelab.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    main(sys.argv[1:])
+print(" ".join(sorted(m for m in sys.modules if m.startswith("snakelab."))))
+"""
+_TABLE_LAYERS = {"cli", "algebra", "eulerians"}
+_ALL_LAYERS = _TABLE_LAYERS | {"bijections", "checks", "motzkin", "permstats", "snakes"}
+
+
+class TestImportFootprint:
+    """Each command loads only the layers it runs: start-up is most of a
+    `compute` at small n, and every fresh process pays it."""
+
+    @pytest.mark.parametrize("argv, layers", [
+        pytest.param(argv, layers, id=" ".join(argv)) for argv, layers in [
+            *((("compute", obj, "--n", "2"), _TABLE_LAYERS) for obj in ("S", "E", "Eq", "Q", "R")),
+            (("compute", "B", "--n", "2"), _TABLE_LAYERS | {"permstats"}),
+            (("verify", "--check", "thm-1.2", "--n", "2"), _ALL_LAYERS),
+            (("list-checks",), _ALL_LAYERS),
+        ]
+    ])
+    def test_command_loads_only_its_layers(self, argv, layers):
+        env = dict(os.environ, PYTHONPATH=str(Path(snakelab.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", _FOOTPRINT, *argv], capture_output=True,
+                              env=env, text=True, timeout=120, check=True)
+        assert proc.stdout.split() == sorted(f"snakelab.{layer}" for layer in layers)

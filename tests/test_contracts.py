@@ -391,3 +391,29 @@ def test_tracer_call_shapes():
     assert cli._row_value("R", 2) == str(eulerians.R_poly(2))
     assert callable(checks.run_check)
     assert checks.run_check("q0-golden", None).status == "pass"
+
+
+PUBLIC_HOMES = {
+    "CoefficientSchedule": algebra, "Monomial": algebra, "Poly": algebra,
+    "jfraction_series": algebra, "q_derivative": algebra, "q_int": algebra,
+    "sfraction_series": algebra, "u_multiply": algebra,
+    "Q_poly": eulerians, "R_poly": eulerians, "euler_number": eulerians,
+    "q_euler": eulerians, "springer_number": eulerians,
+    "WeightedPath": motzkin, "gen_shapes": motzkin, "gen_weighted": motzkin,
+    "rho": motzkin, "weight_menu": motzkin,
+    "StatRecord": permstats, "generate": permstats, "signed_enumerator": permstats,
+    "stats": permstats,
+    "Snake": snakes, "generate_snakes": snakes, "snake_enumerator": snakes,
+}
+
+
+def test_lazy_namespace_keeps_every_public_name():
+    assert sorted(snakelab.__all__) == sorted([*PUBLIC_HOMES, "__version__"])
+    for name, module in PUBLIC_HOMES.items():
+        assert getattr(snakelab, name) is getattr(module, name), name
+    namespace: dict = {}
+    exec("from snakelab import *", namespace)
+    assert set(snakelab.__all__) <= set(namespace)
+    assert set(snakelab.__all__) <= set(dir(snakelab))
+    with pytest.raises(AttributeError):
+        snakelab.no_such_name
