@@ -144,9 +144,6 @@ class Poly:
 
     # -- queries -----------------------------------------------------------
 
-    def coefficient(self, ey: int, et: int, eq: int) -> int:
-        return self.terms.get((ey, et, eq), 0)
-
     def is_constant(self) -> bool:
         return all(key == (0, 0, 0) for key in self.terms)
 
@@ -155,9 +152,6 @@ class Poly:
         if not self.is_constant():
             raise ValueError(f"not a constant polynomial: {self}")
         return self.terms.get((0, 0, 0), 0)
-
-    def t_exponents(self) -> set[int]:
-        return {et for (_, et, _) in self.terms}
 
     # -- substitution -------------------------------------------------------
 

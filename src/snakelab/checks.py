@@ -14,15 +14,15 @@ Each entry is one row of `CHECKS`, of one of three kinds:
   q-Euler sides share `_q_euler_side`).  The witness names the smallest
   n: `n=N: lhs - rhs = <difference>` for polynomials, `n=N: got X, want Y`
   otherwise, and for a pair of sides (thm-1.2) the first that differs;
-- a map between finite families: prop-3.2 by `_restructure`,
-  lemma-sign-changes by `_bijection`, thm-5.8 and thm-5.12 by the snake
-  walk `_snake_code`, and prop-3.6, lemma-3.8 and prop-4.4 read off the
-  cached `_involution_walk`;
+- a map between finite families, or a lemma about one: prop-3.2 by
+  `_restructure`; prop-3.6, lemma-3.8 and prop-4.4 read off the cached
+  `_involution_walk`; thm-5.8, thm-5.12, lemma-sign-changes and
+  lemma-pattern read off the cached `_snake_walk`;
 - a worked-example golden, `_golden_check`: got() equals the literal in
   its row, else `got X, want Y`.
-Each map check, and lemma-pattern, is a claim at one n that `_each_n` runs
-for n up to the ceiling, so its witness names the smallest n;
-lemma-sign-changes and lemma-pattern read S0, then S00, at each n.
+Each map check and lemma is a claim at one n, run for n up to the
+ceiling, so its witness names the smallest n; the two snake lemmas read
+S0, then S00, at each n.
 
 No check holds a family whole.  A bijection check tests that each image
 lands in the target and maps back to its source, so the map is injective,
@@ -42,11 +42,12 @@ first failing path of its first failing box, worded off that path's
 one-point box as the public maps word it.  prop-3.6 and lemma-3.8 share
 one walk of H_n, so either check still runs alone.
 
-The snake walk of thm-5.8 and thm-5.12 reads each raw window once
-(`snakes._windows`, `snakes._elements`); the permutation checks read the
-cached `permstats.a_table` and `b_table`, of which every signed
-enumerator, the JV sums included, is a projection.  Clearing those caches
-is needed only where a test patches what fills them.
+One snake walk per (variant, size) reads and scans each raw window once
+(`snakes._windows`, `_elements`) for the encoding's claims and, at sizes
+up to the ceiling, the lemmas'.  The permutation checks read the cached
+`permstats.a_table` and `b_table`, of which every signed enumerator, the
+JV sums included, is a projection.  Clearing these caches is needed only
+where a test patches what fills them.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from snakelab import bijections, eulerians, motzkin, permstats, snakes
 from snakelab.algebra import (
@@ -206,30 +207,6 @@ def _equal(n: int, lhs, rhs) -> str | None:
     return None if lhs == rhs else _witness(n, lhs, rhs)
 
 
-def _bijection(n: int, sources: Iterable, forward: Callable, inverse: Callable, target: str,
-               law=None, target_size: int | None = None) -> str | None:
-    """The first witness against `forward` being a bijection from the
-    sources onto the target: for each source x in order, inverse(image) == x
-    and no witness from law(x, image); then the count.  A ValueError from
-    the inverse, which guards the target, means the image left it."""
-    count = 0
-    for x in sources:
-        count += 1
-        image = forward(x)
-        try:
-            back = inverse(image)
-        except ValueError as err:
-            return f"n={n}: image leaves {target} at {x.text()}: {err}"
-        if back != x:
-            return f"n={n}: round trip failed for {x.text()}"
-        witness = law(x, image) if law else None
-        if witness:
-            return witness
-    if target_size is not None and count != target_size:
-        return f"n={n}: {count} sources, {target_size} in {target}"
-    return None
-
-
 def _text(path: motzkin.RawPath) -> str:
     return motzkin.WeightedPath(*path).text()
 
@@ -275,7 +252,8 @@ def _restructure(n: int) -> str | None:
 
 def _landing(n: int, source: str, image: motzkin.RawPath, inverse: Callable, target: str) -> str:
     """The witness for an image (steps, weights) that failed its tests,
-    worded by the public inverse's guard as `_bijection` words it."""
+    worded by the public inverse's guard: a ValueError from it means the
+    image left the target."""
     try:
         inverse(motzkin.WeightedPath(*image))
     except ValueError as err:
@@ -283,61 +261,92 @@ def _landing(n: int, source: str, image: motzkin.RawPath, inverse: Callable, tar
     return f"n={n}: round trip failed for {source}"
 
 
-def _snake_code(variant: str, offset: int, scheme: str, which: str) -> Callable[[int], str | None]:
-    """thm-5.8 (lambda1, Q) or thm-5.12 (lambda2, R): the encoding maps the
-    variant's snakes of size n + offset one to one onto the scheme's paths
-    of length n, and the snake sums equal Q_n or R_n.  The decoded
-    cs-vector is what `arnold_recover`'s closing check asks of the public
-    inverse."""
-    inverse = "lambda1_inv" if which == "Q" else "lambda2_inv"
-    poly = eulerians.Q_poly if which == "Q" else eulerians.R_poly
+# variant -> (offset, scheme, public inverse, enumerator) of its encoding
+_ENCODINGS = {
+    "S0": (0, "TSTAR", snakes.lambda1_inv, eulerians.Q_poly),
+    "S00": (1, "T", snakes.lambda2_inv, eulerians.R_poly),
+}
 
-    def claim(n: int) -> str | None:
-        sums: Counter = Counter()
-        count = 0
-        for window in snakes._windows(n + offset, variant):
-            count += 1
-            scan = snakes._elements(window, variant)
+
+def _sign_claim(n: int, snake: snakes.Snake, cs: tuple, decoded: bool) -> str | None:
+    """lemma-sign-changes on one snake: `snakes._signs` gives the window
+    back from its absolute word and cs-vector, which lies in {0,1,2}^n and
+    sums to the snake's sign changes.  An image that decoded to the window
+    and cs has passed the round trip, as `_decode` ends in `_signs`.  A
+    failed round trip is worded through `arnold_recover`."""
+    if not decoded and snakes._signs([abs(v) for v in snake.extended()], cs) != snake.window:
+        try:
+            snakes.arnold_recover(tuple(map(abs, snake.window)), cs, snake.variant)
+        except ValueError as err:
+            return f"n={n}: image leaves {{0,1,2}}^n at {snake.text()}: {err}"
+        return f"n={n}: round trip failed for {snake.text()}"
+    if not set(cs) <= {0, 1, 2}:
+        return f"n={n}: image leaves {{0,1,2}}^n at {snake.text()}"
+    if sum(cs) != snakes.sign_changes(snake):
+        return f"n={n}: {snake.text()}: vector {cs} does not sum to the total"
+    return None
+
+
+def _pattern_claim(n: int, snake: snakes.Snake, scan: list) -> str | None:
+    """lemma-pattern on one snake: at each k the scan's block counts are
+    the (13-2, 2-31) counts of the pattern sweep."""
+    for k, ((_, _, a, b), pattern) in enumerate(zip(scan, snakes._patterns(snake.window, snake.variant)), 1):
+        if (a, b) != pattern:
+            return f"n={n}: {snake.text()}: k={k} blocks ({a + b + 1}, {b}) vs patterns {pattern}"
+    return None
+
+
+@lru_cache(maxsize=None)
+def _snake_walk(variant: str, size: int, lemmas: bool) -> dict:
+    """One walk of the variant's snakes of the size: each claim's first
+    witness, None or absent if the claim holds, keyed "encoding" (thm-5.8
+    or thm-5.12 at n = size minus the offset) and, if `lemmas`,
+    "sign-changes" and "pattern" (at n = size; a window that is not a snake
+    fails both).  Each image lies in the scheme and decodes to its window
+    and the scan's cs-vector; then the count is compared with `path_count`
+    and the `_key` sum with Q_n or R_n."""
+    offset, scheme, inverse, poly = _ENCODINGS[variant]
+    n = size - offset
+    found = {}
+    sums = Counter()
+    for window in snakes._windows(size, variant):
+        scan = snakes._elements(window, variant)
+        cs = snakes._cs(scan)
+        lands = False
+        if n >= 0 and "encoding" not in found:
             image = snakes._encode(scan, offset)
             try:
                 lands = (motzkin._contains(scheme, *image)
-                         and snakes._decode(*image, offset) == (window, snakes._cs(scan)))
+                         and snakes._decode(*image, offset) == (window, cs))
             except ValueError:  # a malformed path
-                lands = False
+                pass
             if not lands:
-                source = snakes.Snake(window, variant).text()
-                return _landing(n, source, image, getattr(snakes, inverse), scheme)
+                found["encoding"] = _landing(n, snakes.Snake(window, variant).text(), image, inverse, scheme)
             sums[snakes._key(scan, offset)] += 1
-        target_size = motzkin.path_count(scheme, n)
-        if count != target_size:
-            return f"n={n}: {count} sources, {target_size} in {scheme}"
-        return _equal(n, Poly(sums), poly(n))
+        if lemmas:
+            snake = snakes.Snake(window, variant)
+            if not snakes.is_snake_window(window, variant):
+                witnesses = (f"n={size}: not a snake: {snake.text()}",) * 2
+            else:
+                witnesses = _sign_claim(size, snake, cs, lands), _pattern_claim(size, snake, scan)
+            for claim, witness in zip(("sign-changes", "pattern"), witnesses):
+                if witness:
+                    found.setdefault(claim, witness)
+    if n >= 0 and "encoding" not in found:
+        count, target_size = sum(sums.values()), motzkin.path_count(scheme, n)
+        found["encoding"] = (f"n={n}: {count} sources, {target_size} in {scheme}" if count != target_size
+                             else _equal(n, Poly(sums), poly(n)))
+    return found
 
-    return _each_n(claim)
 
-
-def _sign_changes(n: int) -> str | None:
-    """lemma-sign-changes at n: s -> (|window|, cs-vector) is one to one on
-    the S0 and S00 snakes, with arnold_recover its inverse, and each
-    cs-vector lies in {0,1,2}^n and sums to the snake's sign changes.  The
-    range test is in the law, since arnold_recover validates through
-    cs_vector itself."""
-
-    def law(s, image):
-        if not all(c in (0, 1, 2) for c in image[1]):
-            return f"n={n}: image leaves {{0,1,2}}^n at {s.text()}"
-        if sum(image[1]) != snakes.sign_changes(s):
-            return f"n={n}: {s.text()}: vector {image[1]} does not sum to the total"
-        return None
-
-    for variant in ("S0", "S00"):
-        witness = _bijection(
-            n, (snakes.Snake(w, variant) for w in snakes._windows(n, variant)),
-            lambda s: (tuple(abs(x) for x in s.window), snakes.cs_vector(s)),
-            lambda image: snakes.arnold_recover(*image, variant), "{0,1,2}^n", law)
-        if witness:
-            return witness
-    return None
+def _snake_check(claim: str, variants: tuple[str, ...], offset: int = 0,
+                 start: int = 0) -> Callable[[int], str | None]:
+    """The check that reads the claim's first witness off the walks of size
+    n + offset, for n = start, ..., n_max and the variants in order; thm-5.12's
+    top size S00(n_max + 1) runs without the lemma claims."""
+    return lambda n_max: next(filter(None, (
+        _snake_walk(variant, n + offset, n + offset <= n_max).get(claim)
+        for n in range(start, n_max + 1) for variant in variants)), None)
 
 
 # scheme -> (involution, fixed-point scheme, allowed (ey, eq) shifts of a moved path)
@@ -425,21 +434,6 @@ def _walk(scheme: str, claims: tuple[str, ...]) -> Callable[[int], str | None]:
 
 
 # -- snakes and goldens ------------------------------------------------------------
-
-
-def _pattern_lemma(n: int) -> str | None:
-    for variant in ("S0", "S00"):
-        for window in snakes._windows(n, variant):
-            word = tuple(map(abs, window))
-            profile = snakes.block_profile(word, variant)
-            for k in range(1, n + 1):
-                a, b = snakes.pattern_counts(word, variant, k)
-                if profile.beta[k] != b or profile.alpha[k] != a + b + 1:
-                    return (
-                        f"n={n}: {snakes.Snake(window, variant).text()}: k={k} blocks"
-                        f" ({profile.alpha[k]}, {profile.beta[k]}) vs patterns ({a}, {b})"
-                    )
-    return None
 
 
 def _golden_check(check_id: str, description: str, got: Callable[[], object], want) -> Check:
@@ -594,10 +588,10 @@ CHECKS: list[Check] = [
         "lemma-4.3", "the psi2 fixed family sums to y^n Q_n", 5,
         _rho("G"), lambda n: Y ** n * eulerians.Q_poly(n)),
     Check("prop-4.4", "psi2 is an involution on MSTAR with weight factor (y^2 q)^(+-1) and fixed set G", 5, _walk("MSTAR", ("involution", "fixed-parity", "fixed-set"))),
-    Check("lemma-sign-changes", "cs-vectors sum to the sign-change count and determine the snake", 5, _each_n(_sign_changes)),
-    Check("lemma-pattern", "block statistics equal the 13-2 and 2-31 pattern counts", 5, _each_n(_pattern_lemma, 1), min_n=1),
-    Check("thm-5.8", "the snake encoding is a bijection onto scheme TSTAR and realizes Q_n", 5, _snake_code("S0", 0, "TSTAR", "Q")),
-    Check("thm-5.12", "the snake encoding is a bijection onto scheme T and realizes R_n", 5, _snake_code("S00", 1, "T", "R")),
+    Check("lemma-sign-changes", "cs-vectors sum to the sign-change count and determine the snake", 5, _snake_check("sign-changes", ("S0", "S00"))),
+    Check("lemma-pattern", "block statistics equal the 13-2 and 2-31 pattern counts", 5, _snake_check("pattern", ("S0", "S00"), start=1), min_n=1),
+    Check("thm-5.8", "the snake encoding is a bijection onto scheme TSTAR and realizes Q_n", 5, _snake_check("encoding", ("S0",))),
+    Check("thm-5.12", "the snake encoding is a bijection onto scheme T and realizes R_n", 5, _snake_check("encoding", ("S00",), offset=1)),
     _golden_check("example-cro-golden", "the worked crossing example has five crossings", lambda: permstats.stats((3, -4, -2, 5, 1)).cro_b, 5),
     _golden_check(
         "example-cs-golden", "the worked snake example has cs-vector (0,2,0,1,0,1,0,1,1,0) and cs = 6",

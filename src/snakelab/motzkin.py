@@ -208,14 +208,8 @@ class WeightedPath:
     def __len__(self) -> int:
         return len(self.steps)
 
-    def heights(self) -> tuple[int, ...]:
-        return step_heights(self.steps)
-
     def weight(self) -> Weight:
         return _weight(self.weights)
-
-    def t_degree(self) -> int:
-        return self.weight()[1]
 
     def text(self) -> str:
         return " ".join(f"{s}[{Monomial(1, *w).text()}]" for s, w in zip(self.steps, self.weights))

@@ -29,15 +29,19 @@ The work runs on raw windows, plain tuples of signed ints, and on paths as
 - the cores read that scan: `_encode` gives the path, `_cs` the
   cs-vector and `_key` the enumerator's exponent triple, and `_decode`
   maps a path back to its window and cs-vector, by block rebuild
-  (`_rebuild_word`) and then sign recovery (`_signs`).
-The public functions keep their types and guards: `generate_snakes` wraps
-each window in a `Snake`; `cs_vector`, `lambda1` and `lambda2` reject a
-window that is not a snake of its variant, and the encodings return
+  (`_rebuild_word`) and then sign recovery (`_signs`);
+- `_patterns` is the pattern side of lemma-pattern: one sweep over a
+  window's adjacent pairs, sharing no code with the scan.
+The catalog's one walk per (variant, size), `checks._snake_walk`, reads
+each window once and proves thm-5.8, thm-5.12 and the two lemmas off these
+cores.  The public functions keep their types and guards: `generate_snakes`
+wraps each window in a `Snake`; `cs_vector`, `lambda1` and `lambda2` reject
+a window that is not a snake of its variant, and the encodings return
 `_encode`'s pair as a `WeightedPath`; the inverses test membership first,
 rebuild from the path's weights and close with `arnold_recover`'s check;
-and `snake_enumerator` sums `_key` over `_windows`.  `pattern_counts` and
-`block_profile` compute the same statistics one element at a time; they
-stay as the oracles the tests check the scan against.
+and `snake_enumerator` sums `_key` over `_windows`.  `block_profile`
+computes the block counts one element at a time, for the worked-example
+tables.
 """
 
 from __future__ import annotations
@@ -192,7 +196,7 @@ def _elements(window: Sequence[int], variant: str) -> list[Element]:
     extends one at a double ascent (L) or double descent (W), and merges
     two at a peak (D).  The sorted block starts give, by lemma-pattern, the
     2-31 count as the blocks to the right of k's and the 13-2 count as
-    those to its left: the counts of `pattern_counts`.
+    those to its left: the counts of the `_patterns` sweep.
     """
     ext = _extended(window, variant)
     word = list(map(abs, ext))
@@ -226,6 +230,30 @@ def _cs(elements: Sequence[Element]) -> tuple[int, ...]:
     change enters it, 1 at a double ascent or descent, 0 at a peak."""
     return tuple(2 * change if step == "U" else int(step != "D")
                  for step, change, _, _ in elements)
+
+
+def _patterns(window: Sequence[int], variant: str) -> list[tuple[int, int]]:
+    """(13-2, 2-31) for each element of a window, in value order, from one
+    sweep over the adjacent pairs of its boundary-extended absolute word.
+
+    An ascent x < y counts toward the 13-2 count of each value strictly
+    between x and y that lies to its right, and a descent x > y toward the
+    2-31 count of each such value that lies to its left.  The sweep shares
+    no code with `_elements`, whose block counts lemma-pattern compares it
+    with.
+    """
+    word = [abs(v) for v in _extended(window, variant)]
+    seen = [False] * len(word)
+    thirteen_two, two_thirty_one = [0] * len(word), [0] * len(word)
+    for x, y in zip(word, word[1:]):
+        seen[x] = True
+        if x < y:
+            for j in range(x + 1, y):
+                thirteen_two[j] += not seen[j]
+        else:
+            for j in range(y + 1, x):
+                two_thirty_one[j] += seen[j]
+    return list(zip(thirteen_two, two_thirty_one))[1:len(window) + 1]
 
 
 def _checked_scan(snake: Snake) -> list[Element]:
@@ -317,20 +345,6 @@ def block_profile(abs_window: Sequence[int], variant: str) -> BlockProfile:
         after = sum(1 for start, _ in blocks if start > pos)
         beta.append(after)
     return BlockProfile(tuple(alpha), tuple(beta))
-
-
-def pattern_counts(abs_window: Sequence[int], variant: str, j: int) -> tuple[int, int]:
-    """(13-2, 2-31) pattern counts of the element j against adjacent pairs of
-    the boundary-extended absolute word."""
-    word = tuple(abs(v) for v in _extended(abs_window, variant))
-    i = word.index(j, 1)
-    thirteen_two = sum(
-        1 for a in range(0, i - 1) if word[a] < j < word[a + 1]
-    )
-    two_thirty_one = sum(
-        1 for a in range(i + 1, len(word) - 1) if word[a] > j > word[a + 1]
-    )
-    return thirteen_two, two_thirty_one
 
 
 def _encode(elements: Sequence[Element], offset: int) -> RawPath:

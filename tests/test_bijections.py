@@ -1,6 +1,6 @@
 """The two-to-one restructuring map and the two sign-reversing involutions."""
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -16,6 +16,7 @@ from snakelab.bijections import (
 )
 from snakelab.eulerians import Q_poly, R_poly
 from snakelab.motzkin import EMPTY_PATH, WeightedPath, gen_weighted, in_family, matching_pairs, rho
+from test_snakes import pattern_counts
 
 
 def mono(ey=0, et=0, eq=0):
@@ -161,7 +162,7 @@ def _toggle_reference(path, y2_step, y2_shift, up_offset):
             steps[i], weights[i] = plain_step, Monomial(1, 0, 0, w.eq - y2_shift)
             break
     else:
-        heights = path.heights()
+        heights = motzkin.step_heights(path.steps)
         for u, d in matching_pairs(path.steps):
             h = heights[u]
             wu, wd = weights[u], weights[d]
@@ -235,8 +236,9 @@ def _psi1_slices_reference(n_max):
                 if bijections.psi1(p) not in members:
                     return f"n={n}: psi1 leaves the {scheme} slice at {p.text()}"
         for p in motzkin.gen_weighted("F", n):
-            if p.t_degree() % 2 != n % 2:
-                return f"n={n}: fixed path with t-degree {p.t_degree()}: {p.text()}"
+            t_degree = p.weight()[1]
+            if t_degree % 2 != n % 2:
+                return f"n={n}: fixed path with t-degree {t_degree}: {p.text()}"
     return None
 
 
@@ -276,9 +278,13 @@ def _catalog(check_id):
 
 @pytest.fixture
 def fresh_walk():
-    checks._involution_walk.cache_clear()
+    """Empty the cached walks before and after a test that patches what
+    fills them."""
+    for walk in (checks._involution_walk, checks._snake_walk):
+        walk.cache_clear()
     yield
-    checks._involution_walk.cache_clear()
+    for walk in (checks._involution_walk, checks._snake_walk):
+        walk.cache_clear()
 
 
 @pytest.mark.usefixtures("fresh_walk")
@@ -343,6 +349,29 @@ class TestPsi2Walk:
         assert "unexpected fixed point" in walk and walk == _psi2_check_reference(4)
 
 
+def _bijection(n, sources, forward, inverse, target, law=None, target_size=None):
+    """The first witness against `forward` being a bijection from the
+    sources onto the target: for each source x in order, inverse(image) == x
+    and no witness from law(x, image); then the count.  A ValueError from
+    the inverse, which guards the target, means the image left it."""
+    count = 0
+    for x in sources:
+        count += 1
+        image = forward(x)
+        try:
+            back = inverse(image)
+        except ValueError as err:
+            return f"n={n}: image leaves {target} at {x.text()}: {err}"
+        if back != x:
+            return f"n={n}: round trip failed for {x.text()}"
+        witness = law(x, image) if law else None
+        if witness:
+            return witness
+    if target_size is not None and count != target_size:
+        return f"n={n}: {count} sources, {target_size} in {target}"
+    return None
+
+
 def _cover_reference(n_max):
     """prop-3.2 as one walk of the guarded phi per path."""
     for n in range(1, n_max + 1):
@@ -352,7 +381,7 @@ def _cover_reference(n_max):
                 return f"n={n}: weight not preserved for {p.text()}"
             return None
 
-        witness = checks._bijection(
+        witness = _bijection(
             n, gen_weighted("M", n), phi, lambda image: phi_inverse(*image), "{y^2, yt} x H", law,
             2 * motzkin.path_count("H", n - 1),
         ) or checks._equal(n, rho("M", n), (Y ** 2 + Y * T) * rho("H", n - 1))
@@ -426,6 +455,7 @@ class _Item:
         return isinstance(other, _Item) and other.k == self.k
 
 
+@pytest.mark.usefixtures("fresh_walk")
 class TestBijectionWalk:
     def _run(self, forward, inverse, law=None, target_size=None):
         # the inverse guards its domain N, as the library's inverses do
@@ -435,7 +465,7 @@ class TestBijectionWalk:
             return inverse(image)
 
         items = [_Item(k) for k in range(4)]
-        return checks._bijection(3, iter(items), forward, guarded, "N", law, target_size)
+        return _bijection(3, iter(items), forward, guarded, "N", law, target_size)
 
     def test_bijection_passes(self):
         assert self._run(lambda x: x.k, _Item, target_size=4) is None
@@ -469,6 +499,199 @@ class TestBijectionWalk:
         result = checks.run_check("thm-5.8")
         assert result.status == "fail"
         assert result.witness == "n=0: image leaves TSTAR at ()[S0]: decoder bug"
+
+
+# -- the snake checks as separate loops, before one walk per (variant, size) --
+
+
+def _sign_changes_reference(n):
+    """lemma-sign-changes at n: s -> (|window|, cs-vector) is one to one on
+    the S0 and S00 snakes, with arnold_recover its inverse, and each
+    cs-vector lies in {0,1,2}^n and sums to the snake's sign changes."""
+
+    def law(s, image):
+        if not all(c in (0, 1, 2) for c in image[1]):
+            return f"n={n}: image leaves {{0,1,2}}^n at {s.text()}"
+        if sum(image[1]) != snakes.sign_changes(s):
+            return f"n={n}: {s.text()}: vector {image[1]} does not sum to the total"
+        return None
+
+    for variant in ("S0", "S00"):
+        witness = _bijection(
+            n, (snakes.Snake(w, variant) for w in snakes._windows(n, variant)),
+            lambda s: (tuple(abs(x) for x in s.window), snakes.cs_vector(s)),
+            lambda image: snakes.arnold_recover(*image, variant), "{0,1,2}^n", law)
+        if witness:
+            return witness
+    return None
+
+
+def _pattern_lemma_reference(n):
+    """lemma-pattern at n: block_profile against pattern_counts."""
+    for variant in ("S0", "S00"):
+        for window in snakes._windows(n, variant):
+            word = tuple(map(abs, window))
+            profile = snakes.block_profile(word, variant)
+            for k in range(1, n + 1):
+                a, b = pattern_counts(word, variant, k)
+                if profile.beta[k] != b or profile.alpha[k] != a + b + 1:
+                    return (
+                        f"n={n}: {snakes.Snake(window, variant).text()}: k={k} blocks"
+                        f" ({profile.alpha[k]}, {profile.beta[k]}) vs patterns ({a}, {b})"
+                    )
+    return None
+
+
+def _snake_code_reference(variant, offset, scheme, poly, inverse):
+    """thm-5.8 or thm-5.12 at n: the encoding maps the variant's snakes of
+    size n + offset one to one onto the scheme's paths of length n, and the
+    snake sums equal Q_n or R_n."""
+
+    def claim(n):
+        sums = Counter()
+        count = 0
+        for window in snakes._windows(n + offset, variant):
+            count += 1
+            scan = snakes._elements(window, variant)
+            image = snakes._encode(scan, offset)
+            try:
+                lands = (motzkin._contains(scheme, *image)
+                         and snakes._decode(*image, offset) == (window, snakes._cs(scan)))
+            except ValueError:
+                lands = False
+            if not lands:
+                source = snakes.Snake(window, variant).text()
+                return checks._landing(n, source, image, getattr(snakes, inverse), scheme)
+            sums[snakes._key(scan, offset)] += 1
+        target_size = motzkin.path_count(scheme, n)
+        if count != target_size:
+            return f"n={n}: {count} sources, {target_size} in {scheme}"
+        return checks._equal(n, Poly(sums), poly(n))
+
+    return claim
+
+
+_SNAKE_REFERENCES = {
+    "lemma-sign-changes": checks._each_n(_sign_changes_reference),
+    "lemma-pattern": checks._each_n(_pattern_lemma_reference, 1),
+    "thm-5.8": checks._each_n(_snake_code_reference("S0", 0, "TSTAR", Q_poly, "lambda1_inv")),
+    "thm-5.12": checks._each_n(_snake_code_reference("S00", 1, "T", R_poly, "lambda2_inv")),
+}
+
+
+def _from_size_3_on_s00(variant, size):
+    return variant == "S00" and size >= 3
+
+
+def _sign_changes_plus_one(monkeypatch):
+    real = snakes.sign_changes
+    monkeypatch.setattr(snakes, "sign_changes", lambda s: real(s) + 1)
+
+
+def _sign_changes_plus_one_on_s00(monkeypatch):
+    real = snakes.sign_changes
+    monkeypatch.setattr(snakes, "sign_changes",
+                        lambda s: real(s) + _from_size_3_on_s00(s.variant, s.size()))
+
+
+def _sweep_off_by_one(monkeypatch):
+    # the sweep's 2-31 counts, and those of its oracle, one too high on S00
+    # from size 3
+    sweep, oracle = snakes._patterns, pattern_counts
+
+    def bad_sweep(window, variant):
+        extra = _from_size_3_on_s00(variant, len(window))
+        return [(a, b + extra) for a, b in sweep(window, variant)]
+
+    def bad_oracle(word, variant, k):
+        a, b = oracle(word, variant, k)
+        return a, b + _from_size_3_on_s00(variant, len(word))
+
+    monkeypatch.setattr(snakes, "_patterns", bad_sweep)
+    monkeypatch.setitem(globals(), "pattern_counts", bad_oracle)
+
+
+def _flipped_signs(monkeypatch):
+    # the last entry of every recovered window of size >= 2 changes sign
+    real = snakes._signs
+
+    def flipped(word, cs):
+        window = real(word, cs)
+        return (*window[:-1], -window[-1]) if len(window) >= 2 else window
+
+    monkeypatch.setattr(snakes, "_signs", flipped)
+
+
+def _cs_out_of_range(monkeypatch):
+    # every valley with a sign change records 3 instead of 2
+    real = snakes._cs
+    monkeypatch.setattr(snakes, "_cs", lambda elements: tuple(3 if c == 2 else c for c in real(elements)))
+
+
+def _bumped_encode(monkeypatch):
+    # the first step's q-exponent of every image is past any menu
+    real = snakes._encode
+
+    def bumped(elements, offset):
+        steps, weights = real(elements, offset)
+        if not weights:
+            return steps, weights
+        (ey, et, eq), *rest = weights
+        return steps, ((ey, et, eq + 100), *rest)
+
+    monkeypatch.setattr(snakes, "_encode", bumped)
+
+
+_SNAKE_MUTATIONS = [_sign_changes_plus_one, _sign_changes_plus_one_on_s00, _sweep_off_by_one,
+                    _flipped_signs, _cs_out_of_range, _bumped_encode]
+
+
+@pytest.mark.usefixtures("fresh_walk")
+class TestSnakeWalk:
+    @pytest.mark.parametrize("n_max", range(6))
+    def test_walk_agrees_with_separate_loops(self, n_max):
+        for check_id, reference in _SNAKE_REFERENCES.items():
+            assert _catalog(check_id)(n_max) is None
+            assert reference(n_max) is None
+
+    @pytest.mark.parametrize("mutate", _SNAKE_MUTATIONS, ids=lambda f: f.__name__.strip("_"))
+    def test_mutation_gives_one_witness_on_both_routes(self, monkeypatch, mutate):
+        mutate(monkeypatch)
+        witnesses = [_catalog(check_id)(5) for check_id in _SNAKE_REFERENCES]
+        assert witnesses == [reference(5) for reference in _SNAKE_REFERENCES.values()]
+        assert any(witnesses)
+
+    def test_walk_is_shared(self):
+        for check_id in _SNAKE_REFERENCES:
+            checks.run_check(check_id, 3)
+        # S0 and S00 of sizes 0..3 with the lemma claims, and S00(4) without
+        info = checks._snake_walk.cache_info()
+        assert (info.misses, info.hits) == (9, 13)
+
+    def test_top_size_runs_the_encoding_alone(self, monkeypatch):
+        # thm-5.12 at n_max reads S00(n_max + 1), where no lemma claim runs
+        sizes = set()
+        real = snakes._patterns
+
+        def recorded(window, variant):
+            sizes.add(len(window))
+            return real(window, variant)
+
+        monkeypatch.setattr(snakes, "_patterns", recorded)
+        assert checks.run_check("thm-5.12", 3).status == "pass"
+        assert sizes == {1, 2, 3}
+
+    @pytest.mark.parametrize("mutate", [None, _flipped_signs], ids=["real", "flipped_signs"])
+    @pytest.mark.parametrize("check_id", list(_SNAKE_REFERENCES))
+    def test_check_alone_equals_check_after_the_others(self, monkeypatch, check_id, mutate):
+        if mutate:
+            mutate(monkeypatch)
+        alone = checks.run_check(check_id)
+        checks._snake_walk.cache_clear()
+        for other in _SNAKE_REFERENCES:
+            if other != check_id:
+                checks.run_check(other)
+        assert checks.run_check(check_id) == alone
 
 
 class TestPsi2:

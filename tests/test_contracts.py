@@ -55,7 +55,7 @@ def test_no_assert_statements(module):
 def fresh_caches():
     """Empty the shared per-n passes before and after a test that patches
     what fills them, so a pass filled elsewhere cannot hide the patch."""
-    caches = (permstats.a_table, permstats.b_table, checks._involution_walk)
+    caches = (permstats.a_table, permstats.b_table, checks._involution_walk, checks._snake_walk)
     for cache in caches:
         cache.cache_clear()
     yield
@@ -182,7 +182,7 @@ _SNAKE_CHECKS = [("thm-5.8", "TSTAR"), ("thm-5.12", "T")]
 
 
 @pytest.mark.parametrize("check_id, name", [("thm-5.8", "lambda1"), ("thm-5.12", "lambda2")])
-def test_snake_check_catches_bad_image(monkeypatch, check_id, name):
+def test_snake_check_catches_bad_image(monkeypatch, fresh_caches, check_id, name):
     # the walk applies the unguarded encode core behind the public map
     scheme = {"lambda1": "TSTAR", "lambda2": "T"}[name]
     real = snakes._encode
@@ -197,7 +197,7 @@ def test_snake_check_catches_bad_image(monkeypatch, check_id, name):
 
 
 @pytest.mark.parametrize("check_id, scheme", _SNAKE_CHECKS)
-def test_snake_check_catches_cs_mismatch(monkeypatch, check_id, scheme):
+def test_snake_check_catches_cs_mismatch(monkeypatch, fresh_caches, check_id, scheme):
     # the decoder reads one level step's t-exponent 2 too high: the window
     # still decodes (signs read only the valleys), so only the walk's
     # comparison of cs-vectors sees it
@@ -217,7 +217,7 @@ def test_snake_check_catches_cs_mismatch(monkeypatch, check_id, scheme):
 
 
 @pytest.mark.parametrize("check_id", [check_id for check_id, _ in _SNAKE_CHECKS])
-def test_snake_check_catches_bad_key(monkeypatch, check_id):
+def test_snake_check_catches_bad_key(monkeypatch, fresh_caches, check_id):
     real = snakes._key
 
     def off_by_one_q(elements, offset):
@@ -231,21 +231,21 @@ def test_snake_check_catches_bad_key(monkeypatch, check_id):
 
 
 @pytest.mark.parametrize("check_id, scheme", _SNAKE_CHECKS)
-def test_snake_check_catches_dropped_window(monkeypatch, check_id, scheme):
+def test_snake_check_catches_dropped_window(monkeypatch, fresh_caches, check_id, scheme):
     real = snakes._windows
     monkeypatch.setattr(snakes, "_windows", lambda n, v: list(real(n, v))[:-1])
     assert run_check(check_id).witness == f"n=0: 0 sources, 1 in {scheme}"
 
 
-def test_sign_change_witness_names_n(monkeypatch):
+def test_sign_change_witness_names_n(monkeypatch, fresh_caches):
     real = snakes.sign_changes
     monkeypatch.setattr(snakes, "sign_changes", lambda s: real(s) + 1)
     witness = run_check("lemma-sign-changes").witness
     assert witness == "n=0: ()[S0]: vector () does not sum to the total"
 
 
-def test_pattern_witness_names_n(monkeypatch):
-    monkeypatch.setattr(snakes, "pattern_counts", lambda word, variant, k: (0, 1))
+def test_pattern_witness_names_n(monkeypatch, fresh_caches):
+    monkeypatch.setattr(snakes, "_patterns", lambda window, variant: [(0, 1)] * len(window))
     witness = run_check("lemma-pattern").witness
     assert witness == "n=1: (1)[S0]: k=1 blocks (1, 0) vs patterns (0, 1)"
 
@@ -254,7 +254,7 @@ def _wrong_for_s00_and_large(variant, size):
     return variant == "S00" or size >= 3
 
 
-def test_sign_change_witness_is_smallest_over_variants(monkeypatch):
+def test_sign_change_witness_is_smallest_over_variants(monkeypatch, fresh_caches):
     # S00 fails from n=0 and S0 only from n=3: the smallest n wins
     real = snakes.sign_changes
     monkeypatch.setattr(snakes, "sign_changes",
@@ -263,16 +263,33 @@ def test_sign_change_witness_is_smallest_over_variants(monkeypatch):
     assert witness == "n=0: ()[S00]: vector () does not sum to the total"
 
 
-def test_pattern_witness_is_smallest_over_variants(monkeypatch):
-    real = snakes.pattern_counts
+def test_pattern_witness_is_smallest_over_variants(monkeypatch, fresh_caches):
+    real = snakes._patterns
 
-    def bad(word, variant, k):
-        a, b = real(word, variant, k)
-        return a, b + _wrong_for_s00_and_large(variant, len(word))
+    def bad(window, variant):
+        wrong = _wrong_for_s00_and_large(variant, len(window))
+        return [(a, b + wrong) for a, b in real(window, variant)]
 
-    monkeypatch.setattr(snakes, "pattern_counts", bad)
+    monkeypatch.setattr(snakes, "_patterns", bad)
     witness = run_check("lemma-pattern").witness
     assert witness == "n=1: (1)[S00]: k=1 blocks (1, 0) vs patterns (0, 1)"
+
+
+@pytest.mark.parametrize("check_id", ["lemma-sign-changes", "lemma-pattern"])
+def test_non_snake_window_is_a_lemma_witness(monkeypatch, fresh_caches, check_id):
+    # a generator that also yields a window which does not zigzag: the
+    # lemmas report it instead of raising from cs_vector or passing
+    real = snakes._windows
+
+    def with_intruder(n, variant):
+        yield from real(n, variant)
+        if (n, variant) == (3, "S0"):
+            yield (1, 2, 3)
+
+    monkeypatch.setattr(snakes, "_windows", with_intruder)
+    result = run_check(check_id)
+    assert result.status == "fail"
+    assert result.witness == "n=3: not a snake: (1,2,3)[S0]"
 
 
 @pytest.mark.parametrize("call", [

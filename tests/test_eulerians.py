@@ -18,6 +18,12 @@ from snakelab.eulerians import (
     springer_numbers,
 )
 
+
+def t_exponents(poly):
+    """The exponents of t that occur in a polynomial."""
+    return {et for (_, et, _) in poly.terms}
+
+
 EULER = [1, 1, 1, 2, 5, 16, 61, 272, 1385, 7936]
 SPRINGER = [1, 1, 3, 11, 57, 361, 2763, 24611, 250737]  # OEIS A001586
 
@@ -144,8 +150,8 @@ class TestQRPolynomials:
 
     @pytest.mark.parametrize("n", range(11))
     def test_t_exponent_parity(self, n):
-        assert all(e % 2 == n % 2 for e in Q_poly(n).t_exponents())
-        assert all(e % 2 == n % 2 for e in R_poly(n).t_exponents())
+        assert all(e % 2 == n % 2 for e in t_exponents(Q_poly(n)))
+        assert all(e % 2 == n % 2 for e in t_exponents(R_poly(n)))
 
     @pytest.mark.parametrize("m", range(5))
     def test_q_even_at_t_zero_is_q_secant(self, m):

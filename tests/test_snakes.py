@@ -21,13 +21,23 @@ from snakelab.snakes import (
     lambda1_inv,
     lambda2,
     lambda2_inv,
-    pattern_counts,
     sign_changes,
     snake_enumerator,
 )
 
 # -- references: the snake routes as they were before one scan and one block
 # list, kept to check the rewritten routes against --------------------------
+
+
+def pattern_counts(abs_window, variant, j):
+    """(13-2, 2-31) pattern counts of the element j against adjacent pairs of
+    the boundary-extended absolute word: the oracle of the sweep
+    `snakes._patterns`."""
+    word = tuple(abs(v) for v in _reference_extended(abs_window, variant))
+    i = word.index(j, 1)
+    thirteen_two = sum(1 for a in range(0, i - 1) if word[a] < j < word[a + 1])
+    two_thirty_one = sum(1 for a in range(i + 1, len(word) - 1) if word[a] > j > word[a + 1])
+    return thirteen_two, two_thirty_one
 
 
 def two_thirty_one_total(abs_window, variant):
@@ -375,10 +385,19 @@ class TestPatternCounts:
         thirteen_two, two_thirty_one = pattern_counts(word, "S0", 6)
         assert thirteen_two == 2  # the pairs (4,7) and (1,8) bracket 6
         assert two_thirty_one == 0
+        assert snakes._patterns(word, "S0")[5] == (2, 0)
 
     def test_identity_window(self):
         for j in (1, 2, 3):
             assert pattern_counts((1, 2, 3), "S0", j) == (0, 0)
+
+    @pytest.mark.parametrize("variant", ["S0", "S00"])
+    @pytest.mark.parametrize("n", range(7))
+    def test_sweep_matches_pattern_counts(self, n, variant):
+        for window in snakes._windows(n, variant):
+            word = tuple(map(abs, window))
+            want = [pattern_counts(word, variant, k) for k in range(1, n + 1)]
+            assert snakes._patterns(window, variant) == want, window
 
     @pytest.mark.parametrize("variant", ["S0", "S00"])
     @pytest.mark.parametrize("n", range(1, 7))
