@@ -44,10 +44,11 @@ one walk of H_n, so either check still runs alone.
 
 One snake walk per (variant, size) reads and scans each raw window once
 (`snakes._windows`, `_elements`) for the encoding's claims and, at sizes
-up to the ceiling, the lemmas'.  The permutation checks read the cached
-`permstats.a_table` and `b_table`, of which every signed enumerator, the
-JV sums included, is a projection.  Clearing these caches is needed only
-where a test patches what fills them.
+up to the ceiling, the lemmas'; the worked-example block tables read the
+same scan.  The permutation checks read the cached `permstats.a_table` and
+`b_table`, of which every signed enumerator, the JV sums included, is a
+projection; the corollary sums are the FWEX_SIGN enumerators at t = q = 1.
+Clearing these caches is needed only where a test patches what fills them.
 """
 
 from __future__ import annotations
@@ -185,13 +186,6 @@ def _basis_expansion(coeffs: list[int], degree: int) -> dict[int, int]:
         for k in range(degree - 2 * i + 1):
             out[i + k] += c * math.comb(degree - 2 * i, k)
     return dict(+out)
-
-
-def _half_fwex_sum(n: int, family: str) -> int:
-    return sum(
-        _sign(fwex // 2) * count
-        for (fwex, *_), count in permstats.family_table(n, family).items()
-    )
 
 
 # -- bijections and involutions --------------------------------------------------
@@ -451,9 +445,14 @@ _EXAMPLE_SNAKE_00 = snakes.Snake((5, -2, 4, -7, -1, -8, 11, -9, 6, 3, 10), "S00"
 
 
 def _profile(s: snakes.Snake, alpha: slice, beta: slice) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Rows of the block table of a worked example: alpha and beta, sliced."""
-    p = snakes.block_profile(tuple(abs(v) for v in s.window), s.variant)
-    return p.alpha[alpha], p.beta[beta]
+    """Rows of the block table of a worked example, sliced, off its scan:
+    alpha_k = 13-2 + 2-31 + 1 and beta_k = 2-31 for k >= 1.  At k = 0 the
+    blocks are the boundary zeros of the extended word, all but the
+    leftmost to its right."""
+    zeros = s.extended().count(0)
+    scan = snakes._elements(s.window, s.variant)
+    return ((zeros, *(a + b + 1 for _, _, a, b in scan))[alpha],
+            (zeros - 1, *(b for *_, b in scan))[beta])
 
 
 def _first_steps(path) -> list[tuple[str, str]]:
@@ -548,18 +547,19 @@ CHECKS: list[Check] = [
         lambda n: _minus_inv_q(n // 2) * eulerians.Q_poly(n) if n % 2 == 0 else Poly(), start=1),
     _identity_check(
         "cor-1.5-i", "sum over B_n of (-1)^floor(fwex/2) is (-1)^(n/2) 2^n E_n or 0", 5,
-        lambda n: _half_fwex_sum(n, "B"),
+        lambda n: permstats.signed_enumerator(n, "B", "FWEX_SIGN")(t=1, q=1).as_int(),
         lambda n: _sign(n // 2) * 2 ** n * eulerians.euler_number(n) if n % 2 == 0 else 0, start=1),
     _identity_check(
         "cor-1.5-ii", "sum over D_n of (-1)^floor(fwex/2) is (-1)^floor((n+1)/2) 2^(n-1) E_n", 5,
-        lambda n: _half_fwex_sum(n, "D"),
+        lambda n: permstats.signed_enumerator(n, "D", "FWEX_SIGN")(t=1, q=1).as_int(),
         lambda n: _sign((n + 1) // 2) * 2 ** (n - 1) * eulerians.euler_number(n), start=1),
     _identity_check(
         "cor-1.6-i", "sum over fixed-point-free B_n of (-1)^floor(fwex/2) is (-1)^floor(n/2) S_n", 5,
-        lambda n: _half_fwex_sum(n, "B*"), lambda n: _sign(n // 2) * eulerians.springer_number(n), start=1),
+        lambda n: permstats.signed_enumerator(n, "B*", "FWEX_SIGN")(t=1, q=1).as_int(),
+        lambda n: _sign(n // 2) * eulerians.springer_number(n), start=1),
     _identity_check(
         "cor-1.6-ii", "sum over fixed-point-free D_n of (-1)^floor(fwex/2) is (-1)^(n/2) S_n or 0", 5,
-        lambda n: _half_fwex_sum(n, "D*"),
+        lambda n: permstats.signed_enumerator(n, "D*", "FWEX_SIGN")(t=1, q=1).as_int(),
         lambda n: _sign(n // 2) * eulerians.springer_number(n) if n % 2 == 0 else 0, start=1),
     _identity_check("prop-2.2", "path weights of scheme T sum to R_n", 5, _rho("T"), eulerians.R_poly),
     _identity_check("prop-2.3", "path weights of scheme TSTAR sum to Q_n", 5, _rho("TSTAR"), eulerians.Q_poly),
@@ -620,6 +620,8 @@ CHECKS_BY_ID = {c.id: c for c in CHECKS}
 def run_check(check_id: str, n_max: int | None = None) -> CheckResult:
     """Run one catalog entry; unknown ids raise KeyError."""
     check = CHECKS_BY_ID[check_id]
+    if n_max is not None and n_max < 0:
+        raise ValueError("n must be >= 0")
     effective = check.default_n if n_max is None else n_max
     if not check.scalable:
         effective = check.default_n

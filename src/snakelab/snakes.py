@@ -39,9 +39,8 @@ wraps each window in a `Snake`; `cs_vector`, `lambda1` and `lambda2` reject
 a window that is not a snake of its variant, and the encodings return
 `_encode`'s pair as a `WeightedPath`; the inverses test membership first,
 rebuild from the path's weights and close with `arnold_recover`'s check;
-and `snake_enumerator` sums `_key` over `_windows`.  `block_profile`
-computes the block counts one element at a time, for the worked-example
-tables.
+and `snake_enumerator` sums `_key` over `_windows`.  The catalog's
+worked-example block tables read their counts off `_elements` too.
 """
 
 from __future__ import annotations
@@ -304,47 +303,6 @@ def arnold_recover(abs_window: Sequence[int], cs: Sequence[int], variant: str) -
     if not _zigzag(_extended(window, variant)) or _cs(_elements(window, variant)) != tuple(cs):
         raise ValueError(f"no snake realizes cs-vector {tuple(cs)} over {abs_window}")
     return Snake(window, variant)
-
-
-@dataclass(frozen=True)
-class BlockProfile:
-    """Block counts of the boundary-extended absolute word restricted to
-    {0..k}: alpha[k] blocks in total, beta[k] of them strictly to the right
-    of the block containing k (leftmost occurrence for the S00 boundary
-    zeros)."""
-
-    alpha: tuple[int, ...]
-    beta: tuple[int, ...]
-
-
-def _blocks(word: Sequence[int], k: int) -> list[tuple[int, int]]:
-    # maximal runs of positions whose values are <= k, as (start, end) pairs
-    out = []
-    start = None
-    for i, v in enumerate(word):
-        if v <= k:
-            if start is None:
-                start = i
-        elif start is not None:
-            out.append((start, i - 1))
-            start = None
-    if start is not None:
-        out.append((start, len(word) - 1))
-    return out
-
-
-def block_profile(abs_window: Sequence[int], variant: str) -> BlockProfile:
-    word = [abs(v) for v in _extended(abs_window, variant)]
-    m = len(abs_window)
-    alpha = []
-    beta = []
-    for k in range(m + 1):
-        blocks = _blocks(word, k)
-        alpha.append(len(blocks))
-        pos = word.index(k)
-        after = sum(1 for start, _ in blocks if start > pos)
-        beta.append(after)
-    return BlockProfile(tuple(alpha), tuple(beta))
 
 
 def _encode(elements: Sequence[Element], offset: int) -> RawPath:

@@ -16,7 +16,7 @@ from snakelab.bijections import (
 )
 from snakelab.eulerians import Q_poly, R_poly
 from snakelab.motzkin import EMPTY_PATH, WeightedPath, gen_weighted, in_family, matching_pairs, rho
-from test_snakes import pattern_counts
+from test_snakes import block_profile, pattern_counts
 
 
 def mono(ey=0, et=0, eq=0):
@@ -531,7 +531,7 @@ def _pattern_lemma_reference(n):
     for variant in ("S0", "S00"):
         for window in snakes._windows(n, variant):
             word = tuple(map(abs, window))
-            profile = snakes.block_profile(word, variant)
+            profile = block_profile(word, variant)
             for k in range(1, n + 1):
                 a, b = pattern_counts(word, variant, k)
                 if profile.beta[k] != b or profile.alpha[k] != a + b + 1:

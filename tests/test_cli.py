@@ -12,10 +12,11 @@ import pytest
 
 import snakelab
 from snakelab import checks as checklib
-from snakelab import eulerians
+from snakelab import eulerians, snakes
 from snakelab.algebra import ONE, T, Poly
 from snakelab.checks import Check, CheckResult, _identity, run_check
 from snakelab.cli import CLOSED_PIPE_EXIT, USAGE_EXIT, emit_table, main
+from test_snakes import block_profile
 
 
 def run_cli(capsys, *argv):
@@ -202,6 +203,32 @@ class TestGoldenCheck:
     def test_catalog_golden_reports_a_changed_value(self, monkeypatch):
         monkeypatch.setattr(checklib.permstats, "stats", lambda w: SimpleNamespace(cro_b=4))
         assert run_check("example-cro-golden").witness == "got 4, want 5"
+
+    def test_block_tables_read_the_scan(self, monkeypatch):
+        # one 2-31 count too high in the scan of the size-10 example, at k = 10
+        real = snakes._elements
+
+        def bumped(window, variant):
+            scan = real(window, variant)
+            if window == checklib._EXAMPLE_SNAKE.window:
+                step, change, thirteen_two, two_thirty_one = scan[-1]
+                scan[-1] = step, change, thirteen_two, two_thirty_one + 1
+            return scan
+
+        monkeypatch.setattr(snakes, "_elements", bumped)
+        assert run_check("table-1-golden").witness == (
+            "got ((1, 2, 3, 4, 4, 3, 3, 2, 2, 2, 2), (0, 0, 1, 0, 2, 2, 0, 1, 1, 0, 1)),"
+            " want ((1, 2, 3, 4, 4, 3, 3, 2, 2, 2, 1), (0, 0, 1, 0, 2, 2, 0, 1, 1, 0, 0))")
+        assert run_check("table-2-golden").status == "pass"
+
+    @pytest.mark.parametrize("variant", ["S0", "S00"])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_block_table_rows_match_the_reference(self, n, variant):
+        # the k = 0 column from the boundary zeros, the rest from the scan;
+        # at n = 0 the two zeros of S00 touch and form one block
+        for s in snakes.generate_snakes(n, variant):
+            p = block_profile(tuple(map(abs, s.window)), variant)
+            assert checklib._profile(s, slice(None), slice(None)) == (p.alpha, p.beta), s.text()
 
 
 class TestCompute:

@@ -308,10 +308,12 @@ def test_non_snake_window_is_a_lemma_witness(monkeypatch, fresh_caches, check_id
     lambda: eulerians.seidel_numbers(-1),
     lambda: eulerians.springer_numbers(-1),
     lambda: algebra.q_int(-2),
+    lambda: run_check("thm-1.2", -1),
+    lambda: run_check("q0-golden", -1),
 ], ids=[
     "generate-A", "generate-B", "a_table", "b_table", "euler-exc", "full-ytq",
     "jv", "generate_snakes", "snake-Q", "snake-R", "springer_number", "count_alternating",
-    "seidel_numbers", "springer_numbers", "q_int",
+    "seidel_numbers", "springer_numbers", "q_int", "run_check-scalable", "run_check-golden",
 ])
 def test_negative_n_is_rejected(call):
     # a negative size is an error, never an empty family with a vacuous sum

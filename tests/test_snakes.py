@@ -2,6 +2,7 @@
 snake-to-path bijections."""
 
 import itertools
+from dataclasses import dataclass
 from functools import lru_cache
 
 import pytest
@@ -13,7 +14,6 @@ from snakelab import snakes
 from snakelab.snakes import (
     Snake,
     arnold_recover,
-    block_profile,
     cs_vector,
     generate_snakes,
     is_snake_window,
@@ -96,6 +96,49 @@ def _reference_extended(window, variant):
     return (left, *window, right)
 
 
+@dataclass(frozen=True)
+class BlockProfile:
+    """Block counts of the boundary-extended absolute word restricted to
+    {0..k}: alpha[k] blocks in total, beta[k] of them strictly to the right
+    of the block containing k (leftmost occurrence for the S00 boundary
+    zeros)."""
+
+    alpha: tuple[int, ...]
+    beta: tuple[int, ...]
+
+
+def _blocks(word, k):
+    # maximal runs of positions whose values are <= k, as (start, end) pairs
+    out = []
+    start = None
+    for i, v in enumerate(word):
+        if v <= k:
+            if start is None:
+                start = i
+        elif start is not None:
+            out.append((start, i - 1))
+            start = None
+    if start is not None:
+        out.append((start, len(word) - 1))
+    return out
+
+
+def block_profile(abs_window, variant):
+    """The block counts one element at a time, one pass over the word per
+    k: the reference of the `_elements` scan and of the table goldens."""
+    word = [abs(v) for v in _reference_extended(abs_window, variant)]
+    m = len(abs_window)
+    alpha = []
+    beta = []
+    for k in range(m + 1):
+        blocks = _blocks(word, k)
+        alpha.append(len(blocks))
+        pos = word.index(k)
+        after = sum(1 for start, _ in blocks if start > pos)
+        beta.append(after)
+    return BlockProfile(tuple(alpha), tuple(beta))
+
+
 def _generate_reference(n, variant):
     """Snakes by backtracking with one branch per variant."""
     if n == 0:
@@ -138,7 +181,7 @@ def _lambda_reference(snake, offset):
     word = tuple(abs(v) for v in ext)
     alpha, beta = [], []
     for k in range(snake.size() + 1):
-        blocks = snakes._blocks(word, k)
+        blocks = _blocks(word, k)
         alpha.append(len(blocks))
         beta.append(sum(1 for start, _ in blocks if start > word.index(k)))
     steps, weights = [], []
