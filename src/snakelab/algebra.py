@@ -158,6 +158,8 @@ class Poly:
     def subst(self, var: str, value: "Poly | int") -> "Poly":
         """Substitute a polynomial (or integer) for y, t or q.
 
+        The terms are grouped by their exponent e of the variable, and each
+        group, with the variable set to 1, is multiplied once by value^e.
         Substituting into a negative exponent requires the value to be an
         invertible monomial ``+-q^e``; anything else raises ValueError.
         """
@@ -165,19 +167,14 @@ class Poly:
             raise ValueError(f"unknown variable {var!r}")
         idx = _VAR_INDEX[var]
         value = Poly.constant(value) if isinstance(value, int) else value
-        inverse: Poly | None = None
-        out = ZERO
+        groups: dict[int, dict[Key, int]] = {}
         for key, c in self.terms.items():
-            e = key[idx]
             base = list(key)
             base[idx] = 0
-            factor = Poly({tuple(base): c})
-            if e >= 0:
-                out = out + factor * value ** e
-            else:
-                if inverse is None:
-                    inverse = _unit_inverse(value)
-                out = out + factor * inverse ** (-e)
+            groups.setdefault(key[idx], {})[tuple(base)] = c
+        out = ZERO
+        for e, base in groups.items():
+            out = out + Poly(base) * (value ** e if e >= 0 else _unit_inverse(value) ** -e)
         return out
 
     def __call__(self, y: "Poly | int | None" = None, t: "Poly | int | None" = None,

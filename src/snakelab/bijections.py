@@ -20,9 +20,10 @@ letters and branches alone and translates q intervals, so it sends a box
 to a box; it reads per-shape cached plans (the decoded shape of `phi`, the
 level positions and facing pairs of a move).  The public maps call the
 same cores on a path's one-point box; each raises ValueError on a path
-outside its domain scheme and none re-checks its output.  The catalog
-(prop-3.2, prop-3.6, prop-4.4 in `snakelab.checks`) verifies the images
-box by box, so the claim survives `python -O`.
+outside its domain scheme (`motzkin._require`, as the snake inverses do)
+and none re-checks its output.  The catalog (prop-3.2, prop-3.6, prop-4.4
+in `snakelab.checks`) verifies the images box by box, so the claim survives
+`python -O`.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from snakelab.algebra import Monomial
-from snakelab.motzkin import Weight, WeightedPath, _corner, _point, in_family, matching_pairs, step_heights
+from snakelab.motzkin import Weight, WeightedPath, _corner, _point, _require, matching_pairs, step_heights
 
 HEAD_Y2 = (2, 0, 0)
 HEAD_YT = (1, 1, 0)
@@ -41,11 +42,6 @@ _DECODE = {pair: step for step, pair in _ENCODE.items()}
 
 # involution -> (letter of its y^2 level steps, their q shift, pair offset)
 _MOVES = {"psi1": ("W", 0, 1), "psi2": ("L", 1, 0)}
-
-
-def _require(scheme: str, path: WeightedPath) -> None:
-    if not in_family(scheme, path):
-        raise ValueError(f"path is not in scheme {scheme}: {path.text()!r}")
 
 
 @lru_cache(maxsize=None)

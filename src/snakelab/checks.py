@@ -34,9 +34,10 @@ The path maps are proved once per box of paths (`motzkin._boxes`): one
 branch per step, each q exponent over an interval.  `bijections._phi`
 and `_toggle` pick their move from letters and branches and translate the
 intervals, so each box is checked whole: its image lies in the target
-(else `motzkin._first_outside` names the first path that leaves), maps
-back, keeps the weight law and the t-parity, and is fixed exactly when it
-lies in F or G, which branches decide.  Counts are sums of box sizes.
+(else `motzkin._first_outside` names the first path that leaves, or the
+box fails at its corner if its image is no path at all), maps back,
+keeps the weight law and the t-parity, and is fixed exactly when it lies
+in F or G, which branches decide.  Counts are sums of box sizes.
 `motzkin._paths` lists the paths box by box, so a claim's witness is the
 first failing path of its first failing box, worded off that path's
 one-point box as the public maps word it.  prop-3.6 and lemma-3.8 share
@@ -159,6 +160,10 @@ def _rho(scheme: str) -> Callable[[int], Poly]:
     return lambda n: motzkin.rho(scheme, n)
 
 
+def _at_one(side: Callable[[int], Poly]) -> Callable[[int], int]:
+    return lambda n: side(n)(t=1, q=1).as_int()
+
+
 def _q_euler_side(entry: Callable[[int, list[Poly]], object]) -> _Series:
     """The side whose entry n is entry(n, E), with E = [E_0(q), ...,
     E_(n_max+1)(q)] built once per run."""
@@ -202,7 +207,11 @@ def _equal(n: int, lhs, rhs) -> str | None:
 
 
 def _text(path: motzkin.RawPath) -> str:
-    return motzkin.WeightedPath(*path).text()
+    """The text of a path, or the shape error of an image that is none."""
+    try:
+        return motzkin.WeightedPath(*path).text()
+    except ValueError as err:
+        return str(err)
 
 
 _HEAD_MENU = tuple((*head, head[2]) for head in (bijections.HEAD_Y2, bijections.HEAD_YT))
@@ -214,7 +223,10 @@ def _restructure_box(steps: tuple[str, ...], ranges: tuple) -> tuple:
     the first path whose image leaves {y^2, yt} x H and broken the start of
     the witness of the first claim that fails on the whole box."""
     head, image = bijections._phi(steps, ranges)
-    menus = (_HEAD_MENU, *motzkin._shape_menus("H", image[0]))
+    try:
+        menus = (_HEAD_MENU, *motzkin._shape_menus("H", image[0]))
+    except ValueError:  # the image is not a path: the box fails at its corner
+        return head, image, (steps, motzkin._corner(ranges)), None
     outside = motzkin._first_outside(menus, steps, ranges, (head, *image[1]))
     weights = motzkin._corner((head, *image[1])), motzkin._corner(ranges)
     broken = ("round trip failed for" if bijections._phi_inverse(head, *image) != (steps, ranges) else
@@ -359,9 +371,13 @@ def _involution_box(scheme: str, steps: tuple[str, ...], ranges: tuple) -> tuple
     H and MSTAR, so the corner decides membership in them."""
     name, fixed_scheme, shifts = _INVOLUTIONS[scheme]
     image = bijections._toggle(steps, ranges, name)
-    outside = motzkin._first_outside(motzkin._shape_menus(scheme, image[0]), steps, ranges, image[1])
     corner = motzkin._corner(ranges)
     wp, wi = motzkin._weight(corner), motzkin._weight(motzkin._corner(image[1]))
+    try:
+        menus = motzkin._shape_menus(scheme, image[0])
+    except ValueError:  # the image is not a path: the box fails at its corner
+        return image, (steps, corner), None, corner, (wp, wi)
+    outside = motzkin._first_outside(menus, steps, ranges, image[1])
     in_fixed = motzkin._contains(fixed_scheme, steps, corner)
     if image == (steps, ranges):
         broken = None if in_fixed else "unexpected fixed point {p}"
@@ -419,12 +435,7 @@ def _involution_walk(scheme: str, n: int) -> dict[str, str]:
 
 def _walk(scheme: str, claims: tuple[str, ...]) -> Callable[[int], str | None]:
     """The check that reads the first witness of the claims off each walk."""
-
-    def claim(n: int) -> str | None:
-        found = _involution_walk(scheme, n)
-        return next((found[c] for c in claims if c in found), None)
-
-    return _each_n(claim)
+    return _each_n(lambda n: next(filter(None, map(_involution_walk(scheme, n).get, claims)), None))
 
 
 # -- snakes and goldens ------------------------------------------------------------
@@ -501,10 +512,10 @@ CHECKS: list[Check] = [
         _q_euler_side(lambda n, E: Poly() if n % 2 else E[n + 1]), note=R_ODD_NOTE),
     _identity_check(
         "q11-springer", "Q_n(1,1) counts the snakes with positive first entry", 7,
-        lambda n: eulerians.Q_poly(n)(t=1, q=1).as_int(), eulerians.springer_number),
+        _at_one(eulerians.Q_poly), eulerians.springer_number),
     _identity_check(
         "r11-tangent", "R_n(1,1) = 2^n E_(n+1)", 7,
-        lambda n: eulerians.R_poly(n)(t=1, q=1).as_int(), lambda n: 2 ** n * eulerians.euler_number(n + 1)),
+        _at_one(eulerians.R_poly), lambda n: 2 ** n * eulerians.euler_number(n + 1)),
     _identity_check(
         "eulercan1", "sum over all permutations of (-1)^exc is 0 or +-E_n by parity", 8,
         lambda n: permstats.signed_enumerator(n, "A", "EULER_EXC").as_int(),
@@ -547,19 +558,19 @@ CHECKS: list[Check] = [
         lambda n: _minus_inv_q(n // 2) * eulerians.Q_poly(n) if n % 2 == 0 else Poly(), start=1),
     _identity_check(
         "cor-1.5-i", "sum over B_n of (-1)^floor(fwex/2) is (-1)^(n/2) 2^n E_n or 0", 5,
-        lambda n: permstats.signed_enumerator(n, "B", "FWEX_SIGN")(t=1, q=1).as_int(),
+        _at_one(_enumerator("B", "FWEX_SIGN")),
         lambda n: _sign(n // 2) * 2 ** n * eulerians.euler_number(n) if n % 2 == 0 else 0, start=1),
     _identity_check(
         "cor-1.5-ii", "sum over D_n of (-1)^floor(fwex/2) is (-1)^floor((n+1)/2) 2^(n-1) E_n", 5,
-        lambda n: permstats.signed_enumerator(n, "D", "FWEX_SIGN")(t=1, q=1).as_int(),
+        _at_one(_enumerator("D", "FWEX_SIGN")),
         lambda n: _sign((n + 1) // 2) * 2 ** (n - 1) * eulerians.euler_number(n), start=1),
     _identity_check(
         "cor-1.6-i", "sum over fixed-point-free B_n of (-1)^floor(fwex/2) is (-1)^floor(n/2) S_n", 5,
-        lambda n: permstats.signed_enumerator(n, "B*", "FWEX_SIGN")(t=1, q=1).as_int(),
+        _at_one(_enumerator("B*", "FWEX_SIGN")),
         lambda n: _sign(n // 2) * eulerians.springer_number(n), start=1),
     _identity_check(
         "cor-1.6-ii", "sum over fixed-point-free D_n of (-1)^floor(fwex/2) is (-1)^(n/2) S_n or 0", 5,
-        lambda n: permstats.signed_enumerator(n, "D*", "FWEX_SIGN")(t=1, q=1).as_int(),
+        _at_one(_enumerator("D*", "FWEX_SIGN")),
         lambda n: _sign(n // 2) * eulerians.springer_number(n) if n % 2 == 0 else 0, start=1),
     _identity_check("prop-2.2", "path weights of scheme T sum to R_n", 5, _rho("T"), eulerians.R_poly),
     _identity_check("prop-2.3", "path weights of scheme TSTAR sum to Q_n", 5, _rho("TSTAR"), eulerians.Q_poly),

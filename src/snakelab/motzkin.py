@@ -379,6 +379,12 @@ def in_family(scheme: str, path: WeightedPath) -> bool:
     return _contains(scheme, path.steps, path.weights)
 
 
+def _require(scheme: str, path: WeightedPath) -> None:
+    """The domain guard of the public maps on paths."""
+    if not in_family(scheme, path):
+        raise ValueError(f"path is not in scheme {scheme}: {path.text()!r}")
+
+
 def rho(scheme: str, n: int) -> Poly:
     """Total weight of the scheme's paths of length n, with no path built:
     a box weighs y^ey t^et q^lo times the product of [hi-lo+1]_q over its

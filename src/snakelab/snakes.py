@@ -37,9 +37,9 @@ each window once and proves thm-5.8, thm-5.12 and the two lemmas off these
 cores.  The public functions keep their types and guards: `generate_snakes`
 wraps each window in a `Snake`; `cs_vector`, `lambda1` and `lambda2` reject
 a window that is not a snake of its variant, and the encodings return
-`_encode`'s pair as a `WeightedPath`; the inverses test membership first,
-rebuild from the path's weights and close with `arnold_recover`'s check;
-and `snake_enumerator` sums `_key` over `_windows`.  The catalog's
+`_encode`'s pair as a `WeightedPath`; the inverses share `_inverse`:
+`motzkin._require`, the walk's `_decode`, then `arnold_recover`'s check; and
+`snake_enumerator` sums `_key` over `_windows`.  The catalog's
 worked-example block tables read their counts off `_elements` too.
 """
 
@@ -52,7 +52,7 @@ from operator import ge, le
 from typing import Iterator, Sequence
 
 from snakelab.algebra import Key, Poly
-from snakelab.motzkin import RawPath, Weight, WeightedPath, in_family
+from snakelab.motzkin import RawPath, Weight, WeightedPath, _require
 
 VARIANTS = ("FULL", "S0", "S00")
 
@@ -401,20 +401,22 @@ def _decode(steps: Sequence[str], weights: Sequence[Weight],
     return _signs(word, cs), tuple(cs)
 
 
+def _inverse(path: WeightedPath, scheme: str, offset: int) -> Snake:
+    """The snake a path of the scheme decodes to by `_decode`, checked by
+    `arnold_recover`: `lambda1_inv` at offset 0, `lambda2_inv` at offset 1."""
+    _require(scheme, path)
+    window, cs = _decode(path.steps, path.weights, offset)
+    return arnold_recover(tuple(map(abs, window)), cs, ("S0", "S00")[offset])
+
+
 def lambda1_inv(path: WeightedPath) -> Snake:
     """Decode a scheme-TSTAR path of length n into its S0 snake."""
-    if not in_family("TSTAR", path):
-        raise ValueError(f"path is not in scheme TSTAR: {path.text()!r}")
-    word, cs = _rebuild_word(path.steps, path.weights, offset=0)
-    return arnold_recover(tuple(word[1:]), cs, "S0")
+    return _inverse(path, "TSTAR", offset=0)
 
 
 def lambda2_inv(path: WeightedPath) -> Snake:
     """Decode a scheme-T path of length n into its S00 snake of size n+1."""
-    if not in_family("T", path):
-        raise ValueError(f"path is not in scheme T: {path.text()!r}")
-    word, cs = _rebuild_word(path.steps, path.weights, offset=1)
-    return arnold_recover(tuple(word[1:-1]), cs, "S00")
+    return _inverse(path, "T", offset=1)
 
 
 def _key(elements: Sequence[Element], offset: int) -> Key:

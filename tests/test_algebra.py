@@ -266,6 +266,37 @@ class TestSubstitution:
     def test_subst_polynomial_value(self):
         assert (T ** 2).subst("t", ONE + Q) == (ONE + Q) ** 2
 
+    @given(
+        polys,
+        st.sampled_from("ytq"),
+        st.one_of(
+            st.integers(-2, 2),
+            st.builds(lambda c, k: Poly.monomial(c, eq=k), st.sampled_from((1, -1)), st.integers(-3, 3)),
+            st.sampled_from((-T, ONE + Q)),
+        ),
+    )
+    @example(Poly.monomial(eq=-1), "q", ONE + Q)
+    def test_subst_matches_per_term_sum(self, p, var, value):
+        # the reference substitutes term by term: c * base * value^e, with
+        # value^e for e < 0 defined only for a unit monomial +-q^k
+        idx = "ytq".index(var)
+        v = Poly.constant(value) if isinstance(value, int) else value
+        unit = next(((c, k) for c in (1, -1) for k in range(-3, 4) if v == Poly.monomial(c, eq=k)), None)
+        want = ZERO
+        for key, coeff in p.terms.items():
+            e = key[idx]
+            base = Poly({tuple(0 if i == idx else x for i, x in enumerate(key)): coeff})
+            if e >= 0:
+                want = want + base * v ** e
+            elif unit:
+                c, k = unit
+                want = want + base * Poly.monomial(c ** -e, eq=k * e)
+            else:
+                with pytest.raises(ValueError, match="non-invertible substitution"):
+                    p.subst(var, value)
+                return
+        assert p.subst(var, value) == want
+
 
 class TestOperators:
     def test_derivative_of_t(self):

@@ -178,6 +178,40 @@ def test_cover_witness_ignores_hash_seed():
     assert witnesses[0] == witnesses[1]
 
 
+def _fixed_level_up(real):
+    """A box move that, on a box it fixes, turns the last straight level
+    step into a rise, so that the image is no path at all.  Moved boxes keep
+    their images, so the first failing box is the first fixed one with a
+    level step."""
+
+    def move(steps, ranges, name):
+        image = real(steps, ranges, name)
+        if image != (steps, ranges) or "L" not in steps:
+            return image
+        i = len(steps) - 1 - steps[::-1].index("L")
+        return steps[:i] + ("U",) + steps[i + 1:], ranges
+
+    return move
+
+
+@pytest.mark.parametrize("check_id, witness", [
+    ("prop-3.6", "n=1: image leaves H at L[y*t*q]: path does not return to the axis: ('U',)"),
+    ("lemma-3.8", "n=1: psi1 leaves the H1 slice at L[y*t*q]"),
+    ("prop-4.4", "n=1: image leaves MSTAR at L[y*t]: path does not return to the axis: ('U',)"),
+])
+def test_involution_check_reports_an_image_off_the_paths(monkeypatch, fresh_caches, check_id, witness):
+    monkeypatch.setattr(bijections, "_toggle", _fixed_level_up(bijections._toggle))
+    result = run_check(check_id, 3)
+    assert (result.status, result.witness) == ("fail", witness)
+
+
+def test_cover_check_reports_an_image_off_the_paths(monkeypatch):
+    monkeypatch.setattr(bijections, "_phi_steps", lambda steps: ("U",) * (len(steps) - 1))
+    result = run_check("prop-3.2", 3)
+    assert (result.status, result.witness) == (
+        "fail", "n=2: image leaves {y^2, yt} x H at U[y^2] D[1]: path does not return to the axis: ('U',)")
+
+
 _SNAKE_CHECKS = [("thm-5.8", "TSTAR"), ("thm-5.12", "T")]
 
 
@@ -214,6 +248,27 @@ def test_snake_check_catches_cs_mismatch(monkeypatch, fresh_caches, check_id, sc
     assert result.status == "fail"
     assert f"image leaves {scheme} at" in result.witness
     assert "no snake realizes cs-vector" in result.witness
+
+
+@pytest.mark.parametrize("check_id, witness", [
+    ("thm-5.8", "n=1: image leaves TSTAR at (1)[S0]: no snake realizes cs-vector (3,) over (1,)"),
+    ("thm-5.12", "n=1: image leaves T at (1,-2)[S00]: no snake realizes cs-vector (3, 0) over (1, 2)"),
+])
+def test_public_inverses_read_the_walks_decoder(monkeypatch, fresh_caches, check_id, witness):
+    # the walk and the public inverse both see the bad cs-vector, so the
+    # image is worded through the inverse's sign recovery
+    real = snakes._decode
+
+    def off_by_two(steps, weights, offset):
+        window, cs = real(steps, weights, offset)
+        if 1 in cs:
+            i = cs.index(1)
+            cs = (*cs[:i], 3, *cs[i + 1:])
+        return window, cs
+
+    monkeypatch.setattr(snakes, "_decode", off_by_two)
+    result = run_check(check_id)
+    assert (result.status, result.witness) == ("fail", witness)
 
 
 @pytest.mark.parametrize("check_id", [check_id for check_id, _ in _SNAKE_CHECKS])
