@@ -33,10 +33,9 @@ Per route, with r rows of width w in the input:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, chain, count, groupby, islice, repeat
 from operator import add, itemgetter, sub
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 Key = tuple[int, int, int]
 
@@ -217,8 +216,7 @@ def q_int(n: int) -> Poly:
     return Poly({(0, 0, k): 1 for k in range(n)})
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(NamedTuple):
     """A single term c*y^ey*t^et*q^eq; the unit weight is Monomial()."""
 
     coeff: int = 1
@@ -353,8 +351,7 @@ def u_multiply(p: Poly) -> Poly:
 # -- continued fractions ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoefficientSchedule:
+class CoefficientSchedule(NamedTuple):
     """Level weights mu(h) for h >= 0 and fall weights lam(h) for h >= 1
     of a Jacobi-type continued fraction 1/(1 - mu_0 x - lam_1 x^2/(...))."""
 

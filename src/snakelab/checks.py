@@ -46,8 +46,8 @@ one walk of H_n, so either check still runs alone.
 One snake walk per (variant, size) reads and scans each raw window once
 (`snakes._windows`, `_elements`) for the encoding's claims and, at sizes
 up to the ceiling, the lemmas'; the worked-example block tables read the
-same scan.  The permutation checks read the cached `permstats.a_table` and
-`b_table`, of which every signed enumerator, the JV sums included, is a
+same scan.  The permutation checks read the cached `permstats._table`, whose
+A and B rows share one layout and of which every signed enumerator is a
 projection; the corollary sums are the FWEX_SIGN enumerators at t = q = 1.
 Clearing these caches is needed only where a test patches what fills them.
 """
@@ -526,11 +526,11 @@ CHECKS: list[Check] = [
         lambda n: _sign(n // 2) * eulerians.euler_number(n) if n % 2 == 0 else 0, start=1),
     _identity_check(
         "gamma-expansion", "excedance polynomial equals its gamma-basis expansion", 7,
-        lambda n: _distribution(n, "A", lambda row: row[0]),
+        lambda n: _distribution(n, "A", lambda row: row[0] // 2 - row[4]),
         lambda n: _basis_expansion(permstats.gamma_coeffs(n), n - 1), start=1),
     _identity_check(
         "xi-expansion", "derangement excedance polynomial equals its xi-basis expansion", 7,
-        lambda n: _distribution(n, "A*", lambda row: row[0]), lambda n: _basis_expansion(permstats.xi_coeffs(n), n)),
+        lambda n: _distribution(n, "A*", lambda row: row[0] // 2 - row[4]), lambda n: _basis_expansion(permstats.xi_coeffs(n), n)),
     _identity_check(
         "jv1", "sum over permutations of (-1)^wex q^cro is 0 or +-E_n(q) by parity", 7,
         _enumerator("A", "JV_WEX_CRO"),

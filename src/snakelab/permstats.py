@@ -12,15 +12,15 @@ Families:
   D   signed permutations with an even number of negative entries
   D*  fixed-point-free members of D
 
-Each family has one statistics pass per n.  `b_table(n)` counts the joint
-distribution of (fwex, neg, cro_b, des_b, fixed) over B_n, and D, B* and D*
-are its rows with even neg, no fixed point, or both.  `a_table(n)` counts
-(exc, fixed, cro) over A_n, and A* is its rows with no fixed point.  Both
-are cached per n and shared by every caller: `signed_enumerator` projects
-all six schemes from them, and `family_table` hands the family's rows to
-the catalog.
+Each family has one statistics pass per n.  `_table(n, signed)` counts the
+joint distribution of (fwex, neg, cro_b, des_b, fixed) over B_n (signed)
+or A_n, where neg = 0 and fwex = 2*wex.  D, B* and D* are the B rows with
+even neg, no fixed point, or both, and A* is the A rows with no fixed
+point.  The tables are cached per (n, signed) and shared: one loop of
+`signed_enumerator` projects all six schemes from them, and `family_table`
+hands the family's rows to the catalog.
 
-Both tables come from one walk, `_walk`, that builds each size from the
+The tables come from one walk, `_walk`, that builds each size from the
 one below by insertion.  A window w of size n-1 has 2n children in B_n:
 w with +-n appended, and for each position i, w with +-n at i and w_i
 moved to position n (A_n takes + only, n children).  wex, neg, fixed and
@@ -40,10 +40,9 @@ from __future__ import annotations
 import itertools
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from snakelab.algebra import ONE, T, Y, CoefficientSchedule, Key, Poly, q_int
 
@@ -59,11 +58,9 @@ SCHEMES = (
 )
 
 _TYPE_A_SCHEMES = {"EULER_EXC", "JV_WEX_CRO", "JV_DERANGE"}
-_TYPE_B_SCHEMES = {"FWEX_SIGN", "FWEX_SIGN_Q", "FULL_YTQ"}
 
 
-@dataclass(frozen=True)
-class StatRecord:
+class StatRecord(NamedTuple):
     """Statistics of one signed permutation."""
 
     wex: int          # positions with sigma_i >= i
@@ -206,77 +203,56 @@ def _walk(n: int, signed: bool) -> Iterator[tuple]:
 
 
 @lru_cache(maxsize=None)
-def b_table(n: int) -> Mapping[tuple[int, ...], int]:
-    """Joint distribution over B_n: window counts keyed by
+def _table(n: int, signed: bool) -> Mapping[tuple[int, ...], int]:
+    """Joint distribution over B_n (signed) or A_n: window counts keyed by
     (fwex, neg, cro_b, des_b, fixed_count), from one `_walk`.  Cached and
     shared, so read-only."""
     return MappingProxyType(Counter(
         (2 * wex + neg, neg, cro, des, fixed)
-        for _, wex, neg, fixed, des, cro in _walk(n, True)
-    ))
-
-
-@lru_cache(maxsize=None)
-def a_table(n: int) -> Mapping[tuple[int, ...], int]:
-    """Joint distribution over A_n: permutation counts keyed by
-    (exc, fixed_count, cro), from one `_walk`.  Cached and shared, so
-    read-only."""
-    return MappingProxyType(Counter(
-        (wex - fixed, fixed, cro) for _, wex, _, fixed, _, cro in _walk(n, False)
+        for _, wex, neg, fixed, des, cro in _walk(n, signed)
     ))
 
 
 def family_table(n: int, family: str) -> dict[tuple[int, ...], int]:
-    """The family's rows of `a_table(n)` (A, A*) or `b_table(n)` (B, D, B*,
-    D*), in the table's order: D keeps even neg, a starred family keeps
+    """The family's rows of `_table(n, signed)`, signed for all but A and
+    A*, in the table's order: D keeps even neg, a starred family keeps
     fixed_count 0."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     derangements = family.endswith("*")
-    if family in ("A", "A*"):
-        return {k: c for k, c in a_table(n).items() if not (derangements and k[1])}
     even_neg = family.startswith("D")
     return {
         k: c
-        for k, c in b_table(n).items()
+        for k, c in _table(n, family not in ("A", "A*")).items()
         if not (derangements and k[4]) and not (even_neg and k[1] % 2)
     }
 
 
 def signed_enumerator(n: int, family: str, scheme: str) -> Poly:
     """Sum of the scheme's signed monomial over the family: a projection of
-    `family_table`, whose type-A rows carry crossings for the JV schemes
-    (wex = exc + fixed)."""
+    `family_table`.  On the all-positive rows of A and A*, neg = 0,
+    floor(fwex/2) = wex and cro_b = cro, so the JV sums are the FWEX sums
+    read there, and exc = wex - fixed."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
-    type_a_family = family in ("A", "A*")
-    if scheme in _TYPE_A_SCHEMES and not type_a_family:
-        raise ValueError(f"scheme {scheme} needs an all-positive family, got {family}")
-    if scheme in _TYPE_B_SCHEMES and type_a_family:
-        raise ValueError(f"scheme {scheme} needs a signed family, got {family}")
+    if (scheme in _TYPE_A_SCHEMES) != (family in ("A", "A*")):
+        raise ValueError(f"scheme {scheme} does not apply to family {family}")
     acc: dict[Key, int] = {}
 
     def add(key: Key, c: int) -> None:
         acc[key] = acc.get(key, 0) + c
 
-    if scheme == "EULER_EXC":
-        for (exc, _, _), count in family_table(n, family).items():
-            add((0, 0, 0), -count if exc % 2 else count)
-    elif scheme in _TYPE_A_SCHEMES:
-        for (exc, fixed, cro), count in family_table(n, family).items():
-            wex = exc + fixed
-            shift = -wex if scheme == "JV_DERANGE" else 0
-            add((0, 0, cro + shift), -count if wex % 2 else count)
-    else:
-        for (fwex, neg, cro, _, _), count in family_table(n, family).items():
-            half = fwex // 2
-            sign = -count if half % 2 else count
-            if scheme == "FWEX_SIGN":
-                add((0, neg, cro), sign)
-            elif scheme == "FWEX_SIGN_Q":
-                add((0, neg, cro - half), sign)
-            else:  # FULL_YTQ
-                add((fwex, neg, cro), count)
+    for (fwex, neg, cro, _, fixed), count in family_table(n, family).items():
+        half = fwex // 2
+        sign = -count if half % 2 else count
+        if scheme == "EULER_EXC":
+            add((0, 0, 0), -count if (half - fixed) % 2 else count)
+        elif scheme in ("FWEX_SIGN", "JV_WEX_CRO"):
+            add((0, neg, cro), sign)
+        elif scheme in ("FWEX_SIGN_Q", "JV_DERANGE"):
+            add((0, neg, cro - half), sign)
+        else:  # FULL_YTQ
+            add((fwex, neg, cro), count)
     return Poly(acc)
 
 

@@ -55,7 +55,7 @@ def test_no_assert_statements(module):
 def fresh_caches():
     """Empty the shared per-n passes before and after a test that patches
     what fills them, so a pass filled elsewhere cannot hide the patch."""
-    caches = (permstats.a_table, permstats.b_table, checks._involution_walk, checks._snake_walk)
+    caches = (permstats._table, checks._involution_walk, checks._snake_walk)
     for cache in caches:
         cache.cache_clear()
     yield
@@ -350,8 +350,8 @@ def test_non_snake_window_is_a_lemma_witness(monkeypatch, fresh_caches, check_id
 @pytest.mark.parametrize("call", [
     lambda: list(permstats.generate(-1, "A")),
     lambda: list(permstats.generate(-1, "B")),
-    lambda: permstats.a_table(-1),
-    lambda: permstats.b_table(-1),
+    lambda: permstats._table(-1, False),
+    lambda: permstats._table(-1, True),
     lambda: permstats.signed_enumerator(-1, "A", "EULER_EXC"),
     lambda: permstats.signed_enumerator(-1, "B", "FULL_YTQ"),
     lambda: permstats.signed_enumerator(-1, "A", "JV_WEX_CRO"),
@@ -366,7 +366,7 @@ def test_non_snake_window_is_a_lemma_witness(monkeypatch, fresh_caches, check_id
     lambda: run_check("thm-1.2", -1),
     lambda: run_check("q0-golden", -1),
 ], ids=[
-    "generate-A", "generate-B", "a_table", "b_table", "euler-exc", "full-ytq",
+    "generate-A", "generate-B", "table-A", "table-B", "euler-exc", "full-ytq",
     "jv", "generate_snakes", "snake-Q", "snake-R", "springer_number", "count_alternating",
     "seidel_numbers", "springer_numbers", "q_int", "run_check-scalable", "run_check-golden",
 ])

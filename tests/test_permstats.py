@@ -276,11 +276,15 @@ class TestTables:
         want = Counter()
         for w in generate(n, family):
             s = stats(w)
-            if family in ("A", "A*"):
-                want[s.exc, s.fixed_count, _cro_type_a_reference(w)] += 1
-            else:
-                want[s.fwex, s.neg, s.cro_b, s.des_b, s.fixed_count] += 1
+            want[s.fwex, s.neg, s.cro_b, s.des_b, s.fixed_count] += 1
         assert Counter(family_table(n, family)) == want
+
+    @pytest.mark.parametrize("n", range(7))
+    @pytest.mark.parametrize("unsigned, signed", [("A", "B"), ("A*", "B*")])
+    def test_unsigned_walk_gives_the_positive_signed_rows(self, n, unsigned, signed):
+        # the A rows come from `_cro_steps_a`, the B rows from `_cro_steps_b`
+        positive = {k: c for k, c in family_table(n, signed).items() if k[1] == 0}
+        assert family_table(n, unsigned) == positive
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):
