@@ -22,8 +22,8 @@ level positions and facing pairs of a move).  The public maps call the
 same cores on a path's one-point box; each raises ValueError on a path
 outside its domain scheme (`motzkin._require`, as the snake inverses do)
 and none re-checks its output.  The catalog (prop-3.2, prop-3.6, prop-4.4
-in `snakelab.checks`) verifies the images box by box, so the claim survives
-`python -O`.
+in `snakelab.checks`) verifies the images on boxes, a few per shape, so the
+claim survives `python -O`.
 """
 
 from __future__ import annotations

@@ -30,14 +30,18 @@ hence onto once the source count equals the target's, which
 `motzkin.path_count` gives for the path targets H, TSTAR and T.  An image
 that fails is worded through the public inverse's domain guard.
 
-The path maps are proved once per box of paths (`motzkin._boxes`): one
+The path maps are proved on boxes of paths (`motzkin._boxes`): one
 branch per step, each q exponent over an interval.  `bijections._phi`
 and `_toggle` pick their move from letters and branches and translate the
-intervals, so each box is checked whole: its image lies in the target
-(else `motzkin._first_outside` names the first path that leaves, or the
-box fails at its corner if its image is no path at all), maps back,
-keeps the weight law and the t-parity, and is fixed exactly when it lies
-in F or G, which branches decide.  Counts are sums of box sizes.
+intervals, so a box is checked whole: its image lies in the target (else
+`motzkin._first_outside` names the first path that leaves, or the box
+fails at its corner if its image is no path at all), maps back, keeps the
+weight law and the t-parity, and is fixed exactly when it lies in F or G,
+which branches decide.  Few boxes need it: phi moves ranges by position,
+so per shape of M the first box and the boxes one step off it decide;
+an involution's move is decided at the first level step on an et = 0
+range, where `_stops` cuts the walk with one box for all completions.
+Below a cut each t-degree slice still reports its own first box.
 `motzkin._paths` lists the paths box by box, so a claim's witness is the
 first failing path of its first failing box, worded off that path's
 one-point box as the public maps word it.  prop-3.6 and lemma-3.8 share
@@ -56,10 +60,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
-from operator import itemgetter
-from typing import Callable, Sequence
+from itertools import compress
+from operator import add, itemgetter, ne, or_, sub
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from snakelab import bijections, eulerians, motzkin, permstats, snakes
 from snakelab.algebra import (
@@ -74,8 +78,7 @@ from snakelab.algebra import (
 )
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     id: str
     description: str
     default_n: int
@@ -85,20 +88,19 @@ class Check:
     note: str | None = None
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     id: str
     n_max: int
     status: str  # pass | fail | skipped
     witness: str | None = None
     note: str | None = None
+    elapsed_s: float | None = None  # set by `verify --timings`
 
 
 # -- series identities -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Series:
+class _Series(NamedTuple):
     """A side read off one table of entries 0..n_max, built once per run."""
 
     build: Callable[[int], Sequence]
@@ -234,17 +236,30 @@ def _restructure_box(steps: tuple[str, ...], ranges: tuple) -> tuple:
     return head, image, outside, broken
 
 
+def _one_step_off(box: tuple, menus: tuple, positions: range) -> Iterator[tuple]:
+    """The boxes equal to `box` but at one of the positions, the last first,
+    where each takes another range of its menu, in menu order."""
+    return (box[:j] + (r,) + box[j + 1:] for j in reversed(positions) for r in menus[j] if r != box[j])
+
+
 def _restructure(n: int) -> str | None:
     """prop-3.2 at n: phi maps M_n one to one onto {y^2, yt} x H_(n-1).
     Each box of M_n maps to a head and a box of H_(n-1) and back, keeping
-    the weight, and the box sizes sum to the target's count.  The witness
-    is the first failing path of the first failing box."""
+    the weight, and the shapes' counts, products of menu sizes, sum to the
+    target's.  phi moves whole ranges by position, so per shape the first
+    box and the boxes one step off it decide: if they pass, every box does,
+    and the first of them to fail is the first failing box.  The witness is
+    its first failing path."""
     count = 0
-    for steps, ranges in motzkin._boxes("M", n):
-        count += motzkin._size(ranges)
-        _, _, outside, broken = _restructure_box(steps, ranges)
-        if broken or outside:
-            path = steps, weights = (steps, motzkin._corner(ranges)) if broken else outside
+    for steps in motzkin._shapes("M", n):
+        count += math.prod(map(len, motzkin._shape_sets("M", steps)))
+        menus = motzkin._shape_menus("M", steps)
+        firsts = tuple(menu[0] for menu in menus)
+        probes = (firsts, *_one_step_off(firsts, menus, range(n)))
+        box = next((box for box in probes if any(_restructure_box(steps, box)[2:])), None)
+        if box:
+            _, _, outside, broken = _restructure_box(steps, box)
+            path = steps, weights = (steps, motzkin._corner(box)) if broken else outside
             head, (steps_h, ranges_h), outside, broken = _restructure_box(steps, motzkin._point(weights))
             if not outside:
                 return f"n={n}: {broken} {_text(path)}"
@@ -362,62 +377,110 @@ _INVOLUTIONS = {
 }
 
 
-def _involution_box(scheme: str, steps: tuple[str, ...], ranges: tuple) -> tuple:
-    """One box of the scheme under its involution: (image, outside, broken,
-    corner, (wp, wi)), with outside the first path whose image leaves the
-    scheme, broken the witness format (of the path `p` and the weights
-    `wp`, `wi`) of the first claim that fails on the whole box, and wp, wi
-    the weights of the corner and its image.  F and G keep whole ranges of
-    H and MSTAR, so the corner decides membership in them."""
+def _moved(steps: tuple[str, ...], ranges: tuple, image: tuple) -> list[int]:
+    """The positions at which the image of a box differs from it."""
+    return list(compress(range(len(ranges)), map(or_, map(ne, steps, image[0]), map(ne, ranges, image[1]))))
+
+
+def _stops(scheme: str, n: int) -> Iterator[tuple]:
+    """The scheme's boxes of length n cut where the involution decides its
+    move, in `_boxes` order: (steps, box, image, stop).  Ranges are chosen
+    step by step.  At the first level step on an et = 0 range, every
+    completion takes the level toggle there, so the prefix stops, as the box
+    that completes it with first ranges, if its image differs from it at
+    that step alone.  Any other prefix runs to a whole box, whose stop is
+    its last step."""
+    name = _INVOLUTIONS[scheme][0]
+    for steps in motzkin._shapes(scheme, n):
+        menus = motzkin._shape_menus(scheme, steps)
+        firsts = tuple(menu[0] for menu in menus)
+        stops: list = []
+
+        def grow(prefix: tuple) -> None:
+            i = len(prefix)
+            if i == n:
+                stops.append((steps, prefix, bijections._toggle(steps, prefix, name), n - 1))
+                return
+            for r in menus[i]:
+                if steps[i] in ("L", "W") and not r[1]:
+                    box = prefix + (r,) + firsts[i + 1:]
+                    image = bijections._toggle(steps, box, name)
+                    if _moved(steps, box, image) == [i]:
+                        stops.append((steps, box, image, i))
+                        continue
+                grow(prefix + (r,))
+
+        grow(())
+        yield from stops
+
+
+def _involution_box(scheme: str, steps: tuple[str, ...], ranges: tuple, image: tuple) -> tuple:
+    """One box of the scheme and its image under the involution: (outside,
+    broken, delta), with outside the first path whose image leaves the
+    scheme, broken the witness format (of the path `p` and the weights `wp`,
+    `wi` of it and its image) of the first claim that fails on the whole
+    box, and delta the weight change (ey, et, eq), read off the moved
+    ranges.  F and G keep whole ranges of H and MSTAR, so the corner decides
+    membership in them."""
     name, fixed_scheme, shifts = _INVOLUTIONS[scheme]
-    image = bijections._toggle(steps, ranges, name)
+    moved = _moved(steps, ranges, image)
+    delta = (0, 0, 0)
+    for i in moved:
+        delta = tuple(map(add, delta, map(sub, image[1][i], ranges[i])))
     corner = motzkin._corner(ranges)
-    wp, wi = motzkin._weight(corner), motzkin._weight(motzkin._corner(image[1]))
     try:
         menus = motzkin._shape_menus(scheme, image[0])
     except ValueError:  # the image is not a path: the box fails at its corner
-        return image, (steps, corner), None, corner, (wp, wi)
+        return (steps, corner), None, delta
     outside = motzkin._first_outside(menus, steps, ranges, image[1])
     in_fixed = motzkin._contains(fixed_scheme, steps, corner)
-    if image == (steps, ranges):
+    if not moved:
         broken = None if in_fixed else "unexpected fixed point {p}"
     elif bijections._toggle(*image, name) != (steps, ranges):
         broken = "not an involution at {p}"
     elif in_fixed:
         broken = "moved point satisfies the fixed-set menus: {p}"
-    elif (wi[0] - wp[0], wi[2] - wp[2]) not in shifts or wi[1] != wp[1]:
+    elif (delta[0], delta[2]) not in shifts or delta[1]:
         broken = "weight law broken at {p}: {wp} -> {wi}"
     else:
         broken = None
-    return image, outside, broken, corner, (wp, wi)
+    return outside, broken, delta
 
 
 @lru_cache(maxsize=None)
 def _involution_walk(scheme: str, n: int) -> dict[str, str]:
-    """One walk of the scheme's boxes of length n under its involution:
-    the first witness of each failing claim, keyed "involution",
-    "fixed-set", "fixed-parity" and the t-degree slices "<scheme>1" (odd),
-    "<scheme>2".  A witness is the first failing path of the first box
-    that fails the claim; the involution's is worded off that path's own
+    """One walk of the scheme's boxes of length n under its involution, cut
+    where the move is decided (`_stops`): the first witness of each failing
+    claim, keyed "involution", "fixed-set", "fixed-parity" and the t-degree
+    slices "<scheme>1" (odd), "<scheme>2".  The boxes below a stop move
+    alike, so the stop's box is the first to fail any claim below it, and
+    for each slice that they leave, so is the first box below it of that
+    t-parity.  A witness is the first failing path of the first box that
+    fails the claim; the involution's is worded off that path's own
     one-point box."""
     name, fixed_scheme, _ = _INVOLUTIONS[scheme]
     pieces = (f"{scheme}2", f"{scheme}1")
+    parity = lambda box: sum(map(itemgetter(1), box)) % 2
     first: dict = {}
     fixed = 0
-    for steps, ranges in motzkin._boxes(scheme, n):
-        image, outside, broken, corner, (wp, wi) = _involution_box(scheme, steps, ranges)
-        slice_path = (steps, corner) if (wi[1] - wp[1]) % 2 else outside
-        if slice_path:
-            first.setdefault(pieces[wp[1] % 2], slice_path)
+    for steps, ranges, image, stop in _stops(scheme, n):
+        outside, broken, delta = _involution_box(scheme, steps, ranges, image)
+        if delta[1] % 2 or outside:  # each box below the stop leaves its slice
+            below = _one_step_off(ranges, motzkin._shape_menus(scheme, steps), range(stop + 1, n))
+            for box in filter(None, (ranges, next((b for b in below if parity(b) != parity(ranges)), None))):
+                first.setdefault(pieces[parity(box)], (steps, motzkin._corner(box)) if delta[1] % 2
+                                 else _involution_box(scheme, steps, box, bijections._toggle(steps, box, name))[0])
         if broken or outside:
-            first.setdefault("involution", (steps, corner) if broken else outside)
+            first.setdefault("involution", (steps, motzkin._corner(ranges)) if broken else outside)
         if not broken and image == (steps, ranges):
             fixed += motzkin._size(ranges)
     found = {piece: f"n={n}: {name} leaves the {piece} slice at {_text(first[piece])}"
              for piece in pieces if piece in first}
     if "involution" in first:
         path = steps, weights = first["involution"]
-        image, outside, broken, _, (wp, wi) = _involution_box(scheme, steps, motzkin._point(weights))
+        image = bijections._toggle(steps, motzkin._point(weights), name)
+        outside, broken, _ = _involution_box(scheme, steps, motzkin._point(weights), image)
+        wp, wi = motzkin._weight(weights), motzkin._weight(motzkin._corner(image[1]))
         found["involution"] = f"n={n}: " + (
             f"image leaves {scheme} at {_text(path)}: {_text((image[0], motzkin._corner(image[1])))}" if outside
             else broken.format(p=_text(path), wp=Monomial(1, *wp).text(), wi=Monomial(1, *wi).text()))

@@ -3,9 +3,12 @@
 Subcommands:
 
   verify [--all | --check ID [--check ID ...]] [--n K] [--format text|json]
+         [--timings]
       Run every check, or the given ids in the order given.  Exit status
       is the number of failing checks (capped at 125); unknown ids and bad
-      usage exit with 126 before any check runs.
+      usage exit with 126 before any check runs.  --timings adds each
+      check's wall time, `elapsed_s`, in seconds; without it the output is
+      deterministic.
   compute OBJECT --n K [--format text|json|csv]
       Print Q, R, B (polynomials), E, S (integers) or Eq (q-polynomials)
       for indices 0..K in canonical order, byte-for-byte deterministic.
@@ -26,6 +29,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from snakelab import eulerians
@@ -61,6 +65,7 @@ def _build_parser() -> _Parser:
     verify.add_argument("--n", type=int, default=None, metavar="K",
                         help="override the size ceiling")
     verify.add_argument("--format", choices=("text", "json"), default="text")
+    verify.add_argument("--timings", action="store_true", help="add each check's wall time")
 
     compute = sub.add_parser("compute", help="print a table of objects")
     compute.add_argument("object", choices=COMPUTE_OBJECTS)
@@ -131,6 +136,7 @@ def _print_results(results: list[CheckResult], fmt: str, out: Callable[[str], No
                     "status": r.status,
                     "witness": r.witness,
                     "note": r.note,
+                    **({} if r.elapsed_s is None else {"elapsed_s": r.elapsed_s}),
                 }
                 for r in results
             ],
@@ -139,7 +145,7 @@ def _print_results(results: list[CheckResult], fmt: str, out: Callable[[str], No
         out(json.dumps(payload, sort_keys=True, separators=(",", ":")))
         return failures
     for r in results:
-        out(f"{r.status:<5}  {r.id}  (n <= {r.n_max})")
+        out(f"{r.status:<5}  {r.id}  (n <= {r.n_max})" + ("" if r.elapsed_s is None else f"  {r.elapsed_s:.3f} s"))
         if r.witness:
             out(f"       counterexample: {r.witness}")
         if r.note:
@@ -185,7 +191,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         ids = args.check
     else:
         ids = [check.id for check in checklib.CHECKS]
-    results = [checklib.run_check(check_id, args.n) for check_id in ids]
+    results = []
+    for check_id in ids:
+        began = time.perf_counter()
+        result = checklib.run_check(check_id, args.n)
+        results.append(result._replace(elapsed_s=round(time.perf_counter() - began, 6)) if args.timings else result)
     failures = _print_results(results, args.format, print)
     return min(failures, MAX_FAILURE_EXIT)
 

@@ -40,21 +40,21 @@ pair rules, which read only branches.  `_paths` expands each box in that
 order, its q exponents lexicographically, so the first failing path of
 the first failing box is the first failing path.  `_contains` tests a path
 against a frozenset per step, and `_first_outside` finds the first path
-of a box whose translate leaves the menus.  `rho` sums a box as a monomial
-times q-integers, and `path_count` multiplies menu sizes per shape.
+of a box whose translate leaves the menus.  `rho` multiplies the menus
+along shape prefixes, shared by the shapes that extend them, and
+`path_count` multiplies menu sizes per shape.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
-from dataclasses import dataclass
-from functools import lru_cache, reduce
-from operator import itemgetter, sub
+from collections import namedtuple
+from functools import lru_cache
+from operator import itemgetter
 from typing import Iterator
 
-from snakelab.algebra import Monomial, Poly, _add_row, _poly, _window_sums
+from snakelab.algebra import Monomial, Poly, _poly, _unpack
 
 STEPS = ("U", "D", "L", "W")
 
@@ -193,17 +193,17 @@ def matching_pairs(steps: tuple[str, ...]) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(pairs))
 
 
-@dataclass(frozen=True)
-class WeightedPath:
-    """A path shape together with one weight triple (ey, et, eq) per step."""
+class WeightedPath(namedtuple("WeightedPath", "steps weights")):
+    """A path shape together with one weight triple (ey, et, eq) per step;
+    its length is the number of steps."""
 
-    steps: tuple[str, ...]
-    weights: tuple[Weight, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.steps) != len(self.weights):
+    def __new__(cls, steps: tuple[str, ...], weights: tuple[Weight, ...]):
+        if len(steps) != len(weights):
             raise ValueError("one weight per step required")
-        step_heights(self.steps)
+        step_heights(steps)
+        return super().__new__(cls, steps, weights)
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -243,28 +243,15 @@ def gen_shapes(n: int, forbid_wavy_on_axis: bool = False) -> Iterator[tuple[str,
     if n < 0:
         raise ValueError("n must be >= 0")
 
-    def rec(prefix: list[str], h: int, remaining: int) -> Iterator[tuple[str, ...]]:
-        if remaining == 0:
-            yield tuple(prefix)
+    def rec(prefix: tuple[str, ...], h: int, left: int) -> Iterator[tuple[str, ...]]:
+        if not left:
+            yield prefix
             return
-        for s in STEPS:
-            if s == "U":
-                nh = h + 1
-            elif s == "D":
-                if h == 0:
-                    continue
-                nh = h - 1
-            else:
-                if s == "W" and h == 0 and forbid_wavy_on_axis:
-                    continue
-                nh = h
-            if nh > remaining - 1:
-                continue
-            prefix.append(s)
-            yield from rec(prefix, nh, remaining - 1)
-            prefix.pop()
+        for s, h_next in (("U", h + 1), ("D", h - 1), ("L", h), ("W", h if h or not forbid_wavy_on_axis else -1)):
+            if 0 <= h_next < left:  # the path can close
+                yield from rec(prefix + (s,), h_next, left - 1)
 
-    yield from rec([], 0, n)
+    yield from rec((), 0, n)
 
 
 def _scheme_info(scheme: str):
@@ -387,17 +374,43 @@ def _require(scheme: str, path: WeightedPath) -> None:
 
 def rho(scheme: str, n: int) -> Poly:
     """Total weight of the scheme's paths of length n, with no path built:
-    a box weighs y^ey t^et q^lo times the product of [hi-lo+1]_q over its
-    ranges, with ey, et and lo summed over them.  Boxes are grouped by
-    (ey, et, lo, sorted spans) before the products are taken."""
-    groups: Counter = Counter()
-    for _, ranges in _boxes(scheme, n):
-        ey, et, lo, hi = zip(*ranges) if ranges else ((),) * 4
-        groups[sum(ey), sum(et), sum(lo), tuple(sorted(map(sub, hi, lo)))] += 1
-    rows: dict = {}
-    for (ey, et, lo, spans), c in groups.items():  # [s+1]_q is a window sum of width s+1
-        _add_row(rows, (ey, et), lo, reduce(lambda row, s: _window_sums(row, s + 1), spans, [1]), c)
-    return _poly(rows)
+    one depth-first walk of the shapes, each prefix holding the weight sum
+    of its weightings as (ey, et) rows packed into ints, so that a step
+    multiplies them by its ranges, y^ey t^et q^lo [hi-lo+1]_q, once for all
+    the shapes that share the prefix.  F and G walk each rise's ranges
+    apart, and its fall keeps the ranges that `_pairs_ok` couples to it; a
+    parity slice keeps the rows of its t-parity.  A coefficient counts
+    paths, at most (4 m)^n with m the largest menu, which sets the slots
+    wide enough for `algebra._unpack`."""
+    table, parity, pair_rule = _scheme_info(scheme)
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    top = max(len(_menu_set(table, s, h)) for s in STEPS for h in range(s == "D", n + 1))
+    bits = 8 * (((4 * top) ** n).bit_length() // 8 + 1)
+    ones = [((1 << k * bits) - 1) // ((1 << bits) - 1) for k in range(top + 1)]  # [k]_q packed
+    total: dict = {}
+
+    def walk(rows: dict, h: int, left: int, rises: tuple) -> None:
+        if not left or not rows:
+            for key, x in rows.items():
+                total[key] = total.get(key, 0) + x
+            return
+        for step, h_next in (("U", h + 1), ("D", h - 1), ("L", h), ("W", h)):
+            if 0 <= h_next < left:  # the path can close, as in `gen_shapes`
+                ranges = _menu_ranges(table, step, h)
+                if pair_rule and step == "D":
+                    ranges = tuple(r for r in ranges if _pairs_ok((rises[-1], r), ((0, 1),)))
+                for part in zip(ranges) if pair_rule and step == "U" else (ranges,):
+                    out: dict = {}
+                    for (ey, et), x in rows.items():
+                        for ry, rt, lo, hi in part:
+                            key = ey + ry, et + rt
+                            out[key] = out.get(key, 0) + (x * ones[hi - lo + 1] << lo * bits)
+                    walk(out, h_next, left - 1, (rises + part[:1])[:h_next])  # the open rises' ranges
+
+    walk({(0, 0): 1}, 0, n, ())
+    rows = {key: (0, -(-x.bit_length() // bits), x) for key, x in total.items() if parity in (None, key[1] % 2)}
+    return _poly(_unpack(rows, bits))
 
 
 def path_count(scheme: str, n: int) -> int:

@@ -46,8 +46,7 @@ worked-example block tables read their counts off `_elements` too.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from operator import ge, le
 from typing import Iterator, Sequence
 
@@ -78,16 +77,15 @@ def _zigzag(word: Sequence[int]) -> bool:
     return all(map(le, word[::2], word[1::2])) and all(map(ge, word[1::2], word[2::2]))
 
 
-@dataclass(frozen=True)
-class Snake:
+class Snake(namedtuple("Snake", "window variant")):
     """A snake window together with its variant tag."""
 
-    window: tuple[int, ...]
-    variant: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
+    def __new__(cls, window: tuple[int, ...], variant: str):
+        if variant not in VARIANTS:
+            raise ValueError(f"unknown variant {variant!r}")
+        return super().__new__(cls, window, variant)
 
     def size(self) -> int:
         return len(self.window)

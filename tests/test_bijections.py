@@ -1,5 +1,6 @@
 """The two-to-one restructuring map and the two sign-reversing involutions."""
 
+import math
 from collections import Counter, defaultdict
 
 import pytest
@@ -272,6 +273,26 @@ def _psi2_check_reference(n_max):
     return None
 
 
+def _slices_reference(scheme, n):
+    """The t-degree slice witnesses of the scheme's involution at n, path by
+    path: the first path of each t-parity whose image leaves the scheme or
+    that parity."""
+    name = checks._INVOLUTIONS[scheme][0]
+    found = {}
+    for p in gen_weighted(scheme, n):
+        image, parity = getattr(bijections, name)(p), p.weight()[1] % 2
+        if not in_family(scheme, image) or image.weight()[1] % 2 != parity:
+            piece = f"{scheme}{2 - parity}"
+            found.setdefault(piece, f"n={n}: {name} leaves the {piece} slice at {p.text()}")
+    return found
+
+
+def _fixed_sum_reference(scheme, poly):
+    """lemma-3.5 (F, R_n) or lemma-4.3 (G, Q_n) summed path by path."""
+    return checks._each_n(lambda n: checks._equal(
+        n, Poly(Counter(motzkin._weight(w) for _, w in motzkin._paths(scheme, n))), Y ** n * poly(n)))
+
+
 def _catalog(check_id):
     return checks.CHECKS_BY_ID[check_id].fn
 
@@ -347,6 +368,60 @@ class TestPsi2Walk:
         monkeypatch.setattr(bijections, "_toggle", lambda steps, ranges, name: (steps, ranges))
         walk = _catalog("prop-4.4")(4)
         assert "unexpected fixed point" in walk and walk == _psi2_check_reference(4)
+
+
+def _below(scheme, steps, box, stop):
+    """The number of paths below a stop of the cut walk: the prefix's box
+    size times the later steps' menu sizes."""
+    return motzkin._size(box[:stop + 1]) * math.prod(map(len, motzkin._shape_sets(scheme, steps)[stop + 1:]))
+
+
+class TestCutWalk:
+    @pytest.mark.parametrize("scheme", ["H", "MSTAR"])
+    @pytest.mark.parametrize("n", range(8))
+    def test_subtree_sizes_sum_to_path_count(self, scheme, n):
+        assert sum(_below(scheme, *stop[:2], stop[3]) for stop in checks._stops(scheme, n)) == motzkin.path_count(scheme, n)
+
+    @pytest.mark.parametrize("scheme", ["H", "MSTAR"])
+    @pytest.mark.parametrize("n", range(6))
+    def test_stops_split_the_boxes_in_order(self, scheme, n):
+        # the boxes below each stop are the next boxes of `_boxes`, and the
+        # stop's own box is the first of them
+        boxes = motzkin._boxes(scheme, n)
+        for steps, box, image, stop in checks._stops(scheme, n):
+            below = [next(boxes) for _ in range(math.prod(map(len, motzkin._shape_menus(scheme, steps)[stop + 1:])))]
+            assert below[0] == (steps, box)
+            assert all(b == (steps, box[:stop + 1] + b[1][stop + 1:]) for b in below)
+            assert image == bijections._toggle(steps, box, checks._INVOLUTIONS[scheme][0])
+        assert next(boxes, None) is None
+
+    def test_cut_sizes_at_seven(self):
+        # H_7 has 183,040 boxes and MSTAR_7 34,825
+        assert [sum(1 for _ in checks._stops(s, 7)) for s in ("H", "MSTAR")] == [36678, 12053]
+
+    def test_a_move_that_is_not_local_is_not_cut(self, monkeypatch):
+        # the identity move decides nothing, so every box is walked whole
+        monkeypatch.setattr(bijections, "_toggle", lambda steps, ranges, name: (steps, ranges))
+        assert [stop[1:] for stop in checks._stops("MSTAR", 4)] == [
+            (ranges, (steps, ranges), 3) for steps, ranges in motzkin._boxes("MSTAR", 4)]
+
+
+@pytest.mark.usefixtures("fresh_walk")
+class TestPairRuleMutation:
+    # every facing pair allowed: F and G grow, so the involutions fix points
+    # outside them and their sums miss y^n R_n and y^n Q_n
+    REFERENCES = {
+        "prop-3.6": _psi1_check_reference,
+        "prop-4.4": _psi2_check_reference,
+        "lemma-3.5": _fixed_sum_reference("F", R_poly),
+        "lemma-4.3": _fixed_sum_reference("G", Q_poly),
+    }
+
+    @pytest.mark.parametrize("check_id", REFERENCES)
+    def test_both_routes_fail_alike(self, monkeypatch, check_id):
+        monkeypatch.setattr(motzkin, "_pairs_ok", lambda weights, pairs: True)
+        walk = _catalog(check_id)(4)
+        assert walk is not None and walk == self.REFERENCES[check_id](4)
 
 
 def _bijection(n, sources, forward, inverse, target, law=None, target_size=None):
@@ -440,6 +515,18 @@ class TestBoxWitnesses:
         walk = _catalog(check_id)(4)
         assert walk is not None and walk == reference(4)
         assert "image leaves" in walk
+
+    @pytest.mark.parametrize("table", ["H", "MSTAR"])
+    def test_slices_below_a_cut_report_each_parity(self, widen_menu, table):
+        # a widened L range moves out of the scheme at a stop of the cut walk,
+        # and the boxes below the stop span both t-parities: each slice names
+        # its own first path, not the stop's
+        widen_menu(table, "L")
+        assert _catalog("lemma-3.8")(4) == _psi1_slices_reference(4)
+        for n in range(5):
+            walk = checks._involution_walk(table, n)
+            assert {k: walk[k] for k in (f"{table}1", f"{table}2") if k in walk} == _slices_reference(table, n)
+        assert len(_slices_reference(table, 4)) == 2
 
 
 class _Item:

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -116,6 +117,44 @@ class TestVerify:
         _, first, _ = run_cli(capsys, "verify", "--all", "--n", "2")
         _, second, _ = run_cli(capsys, "verify", "--all", "--n", "2")
         assert first == second
+
+
+class TestTimings:
+    """`verify --timings` adds each check's `elapsed_s` and nothing else; the
+    pinned digests above hold the default stdout to its bytes."""
+
+    ARGV = ("verify", "--check", "prop-3.6", "--check", "r-odd-at-t0", "--check", "thm-1.3-i",
+            "--check", "q0-golden", "--n", "3")
+
+    def test_text_suffix_after_the_ceiling(self, capsys):
+        _, plain, _ = run_cli(capsys, *self.ARGV)
+        code, timed, _ = run_cli(capsys, *self.ARGV, "--timings")
+        assert code == 0
+        status = [line for line in timed.splitlines() if line.startswith("pass")]
+        assert len(status) == 4
+        assert all(re.fullmatch(r"pass   \S+  \(n <= \d+\)  \d+\.\d{3} s", line) for line in status)
+        assert re.sub(r"  \d+\.\d{3} s$", "", timed, flags=re.M) == plain
+        assert "elapsed" not in plain and " s\n" not in plain
+
+    def test_json_key(self, capsys):
+        _, plain, _ = run_cli(capsys, *self.ARGV, "--format", "json")
+        code, timed, _ = run_cli(capsys, *self.ARGV, "--format", "json", "--timings")
+        assert code == 0
+        payload = json.loads(timed)
+        elapsed = [entry.pop("elapsed_s") for entry in payload["checks"]]
+        assert all(isinstance(x, float) and x >= 0 for x in elapsed)
+        assert json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n" == plain
+        assert "elapsed_s" not in plain
+
+    def test_failure_keeps_its_witness(self, capsys, monkeypatch):
+        broken = Check("broken", "always fails", 1, lambda n: "witness text")
+        monkeypatch.setitem(checklib.CHECKS_BY_ID, "broken", broken)
+        code, out, _ = run_cli(capsys, "verify", "--check", "broken", "--timings")
+        assert code == 1
+        assert out.splitlines()[1] == "       counterexample: witness text"
+
+    def test_run_check_result_has_no_time(self):
+        assert run_check("q0-golden").elapsed_s is None
 
 
 class TestRunCheck:
@@ -385,5 +424,5 @@ class TestImportFootprint:
                               env=env, text=True, timeout=120, check=True)
         loaded, dataclasses = proc.stdout.splitlines()
         assert loaded.split() == sorted(f"snakelab.{layer}" for layer in layers)
-        # no `compute` needs a dataclass, and importing the module is much of its start-up
-        assert argv[0] != "compute" or dataclasses == "False"
+        # no command needs a dataclass, and importing the module is much of its start-up
+        assert dataclasses == "False"

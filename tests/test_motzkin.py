@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 from snakelab import motzkin
-from snakelab.algebra import CoefficientSchedule, Monomial, Poly, jfraction_series, ONE, Q, T, Y
+from snakelab.algebra import CoefficientSchedule, Monomial, Poly, jfraction_series, ONE, Q, T, Y, _add_row, _poly, _window_sums
 from snakelab.checks import run_check
 from snakelab.eulerians import Q_poly, R_poly, euler_number, q_fraction_schedule, r_fraction_schedule
 from snakelab.motzkin import (
@@ -332,6 +332,20 @@ class TestPathCount:
             path_count("M", -1)
 
 
+def _rho_by_boxes(scheme, n):
+    """rho summed box by box, as the library did before it walked shape
+    prefixes: a box weighs y^ey t^et q^lo times the product of [hi-lo+1]_q
+    over its ranges, and boxes are grouped by (ey, et, lo, sorted spans)."""
+    groups = Counter()
+    for _, ranges in _boxes(scheme, n):
+        ey, et, lo, hi = zip(*ranges) if ranges else ((),) * 4
+        groups[sum(ey), sum(et), sum(lo), tuple(sorted(map(operator.sub, hi, lo)))] += 1
+    rows = {}
+    for (ey, et, lo, spans), c in groups.items():  # [s+1]_q is a window sum of width s+1
+        _add_row(rows, (ey, et), lo, functools.reduce(lambda row, s: _window_sums(row, s + 1), spans, [1]), c)
+    return _poly(rows)
+
+
 class TestRho:
     def test_f_length_one(self):
         assert rho("F", 1) == Y * T * (ONE + Q)
@@ -370,6 +384,23 @@ class TestRho:
     @pytest.mark.parametrize("n", range(7))
     def test_box_sums_equal_the_enumerated_sum(self, scheme, n):
         assert rho(scheme, n) == Poly(Counter(_weight(weights) for _, weights in _paths(scheme, n)))
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("n", range(7))
+    def test_prefix_walk_equals_the_box_sums(self, scheme, n):
+        assert rho(scheme, n) == _rho_by_boxes(scheme, n)
+
+    @pytest.mark.parametrize("scheme", ["F", "G"])
+    def test_prefix_walk_reads_the_pair_rule(self, monkeypatch, scheme):
+        # with every pair allowed, F and G are H and MSTAR on yt level steps
+        monkeypatch.setattr(motzkin, "_pairs_ok", lambda weights, pairs: True)
+        for n in range(6):
+            assert rho(scheme, n) == _rho_by_boxes(scheme, n)
+        assert rho(scheme, 2) != (Y ** 2 * (R_poly(2) if scheme == "F" else Q_poly(2)))
+
+    def test_rejects_negative_length(self):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            rho("M", -1)
 
     @pytest.mark.parametrize("check_id", ["lemma-3.5", "lemma-4.3"])
     def test_pair_rule_is_needed(self, monkeypatch, check_id):
