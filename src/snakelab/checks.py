@@ -33,19 +33,18 @@ that fails is worded through the public inverse's domain guard.
 The path maps are proved on boxes of paths (`motzkin._boxes`): one
 branch per step, each q exponent over an interval.  `bijections._phi`
 and `_toggle` pick their move from letters and branches and translate the
-intervals, so a box is checked whole: its image lies in the target (else
-`motzkin._first_outside` names the first path that leaves, or the box
-fails at its corner if its image is no path at all), maps back, keeps the
-weight law and the t-parity, and is fixed exactly when it lies in F or G,
-which branches decide.  Few boxes need it: phi moves ranges by position,
-so per shape of M the first box and the boxes one step off it decide;
-an involution's move is decided at the first level step on an et = 0
-range, where `_stops` cuts the walk with one box for all completions.
-Below a cut each t-degree slice still reports its own first box.
-`motzkin._paths` lists the paths box by box, so a claim's witness is the
-first failing path of its first failing box, worded off that path's
-one-point box as the public maps word it.  prop-3.6 and lemma-3.8 share
-one walk of H_n, so either check still runs alone.
+intervals, so each map's claims are one function of a box, run on a box
+and on its paths alike: `_cover_claim` (phi), `_involution_claim` (psi1,
+psi2) and `_slice_claim` (lemma-3.8).  A box fails a claim when one of
+its paths does, and its witness (`_first_failing`) is the first path, in
+`motzkin._paths` order, on whose one-point box the same claim fails,
+worded as the public maps word it.  Few boxes need the claims: phi moves
+ranges by position, so per shape of M the first box and the boxes one
+step off it decide; an involution's move is decided at the first level
+step on an et = 0 range, where `_stops` cuts the walk with one box for
+all completions.  Below a cut each t-degree slice still reports its own
+first box.  prop-3.6 and lemma-3.8 share one walk of H_n, so either
+check still runs alone.
 
 One snake walk per (variant, size) reads and scans each raw window once
 (`snakes._windows`, `_elements`) for the encoding's claims and, at sizes
@@ -60,9 +59,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from functools import lru_cache
-from itertools import compress
-from operator import add, itemgetter, ne, or_, sub
+from functools import lru_cache, partial
+from itertools import compress, product
+from operator import itemgetter, ne, or_
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from snakelab import bijections, eulerians, motzkin, permstats, snakes
@@ -220,20 +219,43 @@ _HEAD_MENU = tuple((*head, head[2]) for head in (bijections.HEAD_Y2, bijections.
 _COVER = "{y^2, yt} x H"
 
 
-def _restructure_box(steps: tuple[str, ...], ranges: tuple) -> tuple:
-    """phi on one box of M: (head, image, outside, broken), with outside
-    the first path whose image leaves {y^2, yt} x H and broken the start of
-    the witness of the first claim that fails on the whole box."""
-    head, image = bijections._phi(steps, ranges)
+def _inside(menus: tuple, ranges: tuple) -> bool:
+    """Whether each range lies in its step's menu: as one of its ranges or,
+    failing that, inside the range of its branch."""
+    return all(map(tuple.__contains__, menus, ranges)) or all(
+        any(m[:2] == r[:2] and m[2] <= r[2] and r[3] <= m[3] for m in menu) for menu, r in zip(menus, ranges))
+
+
+def _lands(table: str, image: tuple) -> bool:
+    """Whether an image box lies in the table's menus; one that is not a
+    path does not."""
     try:
-        menus = (_HEAD_MENU, *motzkin._shape_menus("H", image[0]))
-    except ValueError:  # the image is not a path: the box fails at its corner
-        return head, image, (steps, motzkin._corner(ranges)), None
-    outside = motzkin._first_outside(menus, steps, ranges, (head, *image[1]))
-    weights = motzkin._corner((head, *image[1])), motzkin._corner(ranges)
-    broken = ("round trip failed for" if bijections._phi_inverse(head, *image) != (steps, ranges) else
-              "weight not preserved for" if motzkin._weight(weights[0]) != motzkin._weight(weights[1]) else None)
-    return head, image, outside, broken
+        return _inside(motzkin._shape_menus(table, image[0]), image[1])
+    except ValueError:  # the image is not a path
+        return False
+
+
+def _first_failing(n: int, steps: tuple[str, ...], box: tuple, claim: Callable) -> str | None:
+    """The witness of the first path of a box, in `_paths` order, on whose
+    one-point box the claim fails, or None."""
+    points = product(*map(motzkin._points, box))
+    return next(filter(None, (claim(n, steps, motzkin._point(weights)) for weights in points)), None)
+
+
+def _cover_claim(n: int, steps: tuple[str, ...], box: tuple) -> str | None:
+    """prop-3.2 on one box of M: phi sends it to a head and a box of H
+    (worded by `phi_inverse`'s guard), back, and keeps the weight; else the
+    witness, worded off the box's corner."""
+    head, image = bijections._phi(steps, box)
+    path = steps, motzkin._corner(box)
+    if not (head in _HEAD_MENU and _lands("H", image)):
+        return _landing(n, _text(path), (image[0], motzkin._corner(image[1])),
+                        lambda p: bijections.phi_inverse(head[:3], p), _COVER)
+    if bijections._phi_inverse(head, *image) != (steps, box):
+        return f"n={n}: round trip failed for {_text(path)}"
+    if motzkin._weight(motzkin._corner((head, *image[1]))) != motzkin._weight(path[1]):
+        return f"n={n}: weight not preserved for {_text(path)}"
+    return None
 
 
 def _one_step_off(box: tuple, menus: tuple, positions: range) -> Iterator[tuple]:
@@ -248,23 +270,16 @@ def _restructure(n: int) -> str | None:
     the weight, and the shapes' counts, products of menu sizes, sum to the
     target's.  phi moves whole ranges by position, so per shape the first
     box and the boxes one step off it decide: if they pass, every box does,
-    and the first of them to fail is the first failing box.  The witness is
-    its first failing path."""
+    and the first of them to fail is the first failing box."""
     count = 0
     for steps in motzkin._shapes("M", n):
         count += math.prod(map(len, motzkin._shape_sets("M", steps)))
         menus = motzkin._shape_menus("M", steps)
         firsts = tuple(menu[0] for menu in menus)
-        probes = (firsts, *_one_step_off(firsts, menus, range(n)))
-        box = next((box for box in probes if any(_restructure_box(steps, box)[2:])), None)
+        box = next((box for box in (firsts, *_one_step_off(firsts, menus, range(n)))
+                    if _cover_claim(n, steps, box)), None)
         if box:
-            _, _, outside, broken = _restructure_box(steps, box)
-            path = steps, weights = (steps, motzkin._corner(box)) if broken else outside
-            head, (steps_h, ranges_h), outside, broken = _restructure_box(steps, motzkin._point(weights))
-            if not outside:
-                return f"n={n}: {broken} {_text(path)}"
-            return _landing(n, _text(path), (steps_h, motzkin._corner(ranges_h)),
-                            lambda p: bijections.phi_inverse(head[:3], p), _COVER)
+            return _first_failing(n, steps, box, _cover_claim)
     target_size = 2 * motzkin.path_count("H", n - 1)
     if count != target_size:
         return f"n={n}: {count} sources, {target_size} in {_COVER}"
@@ -289,31 +304,32 @@ _ENCODINGS = {
 }
 
 
-def _sign_claim(n: int, snake: snakes.Snake, cs: tuple, decoded: bool) -> str | None:
-    """lemma-sign-changes on one snake: `snakes._signs` gives the window
-    back from its absolute word and cs-vector, which lies in {0,1,2}^n and
-    sums to the snake's sign changes.  An image that decoded to the window
-    and cs has passed the round trip, as `_decode` ends in `_signs`.  A
-    failed round trip is worded through `arnold_recover`."""
-    if not decoded and snakes._signs([abs(v) for v in snake.extended()], cs) != snake.window:
+def _sign_claim(n: int, window: tuple[int, ...], variant: str, cs: tuple, decoded: bool) -> str | None:
+    """lemma-sign-changes on one snake window: `snakes._signs` gives the
+    window back from its absolute word and cs-vector, which lies in
+    {0,1,2}^n and sums to the window's sign changes.  An image that decoded
+    to the window and cs has passed the round trip, as `_decode` ends in
+    `_signs`.  A failed round trip is worded through `arnold_recover`."""
+    text = lambda: snakes.Snake(window, variant).text()
+    if not decoded and snakes._signs([abs(v) for v in snakes._extended(window, variant)], cs) != window:
         try:
-            snakes.arnold_recover(tuple(map(abs, snake.window)), cs, snake.variant)
+            snakes.arnold_recover(tuple(map(abs, window)), cs, variant)
         except ValueError as err:
-            return f"n={n}: image leaves {{0,1,2}}^n at {snake.text()}: {err}"
-        return f"n={n}: round trip failed for {snake.text()}"
+            return f"n={n}: image leaves {{0,1,2}}^n at {text()}: {err}"
+        return f"n={n}: round trip failed for {text()}"
     if not set(cs) <= {0, 1, 2}:
-        return f"n={n}: image leaves {{0,1,2}}^n at {snake.text()}"
-    if sum(cs) != snakes.sign_changes(snake):
-        return f"n={n}: {snake.text()}: vector {cs} does not sum to the total"
+        return f"n={n}: image leaves {{0,1,2}}^n at {text()}"
+    if sum(cs) != snakes._sign_changes(window, variant):
+        return f"n={n}: {text()}: vector {cs} does not sum to the total"
     return None
 
 
-def _pattern_claim(n: int, snake: snakes.Snake, scan: list) -> str | None:
-    """lemma-pattern on one snake: at each k the scan's block counts are
-    the (13-2, 2-31) counts of the pattern sweep."""
-    for k, ((_, _, a, b), pattern) in enumerate(zip(scan, snakes._patterns(snake.window, snake.variant)), 1):
+def _pattern_claim(n: int, window: tuple[int, ...], variant: str, scan: list) -> str | None:
+    """lemma-pattern on one snake window: at each k the scan's block counts
+    are the (13-2, 2-31) counts of the pattern sweep."""
+    for k, ((_, _, a, b), pattern) in enumerate(zip(scan, snakes._patterns(window, variant)), 1):
         if (a, b) != pattern:
-            return f"n={n}: {snake.text()}: k={k} blocks ({a + b + 1}, {b}) vs patterns {pattern}"
+            return f"n={n}: {snakes.Snake(window, variant).text()}: k={k} blocks ({a + b + 1}, {b}) vs patterns {pattern}"
     return None
 
 
@@ -345,11 +361,10 @@ def _snake_walk(variant: str, size: int, lemmas: bool) -> dict:
                 found["encoding"] = _landing(n, snakes.Snake(window, variant).text(), image, inverse, scheme)
             sums[snakes._key(scan, offset)] += 1
         if lemmas:
-            snake = snakes.Snake(window, variant)
             if not snakes.is_snake_window(window, variant):
-                witnesses = (f"n={size}: not a snake: {snake.text()}",) * 2
+                witnesses = (f"n={size}: not a snake: {snakes.Snake(window, variant).text()}",) * 2
             else:
-                witnesses = _sign_claim(size, snake, cs, lands), _pattern_claim(size, snake, scan)
+                witnesses = _sign_claim(size, window, variant, cs, lands), _pattern_claim(size, window, variant, scan)
             for claim, witness in zip(("sign-changes", "pattern"), witnesses):
                 if witness:
                     found.setdefault(claim, witness)
@@ -414,37 +429,42 @@ def _stops(scheme: str, n: int) -> Iterator[tuple]:
         yield from stops
 
 
-def _involution_box(scheme: str, steps: tuple[str, ...], ranges: tuple, image: tuple) -> tuple:
-    """One box of the scheme and its image under the involution: (outside,
-    broken, delta), with outside the first path whose image leaves the
-    scheme, broken the witness format (of the path `p` and the weights `wp`,
-    `wi` of it and its image) of the first claim that fails on the whole
-    box, and delta the weight change (ey, et, eq), read off the moved
-    ranges.  F and G keep whole ranges of H and MSTAR, so the corner decides
+def _involution_claim(scheme: str, n: int, steps: tuple[str, ...], box: tuple, image: tuple | None = None) -> str | None:
+    """prop-3.6 or prop-4.4 on one box of the scheme and its image under the
+    involution: the image lies in the scheme and maps back, and the box is
+    fixed exactly when it lies in F or G, else moved by the weight law,
+    read off the corners; else the witness, worded off the box's corner.
+    F and G keep whole ranges of H and MSTAR, so the corner decides
     membership in them."""
     name, fixed_scheme, shifts = _INVOLUTIONS[scheme]
-    moved = _moved(steps, ranges, image)
-    delta = (0, 0, 0)
-    for i in moved:
-        delta = tuple(map(add, delta, map(sub, image[1][i], ranges[i])))
-    corner = motzkin._corner(ranges)
-    try:
-        menus = motzkin._shape_menus(scheme, image[0])
-    except ValueError:  # the image is not a path: the box fails at its corner
-        return (steps, corner), None, delta
-    outside = motzkin._first_outside(menus, steps, ranges, image[1])
-    in_fixed = motzkin._contains(fixed_scheme, steps, corner)
-    if not moved:
-        broken = None if in_fixed else "unexpected fixed point {p}"
-    elif bijections._toggle(*image, name) != (steps, ranges):
-        broken = "not an involution at {p}"
-    elif in_fixed:
-        broken = "moved point satisfies the fixed-set menus: {p}"
-    elif (delta[0], delta[2]) not in shifts or delta[1]:
-        broken = "weight law broken at {p}: {wp} -> {wi}"
-    else:
-        broken = None
-    return outside, broken, delta
+    image = image or bijections._toggle(steps, box, name)
+    path = steps, motzkin._corner(box)
+    if not _lands(scheme, image):
+        return f"n={n}: image leaves {scheme} at {_text(path)}: {_text((image[0], motzkin._corner(image[1])))}"
+    in_fixed = motzkin._contains(fixed_scheme, *path)
+    if image == (steps, box):
+        return None if in_fixed else f"n={n}: unexpected fixed point {_text(path)}"
+    if bijections._toggle(*image, name) != (steps, box):
+        return f"n={n}: not an involution at {_text(path)}"
+    if in_fixed:
+        return f"n={n}: moved point satisfies the fixed-set menus: {_text(path)}"
+    wp, wi = motzkin._weight(path[1]), motzkin._weight(motzkin._corner(image[1]))
+    if (wi[0] - wp[0], wi[2] - wp[2]) not in shifts or wi[1] != wp[1]:
+        return f"n={n}: weight law broken at {_text(path)}: {Monomial(1, *wp).text()} -> {Monomial(1, *wi).text()}"
+    return None
+
+
+def _slice_claim(scheme: str, n: int, steps: tuple[str, ...], box: tuple, image: tuple | None = None) -> str | None:
+    """lemma-3.8 on one box of the scheme: its image under the involution
+    lies in the scheme with the same t-parity; else the witness, worded off
+    the box's corner.  A box that leaves its slice fails the involution
+    claim too."""
+    name = _INVOLUTIONS[scheme][0]
+    image = image or bijections._toggle(steps, box, name)
+    parity = sum(map(itemgetter(1), box)) % 2
+    if _lands(scheme, image) and sum(map(itemgetter(1), image[1])) % 2 == parity:
+        return None
+    return f"n={n}: {name} leaves the {scheme}{2 - parity} slice at {_text((steps, motzkin._corner(box)))}"
 
 
 @lru_cache(maxsize=None)
@@ -455,35 +475,25 @@ def _involution_walk(scheme: str, n: int) -> dict[str, str]:
     slices "<scheme>1" (odd), "<scheme>2".  The boxes below a stop move
     alike, so the stop's box is the first to fail any claim below it, and
     for each slice that they leave, so is the first box below it of that
-    t-parity.  A witness is the first failing path of the first box that
-    fails the claim; the involution's is worded off that path's own
-    one-point box."""
-    name, fixed_scheme, _ = _INVOLUTIONS[scheme]
-    pieces = (f"{scheme}2", f"{scheme}1")
+    t-parity.  A witness is that box's `_first_failing` path."""
+    fixed_scheme = _INVOLUTIONS[scheme][1]
+    involution, slices = partial(_involution_claim, scheme), partial(_slice_claim, scheme)
     parity = lambda box: sum(map(itemgetter(1), box)) % 2
-    first: dict = {}
+    found: dict = {}
     fixed = 0
     for steps, ranges, image, stop in _stops(scheme, n):
-        outside, broken, delta = _involution_box(scheme, steps, ranges, image)
-        if delta[1] % 2 or outside:  # each box below the stop leaves its slice
+        if not involution(n, steps, ranges, image):
+            if image == (steps, ranges):
+                fixed += motzkin._size(ranges)
+            continue
+        if "involution" not in found:
+            found["involution"] = _first_failing(n, steps, ranges, involution)
+        if slices(n, steps, ranges, image):  # each box below the stop leaves its slice
             below = _one_step_off(ranges, motzkin._shape_menus(scheme, steps), range(stop + 1, n))
             for box in filter(None, (ranges, next((b for b in below if parity(b) != parity(ranges)), None))):
-                first.setdefault(pieces[parity(box)], (steps, motzkin._corner(box)) if delta[1] % 2
-                                 else _involution_box(scheme, steps, box, bijections._toggle(steps, box, name))[0])
-        if broken or outside:
-            first.setdefault("involution", (steps, motzkin._corner(ranges)) if broken else outside)
-        if not broken and image == (steps, ranges):
-            fixed += motzkin._size(ranges)
-    found = {piece: f"n={n}: {name} leaves the {piece} slice at {_text(first[piece])}"
-             for piece in pieces if piece in first}
-    if "involution" in first:
-        path = steps, weights = first["involution"]
-        image = bijections._toggle(steps, motzkin._point(weights), name)
-        outside, broken, _ = _involution_box(scheme, steps, motzkin._point(weights), image)
-        wp, wi = motzkin._weight(weights), motzkin._weight(motzkin._corner(image[1]))
-        found["involution"] = f"n={n}: " + (
-            f"image leaves {scheme} at {_text(path)}: {_text((image[0], motzkin._corner(image[1])))}" if outside
-            else broken.format(p=_text(path), wp=Monomial(1, *wp).text(), wi=Monomial(1, *wi).text()))
+                piece = f"{scheme}{2 - parity(box)}"
+                if piece not in found:
+                    found[piece] = _first_failing(n, steps, box, slices)
     size = 0
     for steps, ranges in motzkin._boxes(fixed_scheme, n):
         size += motzkin._size(ranges)

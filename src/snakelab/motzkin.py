@@ -37,12 +37,13 @@ one shape are the disjoint union of its boxes, and a path is the box whose
 intervals are points (`_point`, `_corner`).  The one generator, `_boxes`,
 takes per shape the product of its step menus and applies the parity and
 pair rules, which read only branches.  `_paths` expands each box in that
-order, its q exponents lexicographically, so the first failing path of
-the first failing box is the first failing path.  `_contains` tests a path
-against a frozenset per step, and `_first_outside` finds the first path
-of a box whose translate leaves the menus.  `rho` multiplies the menus
-along shape prefixes, shared by the shapes that extend them, and
-`path_count` multiplies menu sizes per shape.
+order, its q exponents lexicographically.  So where a claim fails on a
+box exactly when it fails on one of the box's paths, the first failing
+path of the first failing box is the first failing path: the path maps'
+witnesses in `snakelab.checks` are found that way.  `_contains` tests a
+path against a frozenset per step.  `rho` multiplies the menus along
+shape prefixes, shared by the shapes that extend them, and `path_count`
+multiplies menu sizes per shape.
 """
 
 from __future__ import annotations
@@ -205,6 +206,8 @@ class WeightedPath(namedtuple("WeightedPath", "steps weights")):
         step_heights(steps)
         return super().__new__(cls, steps, weights)
 
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so `_replace` validates too
+
     def __len__(self) -> int:
         return len(self.steps)
 
@@ -323,25 +326,6 @@ def _corner(ranges: tuple) -> tuple[Weight, ...]:
 
 def _size(ranges: tuple) -> int:
     return math.prod(hi - lo + 1 for _, _, lo, hi in ranges)
-
-
-def _first_outside(menus: tuple, steps: tuple[str, ...], box: tuple, image: tuple) -> RawPath | None:
-    """For a box and its image (each range translated by a fixed amount),
-    the first path of the box, in `_paths` order, whose image leaves the
-    per-step menus, or None.  Paths of a box run in lexicographic order of
-    their q, so this is the corner if it leaves, else the corner with the
-    last step that can leave raised just past its good interval."""
-    if all(map(tuple.__contains__, menus, image)):
-        return None
-    good = [next(((m[2] - ilo + lo, m[3] - ilo + lo) for m in menu if m[:2] == (ey, et)), (hi + 1, hi))
-            for menu, (_, _, lo, hi), (ey, et, ilo, _) in zip(menus, box, image)]
-    qs = [r[2] for r in box]
-    if all(a <= q <= b for q, (a, b) in zip(qs, good)):
-        i = next((i for i in reversed(range(len(box))) if good[i][1] < box[i][3]), None)
-        if i is None:
-            return None
-        qs[i] = good[i][1] + 1
-    return steps, tuple((ey, et, q) for (ey, et, _, _), q in zip(box, qs))
 
 
 def _contains(scheme: str, steps: tuple[str, ...], weights: tuple[Weight, ...]) -> bool:

@@ -87,6 +87,8 @@ class Snake(namedtuple("Snake", "window variant")):
             raise ValueError(f"unknown variant {variant!r}")
         return super().__new__(cls, window, variant)
 
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so `_replace` validates too
+
     def size(self) -> int:
         return len(self.window)
 
@@ -180,7 +182,11 @@ def _changes(a: int, b: int) -> bool:
 
 def sign_changes(snake: Snake) -> int:
     """Number of adjacent sign changes through the boundary-extended window."""
-    ext = snake.extended()
+    return _sign_changes(*snake)
+
+
+def _sign_changes(window: Sequence[int], variant: str) -> int:
+    ext = _extended(window, variant)
     return sum(map(_changes, ext, ext[1:]))
 
 

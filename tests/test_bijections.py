@@ -1,5 +1,7 @@
 """The two-to-one restructuring map and the two sign-reversing involutions."""
 
+import functools
+import itertools
 import math
 from collections import Counter, defaultdict
 
@@ -16,7 +18,7 @@ from snakelab.bijections import (
     psi2,
 )
 from snakelab.eulerians import Q_poly, R_poly
-from snakelab.motzkin import EMPTY_PATH, WeightedPath, gen_weighted, in_family, matching_pairs, rho
+from snakelab.motzkin import EMPTY_PATH, STEPS, WeightedPath, gen_weighted, in_family, matching_pairs, rho, step_heights
 from test_snakes import block_profile, pattern_counts
 
 
@@ -343,6 +345,21 @@ class TestSharedPsi1Walk:
         monkeypatch.setitem(checks._INVOLUTIONS, "H", ("psi1", "F", ((2, 1), (-2, -1))))
         assert _catalog("prop-3.6")(2).startswith("n=1: weight law broken at ")
 
+    def test_a_move_off_its_t_parity_leaves_the_slice(self, monkeypatch):
+        # psi1's level toggle lands on W's yt branch instead: the image stays
+        # in H with the other t-parity, so only the parity test sees it
+        real = bijections._toggle
+
+        def move(steps, ranges, name):
+            image_steps, image = real(steps, ranges, name)
+            return image_steps, tuple((1, 1, r[2] + h, r[3] + h) if (s, new, r[:2]) == ("L", "W", (2, 0)) else r
+                                      for s, new, r, h in zip(steps, image_steps, image, step_heights(steps)))
+
+        monkeypatch.setattr(bijections, "_toggle", move)
+        for walk, reference in self._routes(4):
+            assert walk is not None and walk == reference
+        assert _catalog("lemma-3.8")(4) == "n=1: psi1 leaves the H2 slice at L[1]"
+
     def test_walk_is_shared(self):
         _catalog("prop-3.6")(3)
         _catalog("lemma-3.8")(3)
@@ -469,7 +486,7 @@ def _cover_reference(n_max):
 def widen_menu(monkeypatch):
     """Widen the first range of one menu by one at the top, so that a box's
     image can overhang its target at the top only and the first failing
-    path of the box is not its corner."""
+    path of the box is not its corner.  An empty menu stays empty."""
     real = motzkin._menu_ranges
     # every cache filled from the menu ranges
     caches = (real, motzkin._menu_set, motzkin._shape_menus, motzkin._shape_sets, checks._involution_walk)
@@ -477,7 +494,7 @@ def widen_menu(monkeypatch):
     def widen(table, step):
         def widened(t, s, h):
             out = real(t, s, h)
-            if (t, s) == (table, step):
+            if (t, s) == (table, step) and out:
                 (ey, et, lo, hi), *rest = out
                 out = ((ey, et, lo, hi + 1), *rest)
             return out
@@ -489,6 +506,16 @@ def widen_menu(monkeypatch):
     yield widen
     for cache in caches:
         cache.cache_clear()
+
+
+_WIDENED = [(table, step) for table in ("M", "H", "MSTAR") for step in STEPS]
+
+# each scheme's claims on one box, as `checks._first_failing` runs them
+_CLAIMS = {
+    "M": (checks._cover_claim,),
+    "H": (functools.partial(checks._involution_claim, "H"), functools.partial(checks._slice_claim, "H")),
+    "MSTAR": (functools.partial(checks._involution_claim, "MSTAR"), functools.partial(checks._slice_claim, "MSTAR")),
+}
 
 
 class TestBoxWitnesses:
@@ -527,6 +554,35 @@ class TestBoxWitnesses:
             walk = checks._involution_walk(table, n)
             assert {k: walk[k] for k in (f"{table}1", f"{table}2") if k in walk} == _slices_reference(table, n)
         assert len(_slices_reference(table, 4)) == 2
+
+    @pytest.mark.parametrize("table, step", _WIDENED)
+    def test_every_widened_menu_fails_as_the_references(self, widen_menu, table, step):
+        widen_menu(table, step)
+        for check_id, reference in (("prop-3.2", _cover_reference), ("prop-3.6", _psi1_check_reference),
+                                    ("lemma-3.8", _psi1_slices_reference), ("prop-4.4", _psi2_check_reference)):
+            assert _catalog(check_id)(4) == reference(4), check_id
+
+    def test_widening_leaves_an_empty_menu_empty(self, widen_menu):
+        widen_menu("M", "W")
+        assert motzkin._menu_ranges("M", "W", 0) == ()
+        assert motzkin._menu_ranges("M", "W", 1)[0] == (0, 0, 0, 1)
+
+    @pytest.mark.parametrize("widened", [None, *_WIDENED])
+    def test_box_verdict_is_some_path_verdict(self, widen_menu, widened):
+        # each claim fails on a box exactly when it fails on one of its
+        # one-point boxes, over the 1,257 boxes of M, H and MSTAR up to n=4
+        if widened:
+            widen_menu(*widened)
+        failing = 0
+        for scheme, claims in _CLAIMS.items():
+            for n in range(scheme == "M", 5):
+                for steps, box in motzkin._boxes(scheme, n):
+                    points = [motzkin._point(w) for w in itertools.product(*map(motzkin._points, box))]
+                    for claim in claims:
+                        verdict = bool(claim(n, steps, box))
+                        assert verdict == any(claim(n, steps, p) for p in points), (steps, box)
+                        failing += verdict
+        assert bool(failing) == bool(widened)  # 2,122 failing boxes over the twelve widenings
 
 
 class _Item:
@@ -671,14 +727,15 @@ def _from_size_3_on_s00(variant, size):
 
 
 def _sign_changes_plus_one(monkeypatch):
-    real = snakes.sign_changes
-    monkeypatch.setattr(snakes, "sign_changes", lambda s: real(s) + 1)
+    # the raw count behind `snakes.sign_changes`, which the walk reads
+    real = snakes._sign_changes
+    monkeypatch.setattr(snakes, "_sign_changes", lambda window, variant: real(window, variant) + 1)
 
 
 def _sign_changes_plus_one_on_s00(monkeypatch):
-    real = snakes.sign_changes
-    monkeypatch.setattr(snakes, "sign_changes",
-                        lambda s: real(s) + _from_size_3_on_s00(s.variant, s.size()))
+    real = snakes._sign_changes
+    monkeypatch.setattr(snakes, "_sign_changes",
+                        lambda window, variant: real(window, variant) + _from_size_3_on_s00(variant, len(window)))
 
 
 def _sweep_off_by_one(monkeypatch):

@@ -293,8 +293,8 @@ def test_snake_check_catches_dropped_window(monkeypatch, fresh_caches, check_id,
 
 
 def test_sign_change_witness_names_n(monkeypatch, fresh_caches):
-    real = snakes.sign_changes
-    monkeypatch.setattr(snakes, "sign_changes", lambda s: real(s) + 1)
+    real = snakes._sign_changes
+    monkeypatch.setattr(snakes, "_sign_changes", lambda window, variant: real(window, variant) + 1)
     witness = run_check("lemma-sign-changes").witness
     assert witness == "n=0: ()[S0]: vector () does not sum to the total"
 
@@ -311,9 +311,9 @@ def _wrong_for_s00_and_large(variant, size):
 
 def test_sign_change_witness_is_smallest_over_variants(monkeypatch, fresh_caches):
     # S00 fails from n=0 and S0 only from n=3: the smallest n wins
-    real = snakes.sign_changes
-    monkeypatch.setattr(snakes, "sign_changes",
-                        lambda s: real(s) + _wrong_for_s00_and_large(s.variant, s.size()))
+    real = snakes._sign_changes
+    monkeypatch.setattr(snakes, "_sign_changes",
+                        lambda window, variant: real(window, variant) + _wrong_for_s00_and_large(variant, len(window)))
     witness = run_check("lemma-sign-changes").witness
     assert witness == "n=0: ()[S00]: vector () does not sum to the total"
 

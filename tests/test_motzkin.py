@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from snakelab import motzkin
+from snakelab import checks, motzkin
 from snakelab.algebra import CoefficientSchedule, Monomial, Poly, jfraction_series, ONE, Q, T, Y, _add_row, _poly, _window_sums
 from snakelab.checks import run_check
 from snakelab.eulerians import Q_poly, R_poly, euler_number, q_fraction_schedule, r_fraction_schedule
@@ -21,7 +21,6 @@ from snakelab.motzkin import (
     in_family,
     matching_pairs,
     _boxes,
-    _first_outside,
     _paths,
     _scheme_info,
     _size,
@@ -281,21 +280,25 @@ class TestBoxes:
             paths = list(_paths(scheme, n))
             assert sorted(paths, key=key) == paths
 
-    def test_first_outside_is_the_first_failing_path(self):
-        # every good interval on a box of three steps with q in 0..2 each
+    def test_first_failing_is_the_first_failing_path(self):
+        # every good interval on a box of three steps with q in 0..2 each,
+        # against the claim that the box's image lies in the menus
         steps, box = ("L", "L", "L"), ((0, 0, 0, 2),) * 3
-        failing_all = (steps, ((0, 0, 0),) * 3)
         intervals = [(a, b) for a in range(4) for b in range(-1, 3)]
         for good in itertools.product(intervals, repeat=3):
             failing = [p for p in self._expand_box(steps, box)
                        if any(not a <= w[2] <= b for w, (a, b) in zip(p[1], good))]
-            menus = tuple(((0, 0, a, b),) for a, b in good)
-            assert _first_outside(menus, steps, box, box) == (failing[0] if failing else None)
-            # the same menus against the box translated by one, and on another branch
-            moved = tuple((0, 0, lo + 1, hi + 1) for _, _, lo, hi in box)
-            menus = tuple(((0, 0, a + 1, b + 1),) for a, b in good)
-            assert _first_outside(menus, steps, box, moved) == (failing[0] if failing else None)
-            assert _first_outside(menus, steps, box, ((1, 1, 1, 3),) * 3) == failing_all
+            # the box itself, the box translated by one, and on another branch
+            for by, branch, want in ((0, (0, 0), failing[:1]), (1, (0, 0), failing[:1]),
+                                     (1, (1, 1), [(steps, ((0, 0, 0),) * 3)])):
+                menus = tuple(((0, 0, a + by, b + by),) for a, b in good)
+
+                def claim(n, steps, box):
+                    image = tuple((*branch, lo + by, hi + by) for _, _, lo, hi in box)
+                    return None if checks._inside(menus, image) else (steps, motzkin._corner(box))
+
+                assert bool(claim(0, steps, box)) == bool(want)
+                assert checks._first_failing(0, steps, box, claim) == (want[0] if want else None)
 
     @staticmethod
     def _expand_box(steps, ranges):
@@ -458,6 +461,22 @@ class TestText:
         assert p.text() == "U[1] U[t^2*q^4] L[t*q^5] D[q^2] D[1]"
         p = WeightedPath(("U", "W", "D"), ((2, 3, -1), (0, 0, 1), (1, 0, 0)))
         assert p.text() == "U[y^2*t^3*q^-1] W[q] D[y]"
+
+    def test_replace_on_one_step(self):
+        # the length is the step count, so `_replace` cannot count fields
+        p = WeightedPath(("L",), ((2, 0, 0),))._replace(weights=((1, 1, 0),))
+        assert p == WeightedPath(("L",), ((1, 1, 0),)) and type(p) is WeightedPath
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"steps": ("D", "U")}, "dips below the axis"),
+        ({"weights": ((1, 1, 1),)}, "one weight per step"),
+    ])
+    def test_replace_validates(self, fields, message):
+        p = WeightedPath(("U", "D"), ((2, 0, 0), (0, 0, 0)))
+        with pytest.raises(ValueError, match=message):
+            p._replace(**fields)
+        with pytest.raises(ValueError, match=message):
+            WeightedPath._make({**p._asdict(), **fields}.values())
 
     @pytest.mark.parametrize("scheme, first, last", [
         ("M", "U[y^2] D[1] L[y^2]", "L[y*t] L[y*t] L[y*t]"),

@@ -313,6 +313,13 @@ class TestGenerate:
         with pytest.raises(ValueError, match=message):
             generate_snakes(n, variant)
 
+    def test_replace_validates_the_variant(self):
+        assert Snake((1,), "S0")._replace(variant="S00") == Snake((1,), "S00")
+        with pytest.raises(ValueError, match="unknown variant"):
+            Snake((1,), "S0")._replace(variant="BOGUS")
+        with pytest.raises(ValueError, match="unknown variant"):
+            Snake._make(((1,), "BOGUS"))
+
     def test_boundaries(self):
         assert Snake((2, 1), "FULL").extended() == (-3, 2, 1, 3)
         assert Snake((2, 1), "S0").extended() == (0, 2, 1, 3)
