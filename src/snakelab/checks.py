@@ -113,6 +113,10 @@ def _witness(n: int, got, want) -> str:
     return f"n={n}: got {got}, want {want}"
 
 
+def _equal(n: int, lhs, rhs) -> str | None:
+    return None if lhs == rhs else _witness(n, lhs, rhs)
+
+
 def _identity(lhs, rhs, start: int = 0, step: int = 1) -> Callable[[int], str | None]:
     """The check that lhs(n) == rhs(n) for n = start, start + step, ...,
     n_max; it returns the witness of the first n where they differ.  Each
@@ -121,11 +125,7 @@ def _identity(lhs, rhs, start: int = 0, step: int = 1) -> Callable[[int], str | 
     def fn(n_max: int) -> str | None:
         left, right = (side.build(n_max).__getitem__ if isinstance(side, _Series) else side
                        for side in (lhs, rhs))
-        for n in range(start, n_max + 1, step):
-            got, want = left(n), right(n)
-            if got != want:
-                return _witness(n, got, want)
-        return None
+        return next(filter(None, (_equal(n, left(n), right(n)) for n in range(start, n_max + 1, step))), None)
 
     return fn
 
@@ -203,10 +203,6 @@ def _each_n(claim: Callable[[int], str | None], start: int = 0) -> Callable[[int
     return lambda n_max: next(filter(None, map(claim, range(start, n_max + 1))), None)
 
 
-def _equal(n: int, lhs, rhs) -> str | None:
-    return None if lhs == rhs else _witness(n, lhs, rhs)
-
-
 def _text(path: motzkin.RawPath) -> str:
     """The text of a path, or the shape error of an image that is none."""
     try:
@@ -267,20 +263,18 @@ def _one_step_off(box: tuple, menus: tuple, positions: range) -> Iterator[tuple]
 def _restructure(n: int) -> str | None:
     """prop-3.2 at n: phi maps M_n one to one onto {y^2, yt} x H_(n-1).
     Each box of M_n maps to a head and a box of H_(n-1) and back, keeping
-    the weight, and the shapes' counts, products of menu sizes, sum to the
-    target's.  phi moves whole ranges by position, so per shape the first
-    box and the boxes one step off it decide: if they pass, every box does,
-    and the first of them to fail is the first failing box."""
-    count = 0
+    the weight, and M_n's `path_count` is the target's.  phi moves whole
+    ranges by position, so per shape the first box and the boxes one step
+    off it decide: if they pass, every box does, and the first of them to
+    fail is the first failing box."""
     for steps in motzkin._shapes("M", n):
-        count += math.prod(map(len, motzkin._shape_sets("M", steps)))
         menus = motzkin._shape_menus("M", steps)
         firsts = tuple(menu[0] for menu in menus)
         box = next((box for box in (firsts, *_one_step_off(firsts, menus, range(n)))
                     if _cover_claim(n, steps, box)), None)
         if box:
             return _first_failing(n, steps, box, _cover_claim)
-    target_size = 2 * motzkin.path_count("H", n - 1)
+    count, target_size = motzkin.path_count("M", n), 2 * motzkin.path_count("H", n - 1)
     if count != target_size:
         return f"n={n}: {count} sources, {target_size} in {_COVER}"
     return _equal(n, motzkin.rho("M", n), (Y ** 2 + Y * T) * motzkin.rho("H", n - 1))
@@ -341,7 +335,7 @@ def _snake_walk(variant: str, size: int, lemmas: bool) -> dict:
     "sign-changes" and "pattern" (at n = size; a window that is not a snake
     fails both).  Each image lies in the scheme and decodes to its window
     and the scan's cs-vector; then the count is compared with `path_count`
-    and the `_key` sum with Q_n or R_n."""
+    and the sum of the images' weights with Q_n or R_n."""
     offset, scheme, inverse, poly = _ENCODINGS[variant]
     n = size - offset
     found = {}
@@ -359,7 +353,7 @@ def _snake_walk(variant: str, size: int, lemmas: bool) -> dict:
                 pass
             if not lands:
                 found["encoding"] = _landing(n, snakes.Snake(window, variant).text(), image, inverse, scheme)
-            sums[snakes._key(scan, offset)] += 1
+            sums[motzkin._weight(image[1])] += 1
         if lemmas:
             if not snakes.is_snake_window(window, variant):
                 witnesses = (f"n={size}: not a snake: {snakes.Snake(window, variant).text()}",) * 2

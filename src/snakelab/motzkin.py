@@ -203,6 +203,8 @@ class WeightedPath(namedtuple("WeightedPath", "steps weights")):
     def __new__(cls, steps: tuple[str, ...], weights: tuple[Weight, ...]):
         if len(steps) != len(weights):
             raise ValueError("one weight per step required")
+        if not all(isinstance(w, tuple) and len(w) == 3 for w in weights):
+            raise ValueError("each weight must be an exponent triple (ey, et, eq)")
         step_heights(steps)
         return super().__new__(cls, steps, weights)
 

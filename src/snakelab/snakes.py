@@ -26,10 +26,10 @@ The work runs on raw windows, plain tuples of signed ints, and on paths as
 - `_elements` is the one scan of a window: per element, in value order,
   its step letter, whether a sign change enters it, and its 13-2 and 2-31
   counts, read off running block counts in linear time (lemma-pattern);
-- the cores read that scan: `_encode` gives the path, `_cs` the
-  cs-vector and `_key` the enumerator's exponent triple, and `_decode`
-  maps a path back to its window and cs-vector, by block rebuild
-  (`_rebuild_word`) and then sign recovery (`_signs`);
+- the cores read that scan: `_encode` gives the path, whose weight
+  (`motzkin._weight`) is the snake's term of Q_n or R_n, and `_cs` the
+  cs-vector; `_decode` maps a path back to its window and cs-vector, by
+  block rebuild (`_rebuild_word`) and then sign recovery (`_signs`);
 - `_patterns` is the pattern side of lemma-pattern: one sweep over a
   window's adjacent pairs, sharing no code with the scan.
 The catalog's one walk per (variant, size), `checks._snake_walk`, reads
@@ -39,7 +39,7 @@ wraps each window in a `Snake`; `cs_vector`, `lambda1` and `lambda2` reject
 a window that is not a snake of its variant, and the encodings return
 `_encode`'s pair as a `WeightedPath`; the inverses share `_inverse`:
 `motzkin._require`, the walk's `_decode`, then `arnold_recover`'s check; and
-`snake_enumerator` sums `_key` over `_windows`.  The catalog's
+`snake_enumerator` sums `_encode`'s weights over `_windows`.  The catalog's
 worked-example block tables read their counts off `_elements` too.
 """
 
@@ -50,8 +50,8 @@ from collections import Counter, namedtuple
 from operator import ge, le
 from typing import Iterator, Sequence
 
-from snakelab.algebra import Key, Poly
-from snakelab.motzkin import RawPath, Weight, WeightedPath, _require
+from snakelab.algebra import Poly
+from snakelab.motzkin import RawPath, Weight, WeightedPath, _require, _weight
 
 VARIANTS = ("FULL", "S0", "S00")
 
@@ -423,28 +423,6 @@ def lambda2_inv(path: WeightedPath) -> Snake:
     return _inverse(path, "T", offset=1)
 
 
-def _key(elements: Sequence[Element], offset: int) -> Key:
-    """The exponent triple of a snake in `snake_enumerator`, from its scan:
-    t^cs q^(2-31 + pat_q) for offset 0 (an S0 snake, the Q sum) and
-    t^cs q^(2-31 + pat_r - size) for offset 1 (an S00 snake, the R sum).
-    cs is the sum of the cs-vector.  pat_q adds 2*(13-2 + 2-31) - 1 per
-    valley with a sign change and 13-2 + 2-31 per double ascent or
-    descent; pat_r adds 2 less per such valley and 1 per peak."""
-    changes = exponent = 0
-    for step, change, thirteen_two, two_thirty_one in elements:
-        exponent += two_thirty_one
-        if step == "U":
-            if change:  # class X
-                changes += 2
-                exponent += 2 * (thirteen_two + two_thirty_one) - 1 - offset
-        elif step == "D":  # class Z
-            exponent += offset
-        else:  # class Y
-            changes += 1
-            exponent += thirteen_two + two_thirty_one
-    return 0, changes, exponent - offset * len(elements)
-
-
 def snake_enumerator(n: int, which: str) -> Poly:
     """Direct snake sums: for 'Q', sum of t^cs q^(2-31 + pat_q) over the S0
     snakes of size n; for 'R', sum of t^cs q^(2-31 + pat_r - n - 1) over the
@@ -454,5 +432,5 @@ def snake_enumerator(n: int, which: str) -> Poly:
     if n < 0:
         raise ValueError("n must be >= 0")
     variant, offset = ("S0", 0) if which == "Q" else ("S00", 1)
-    return Poly(Counter(_key(_elements(window, variant), offset)
+    return Poly(Counter(_weight(_encode(_elements(window, variant), offset)[1])
                         for window in _windows(n + offset, variant)))

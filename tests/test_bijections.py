@@ -705,7 +705,7 @@ def _snake_code_reference(variant, offset, scheme, poly, inverse):
             if not lands:
                 source = snakes.Snake(window, variant).text()
                 return checks._landing(n, source, image, getattr(snakes, inverse), scheme)
-            sums[snakes._key(scan, offset)] += 1
+            sums[motzkin._weight(image[1])] += 1
         target_size = motzkin.path_count(scheme, n)
         if count != target_size:
             return f"n={n}: {count} sources, {target_size} in {scheme}"

@@ -273,13 +273,13 @@ def test_public_inverses_read_the_walks_decoder(monkeypatch, fresh_caches, check
 
 @pytest.mark.parametrize("check_id", [check_id for check_id, _ in _SNAKE_CHECKS])
 def test_snake_check_catches_bad_key(monkeypatch, fresh_caches, check_id):
-    real = snakes._key
+    real = motzkin._weight
 
-    def off_by_one_q(elements, offset):
-        ey, et, eq = real(elements, offset)
+    def off_by_one_q(weights):
+        ey, et, eq = real(weights)
         return ey, et, eq + 1
 
-    monkeypatch.setattr(snakes, "_key", off_by_one_q)
+    monkeypatch.setattr(motzkin, "_weight", off_by_one_q)
     result = run_check(check_id)
     assert result.status == "fail"
     assert result.witness.startswith("n=0: lhs - rhs = "), result.witness

@@ -470,6 +470,9 @@ class TestText:
     @pytest.mark.parametrize("fields, message", [
         ({"steps": ("D", "U")}, "dips below the axis"),
         ({"weights": ((1, 1, 1),)}, "one weight per step"),
+        ({"weights": ((2, 0, 0), (0, 0))}, "exponent triple"),
+        ({"weights": ((2, 0, 0), (0, 0, 0, 0))}, "exponent triple"),
+        ({"weights": ((2, 0, 0), 0)}, "exponent triple"),
     ])
     def test_replace_validates(self, fields, message):
         p = WeightedPath(("U", "D"), ((2, 0, 0), (0, 0, 0)))

@@ -9,7 +9,7 @@ import pytest
 
 from snakelab.algebra import ONE, Q, T
 from snakelab.eulerians import Q_poly, R_poly, euler_number, springer_number
-from snakelab.motzkin import WeightedPath, gen_weighted, in_family
+from snakelab.motzkin import WeightedPath, _weight, gen_weighted, in_family
 from snakelab import snakes
 from snakelab.snakes import (
     Snake,
@@ -662,12 +662,13 @@ class TestSnakeEnumerator:
     ])
     @pytest.mark.parametrize("n", range(7))
     def test_one_scan_matches_per_element_oracles(self, n, variant, x_shift, count_peaks, pat):
-        # the enumerator's key, read off one scan, against pattern_counts and
-        # element_class, called once per element through two_thirty_one_total
-        # and pat_q/pat_r; the key's offset picks that statistic's constants
+        # the weight of the encoding's image, read off one scan, against
+        # pattern_counts and element_class, called once per element through
+        # two_thirty_one_total and pat_q/pat_r; the offset picks that
+        # statistic's constants
         offset = {"S0": 0, "S00": 1}[variant]
         assert (x_shift, count_peaks) == (-1 - offset, bool(offset))
         for s in generate_snakes(n, variant):
             word = tuple(abs(v) for v in s.window)
             want = (0, sign_changes(s), two_thirty_one_total(word, variant) + pat(s) - offset * n)
-            assert snakes._key(snakes._elements(s.window, variant), offset) == want, s.text()
+            assert _weight(snakes._encode(snakes._elements(s.window, variant), offset)[1]) == want, s.text()
