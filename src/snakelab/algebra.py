@@ -289,11 +289,9 @@ def _poly(rows: Rows) -> Poly:
     return p
 
 
-def _add_row(acc: Rows, key: tuple[int, int], lo: int, row: list[int], c: int = 1) -> None:
-    """acc[key] += c * q^lo * row, widening acc[key] on either side as needed;
+def _add_row(acc: Rows, key: tuple[int, int], lo: int, row: list[int]) -> None:
+    """acc[key] += q^lo * row, widening acc[key] on either side as needed;
     acc never holds row itself, so row may be shared."""
-    if c != 1:
-        row = list(map(c.__mul__, row))
     cur = acc.get(key)
     if cur is None:
         acc[key] = [lo, row[:]]

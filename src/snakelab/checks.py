@@ -215,18 +215,15 @@ _HEAD_MENU = tuple((*head, head[2]) for head in (bijections.HEAD_Y2, bijections.
 _COVER = "{y^2, yt} x H"
 
 
-def _inside(menus: tuple, ranges: tuple) -> bool:
-    """Whether each range lies in its step's menu: as one of its ranges or,
-    failing that, inside the range of its branch."""
-    return all(map(tuple.__contains__, menus, ranges)) or all(
-        any(m[:2] == r[:2] and m[2] <= r[2] and r[3] <= m[3] for m in menu) for menu, r in zip(menus, ranges))
-
-
 def _lands(table: str, image: tuple) -> bool:
-    """Whether an image box lies in the table's menus; one that is not a
-    path does not."""
+    """Whether an image box lies in the table's menus: each range is one of
+    its step's menu ranges or, as each (ey, et) branch of a menu is one q
+    interval, both corner paths (every q at its low, then its high end) are
+    in the scheme.  An image that is not a path does not land."""
+    steps, ranges = image
     try:
-        return _inside(motzkin._shape_menus(table, image[0]), image[1])
+        return all(map(tuple.__contains__, motzkin._shape_menus(table, steps), ranges)) or all(
+            motzkin._contains(table, steps, tuple(map(itemgetter(0, 1, end), ranges))) for end in (2, 3))
     except ValueError:  # the image is not a path
         return False
 
@@ -700,10 +697,8 @@ def run_check(check_id: str, n_max: int | None = None) -> CheckResult:
     check = CHECKS_BY_ID[check_id]
     if n_max is not None and n_max < 0:
         raise ValueError("n must be >= 0")
-    effective = check.default_n if n_max is None else n_max
-    if not check.scalable:
-        effective = check.default_n
-    if check.scalable and effective < check.min_n:
+    effective = check.default_n if n_max is None or not check.scalable else n_max
+    if effective < check.min_n:
         return CheckResult(check.id, effective, "skipped", None, check.note)
     witness = check.fn(effective)
     status = "pass" if witness is None else "fail"

@@ -41,8 +41,9 @@ order, its q exponents lexicographically.  So where a claim fails on a
 box exactly when it fails on one of the box's paths, the first failing
 path of the first failing box is the first failing path: the path maps'
 witnesses in `snakelab.checks` are found that way.  `_contains` tests a
-path against a frozenset per step.  `rho` multiplies the menus along
-shape prefixes, shared by the shapes that extend them, and `path_count`
+path against a frozenset per step, and an image box through its two
+corner paths (`checks._lands`).  `rho` multiplies the menus along shape
+prefixes, shared by the shapes that extend them, and `path_count`
 multiplies menu sizes per shape.
 """
 
@@ -63,25 +64,21 @@ STEPS = ("U", "D", "L", "W")
 Weight = tuple[int, int, int]
 RawPath = tuple[tuple[str, ...], tuple[Weight, ...]]
 
-SCHEMES = (
-    "M", "H", "F", "T", "TSTAR", "G",
-    "MSTAR", "MPRIME", "MSTARPRIME", "H1", "H2",
-)
-
 # scheme -> (menu table, required t-parity of the path weight, pair rule applies)
 _SCHEME_INFO = {
     "M": ("M", None, False),
+    "H": ("H", None, False),
+    "F": ("F", None, True),
+    "T": ("T", None, False),
+    "TSTAR": ("TSTAR", None, False),
+    "G": ("G", None, True),
     "MSTAR": ("MSTAR", None, False),
     "MPRIME": ("M", 0, False),
     "MSTARPRIME": ("MSTAR", 0, False),
-    "H": ("H", None, False),
     "H1": ("H", 1, False),
     "H2": ("H", 0, False),
-    "T": ("T", None, False),
-    "TSTAR": ("TSTAR", None, False),
-    "F": ("F", None, True),
-    "G": ("G", None, True),
 }
+SCHEMES = tuple(_SCHEME_INFO)
 
 
 @lru_cache(maxsize=None)
@@ -266,14 +263,6 @@ def _scheme_info(scheme: str):
         raise ValueError(f"unknown scheme {scheme!r}") from None
 
 
-def _menu_table(scheme: str) -> str:
-    """The menu table of a scheme that its menus alone define."""
-    table, parity, pair_rule = _scheme_info(scheme)
-    if parity is not None or pair_rule:
-        raise ValueError(f"scheme {scheme} is not menu-defined: it has a parity or pair rule")
-    return table
-
-
 def _shapes(table: str, n: int) -> Iterator[tuple[str, ...]]:
     return gen_shapes(n, forbid_wavy_on_axis=not _menu_ranges(table, "W", 0))
 
@@ -403,6 +392,8 @@ def path_count(scheme: str, n: int) -> int:
     """Number of paths of length n of a scheme that its menus alone define
     (M, MSTAR, H, T, TSTAR): the sum over shapes of the product of the menu
     sizes, with no path built.  Schemes with a parity or pair rule raise."""
-    table = _menu_table(scheme)
+    table, parity, pair_rule = _scheme_info(scheme)
+    if parity is not None or pair_rule:
+        raise ValueError(f"scheme {scheme} is not menu-defined: it has a parity or pair rule")
     return sum(math.prod(map(len, _shape_sets(table, steps))) for steps in _shapes(table, n))
 

@@ -43,7 +43,9 @@ def _flajolet_schedule(scheme: str) -> CoefficientSchedule:
     mu_h = total level weight at height h, lam_h = (total rise weight at
     h-1) * (total fall weight starting at h).  Schemes with a parity or
     pair rule, and unknown schemes, raise ValueError."""
-    table = motzkin._menu_table(scheme)
+    table, parity, pair_rule = _scheme_info(scheme)
+    if parity is not None or pair_rule:
+        raise ValueError(f"scheme {scheme} is not menu-defined")
 
     def menu_sum(step: str, h: int) -> Poly:
         return Poly(Counter(weight_menu(table, step, h)))
@@ -244,6 +246,13 @@ def _paths_reference(scheme, n):
             yield steps, weights
 
 
+def _inside(menus: tuple, ranges: tuple) -> bool:
+    """Whether each range lies in its step's menu: as one of its ranges or,
+    failing that, inside the range of its branch."""
+    return all(map(tuple.__contains__, menus, ranges)) or all(
+        any(m[:2] == r[:2] and m[2] <= r[2] and r[3] <= m[3] for m in menu) for menu, r in zip(menus, ranges))
+
+
 class TestBoxes:
     @pytest.mark.parametrize("scheme", ["H", "M", "MSTAR"])
     @pytest.mark.parametrize("n", range(7))
@@ -280,6 +289,30 @@ class TestBoxes:
             paths = list(_paths(scheme, n))
             assert sorted(paths, key=key) == paths
 
+    @pytest.mark.parametrize("table", ["T", "TSTAR", "M", "MSTAR", "H", "F", "G"])
+    def test_one_nonempty_range_per_branch(self, table):
+        # the invariant by which `checks._lands` judges a box by its corners
+        for step in STEPS:
+            for h in range(step == "D", 13):
+                ranges = motzkin._menu_ranges(table, step, h)
+                assert all(lo <= hi for _, _, lo, hi in ranges), (step, h)
+                assert len({r[:2] for r in ranges}) == len(ranges), (step, h)
+
+    @pytest.mark.parametrize("scheme", ["H", "MSTAR"])
+    def test_lands_is_branch_containment(self, scheme):
+        # every sub-interval of every menu range, shifted by -1, 0 and +1,
+        # at one step of each shape, the other steps on their first ranges
+        for n in range(5):
+            for steps in motzkin._shapes(scheme, n):
+                menus = motzkin._shape_menus(scheme, steps)
+                firsts = tuple(menu[0] for menu in menus)
+                for j, menu in enumerate(menus):
+                    for ey, et, lo, hi in menu:
+                        for a, b, by in itertools.product(range(lo, hi + 1), range(lo, hi + 1), (-1, 0, 1)):
+                            if a <= b:
+                                box = firsts[:j] + ((ey, et, a + by, b + by),) + firsts[j + 1:]
+                                assert checks._lands(scheme, (steps, box)) == _inside(menus, box), (steps, box)
+
     def test_first_failing_is_the_first_failing_path(self):
         # every good interval on a box of three steps with q in 0..2 each,
         # against the claim that the box's image lies in the menus
@@ -295,7 +328,7 @@ class TestBoxes:
 
                 def claim(n, steps, box):
                     image = tuple((*branch, lo + by, hi + by) for _, _, lo, hi in box)
-                    return None if checks._inside(menus, image) else (steps, motzkin._corner(box))
+                    return None if _inside(menus, image) else (steps, motzkin._corner(box))
 
                 assert bool(claim(0, steps, box)) == bool(want)
                 assert checks._first_failing(0, steps, box, claim) == (want[0] if want else None)
@@ -345,7 +378,8 @@ def _rho_by_boxes(scheme, n):
         groups[sum(ey), sum(et), sum(lo), tuple(sorted(map(operator.sub, hi, lo)))] += 1
     rows = {}
     for (ey, et, lo, spans), c in groups.items():  # [s+1]_q is a window sum of width s+1
-        _add_row(rows, (ey, et), lo, functools.reduce(lambda row, s: _window_sums(row, s + 1), spans, [1]), c)
+        row = functools.reduce(lambda row, s: _window_sums(row, s + 1), spans, [1])
+        _add_row(rows, (ey, et), lo, [c * x for x in row])
     return _poly(rows)
 
 
