@@ -28,7 +28,8 @@ Per route, with r rows of width w in the input:
 - `jfraction_series`: each row packed into one int, its value at q = 2^bits
   (Kronecker substitution), so a path-sum edge is one int product per row
   and weight row, not one row add per weight term; `sfraction_series` is
-  the J-fraction with no level weights, read at even lengths.
+  the J-fraction with no level weights, read at even lengths, and
+  `motzkin.rho` the J-fraction of a path scheme's menus.
 """
 
 from __future__ import annotations

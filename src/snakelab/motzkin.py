@@ -42,21 +42,21 @@ box exactly when it fails on one of the box's paths, the first failing
 path of the first failing box is the first failing path: the path maps'
 witnesses in `snakelab.checks` are found that way.  `_contains` tests a
 path against a frozenset per step, and an image box through its two
-corner paths (`checks._lands`).  `rho` multiplies the menus along shape
-prefixes, shared by the shapes that extend them, and `path_count`
-multiplies menu sizes per shape.
+corner paths (`checks._lands`).  `rho` is the J-fraction of `_schedule`,
+the menu sums per height, and `path_count` multiplies menu sizes per
+shape.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import namedtuple
-from functools import lru_cache
+from collections import Counter, namedtuple
+from functools import lru_cache, partial
 from operator import itemgetter
 from typing import Iterator
 
-from snakelab.algebra import Monomial, Poly, _poly, _unpack
+from snakelab.algebra import ZERO, CoefficientSchedule, Monomial, Poly, jfraction_series
 
 STEPS = ("U", "D", "L", "W")
 
@@ -347,45 +347,33 @@ def _require(scheme: str, path: WeightedPath) -> None:
         raise ValueError(f"path is not in scheme {scheme}: {path.text()!r}")
 
 
+def _range_sum(ranges) -> Poly:
+    """The sum of the weights of some menu ranges."""
+    return Poly(Counter(itertools.chain.from_iterable(map(_points, ranges))))
+
+
+def _schedule(scheme: str) -> CoefficientSchedule:
+    """The J-fraction of the scheme's menus (Flajolet 1980): mu(h) sums the
+    level menus at height h, and lam(h) sums the products of a rise range
+    at h-1 and a fall range at h, for F and G over the range pairs that
+    `_pairs_ok` couples.  A parity slice has its table's schedule."""
+    table, _, pair_rule = _scheme_info(scheme)
+    menu = partial(_menu_ranges, table)
+    return CoefficientSchedule(
+        mu=lambda h: _range_sum(menu("L", h) + menu("W", h)),
+        lam=lambda h: sum((_range_sum((u,)) * _range_sum((d,)) for u in menu("U", h - 1) for d in menu("D", h)
+                           if not pair_rule or _pairs_ok((u, d), ((0, 1),))), ZERO))
+
+
 def rho(scheme: str, n: int) -> Poly:
     """Total weight of the scheme's paths of length n, with no path built:
-    one depth-first walk of the shapes, each prefix holding the weight sum
-    of its weightings as (ey, et) rows packed into ints, so that a step
-    multiplies them by its ranges, y^ey t^et q^lo [hi-lo+1]_q, once for all
-    the shapes that share the prefix.  F and G walk each rise's ranges
-    apart, and its fall keeps the ranges that `_pairs_ok` couples to it; a
-    parity slice keeps the rows of its t-parity.  A coefficient counts
-    paths, at most (4 m)^n with m the largest menu, which sets the slots
-    wide enough for `algebra._unpack`."""
-    table, parity, pair_rule = _scheme_info(scheme)
+    coefficient n of the J-fraction of `_schedule`, of which a parity slice
+    keeps the terms of its t-parity."""
+    parity = _scheme_info(scheme)[1]
     if n < 0:
         raise ValueError("n must be >= 0")
-    top = max(len(_menu_set(table, s, h)) for s in STEPS for h in range(s == "D", n + 1))
-    bits = 8 * (((4 * top) ** n).bit_length() // 8 + 1)
-    ones = [((1 << k * bits) - 1) // ((1 << bits) - 1) for k in range(top + 1)]  # [k]_q packed
-    total: dict = {}
-
-    def walk(rows: dict, h: int, left: int, rises: tuple) -> None:
-        if not left or not rows:
-            for key, x in rows.items():
-                total[key] = total.get(key, 0) + x
-            return
-        for step, h_next in (("U", h + 1), ("D", h - 1), ("L", h), ("W", h)):
-            if 0 <= h_next < left:  # the path can close, as in `gen_shapes`
-                ranges = _menu_ranges(table, step, h)
-                if pair_rule and step == "D":
-                    ranges = tuple(r for r in ranges if _pairs_ok((rises[-1], r), ((0, 1),)))
-                for part in zip(ranges) if pair_rule and step == "U" else (ranges,):
-                    out: dict = {}
-                    for (ey, et), x in rows.items():
-                        for ry, rt, lo, hi in part:
-                            key = ey + ry, et + rt
-                            out[key] = out.get(key, 0) + (x * ones[hi - lo + 1] << lo * bits)
-                    walk(out, h_next, left - 1, (rises + part[:1])[:h_next])  # the open rises' ranges
-
-    walk({(0, 0): 1}, 0, n, ())
-    rows = {key: (0, -(-x.bit_length() // bits), x) for key, x in total.items() if parity in (None, key[1] % 2)}
-    return _poly(_unpack(rows, bits))
+    total = jfraction_series(_schedule(scheme), n)[n]
+    return total if parity is None else Poly({key: c for key, c in total.terms.items() if key[1] % 2 == parity})
 
 
 def path_count(scheme: str, n: int) -> int:

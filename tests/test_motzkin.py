@@ -369,9 +369,9 @@ class TestPathCount:
 
 
 def _rho_by_boxes(scheme, n):
-    """rho summed box by box, as the library did before it walked shape
-    prefixes: a box weighs y^ey t^et q^lo times the product of [hi-lo+1]_q
-    over its ranges, and boxes are grouped by (ey, et, lo, sorted spans)."""
+    """rho summed box by box, with no J-fraction: a box weighs
+    y^ey t^et q^lo times the product of [hi-lo+1]_q over its ranges, and
+    boxes are grouped by (ey, et, lo, sorted spans)."""
     groups = Counter()
     for _, ranges in _boxes(scheme, n):
         ey, et, lo, hi = zip(*ranges) if ranges else ((),) * 4
@@ -423,7 +423,7 @@ class TestRho:
         assert rho(scheme, n) == Poly(Counter(_weight(weights) for _, weights in _paths(scheme, n)))
 
     @pytest.mark.parametrize("scheme", SCHEMES)
-    @pytest.mark.parametrize("n", range(7))
+    @pytest.mark.parametrize("n", range(8))
     def test_prefix_walk_equals_the_box_sums(self, scheme, n):
         assert rho(scheme, n) == _rho_by_boxes(scheme, n)
 
@@ -438,6 +438,22 @@ class TestRho:
     def test_rejects_negative_length(self):
         with pytest.raises(ValueError, match="n must be >= 0"):
             rho("M", -1)
+
+    def test_rejects_unknown_scheme(self):
+        with pytest.raises(ValueError, match="unknown scheme 'NOPE'"):
+            rho("NOPE", 1)
+        with pytest.raises(ValueError, match="unknown scheme 'NOPE'"):
+            motzkin._schedule("NOPE")
+
+    def test_parity_slices_split_the_full_sums(self):
+        def even_t(p):
+            return Poly({key: c for key, c in p.terms.items() if key[1] % 2 == 0})
+
+        for n in range(13):
+            assert rho("H1", n) + rho("H2", n) == rho("H", n)
+            assert rho("H2", n) == even_t(rho("H", n))
+            assert rho("MPRIME", n) == even_t(rho("M", n))
+            assert rho("MSTARPRIME", n) == even_t(rho("MSTAR", n))
 
     @pytest.mark.parametrize("check_id", ["lemma-3.5", "lemma-4.3"])
     def test_pair_rule_is_needed(self, monkeypatch, check_id):
@@ -471,6 +487,27 @@ class TestFlajolet:
             assert sched.mu(h) == closed.mu(h)
             if h >= 1:
                 assert sched.lam(h) == closed.lam(h)
+
+    @pytest.mark.parametrize("scheme", ["T", "TSTAR", "M", "MSTAR", "H"])
+    def test_library_schedule_matches_the_point_oracle(self, scheme):
+        mine, ref = motzkin._schedule(scheme), _flajolet_schedule(scheme)
+        for h in range(9):
+            assert mine.mu(h) == ref.mu(h)
+            if h >= 1:
+                assert mine.lam(h) == ref.lam(h)
+
+    @pytest.mark.parametrize("scheme, table", [("F", "H"), ("G", "MSTAR")])
+    def test_library_schedule_reads_the_pair_rule(self, scheme, table):
+        # facing pairs are coupled (y^2 q^a, q^b) or (yt q^a, yt q^b); level steps keep yt
+        coupled = {((2, 0), (0, 0)), ((1, 1), (1, 1))}
+        mine = motzkin._schedule(scheme)
+        for h in range(9):
+            levels = weight_menu(table, "L", h) + weight_menu(table, "W", h)
+            assert mine.mu(h) == Poly(Counter(w for w in levels if w[:2] == (1, 1)))
+            if h >= 1:
+                pairs = itertools.product(weight_menu(table, "U", h - 1), weight_menu(table, "D", h))
+                assert mine.lam(h) == Poly(Counter(tuple(map(operator.add, u, d)) for u, d in pairs
+                                                   if (u[:2], d[:2]) in coupled))
 
     @pytest.mark.parametrize("n", range(5))
     def test_jfraction_route_equals_path_route(self, n):
