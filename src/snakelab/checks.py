@@ -27,8 +27,8 @@ S0, then S00, at each n.
 No check holds a family whole.  A bijection check tests that each image
 lands in the target and maps back to its source, so the map is injective,
 hence onto once the source count equals the target's, which
-`motzkin.path_count` gives for the path targets H, TSTAR and T.  An image
-that fails is worded through the public inverse's domain guard.
+`motzkin.path_count` reads off `rho` for the path targets H, TSTAR and T.
+An image that fails is worded through the public inverse's domain guard.
 
 The path maps are proved on boxes of paths (`motzkin._boxes`): one
 branch per step, each q exponent over an interval.  `bijections._phi`
@@ -157,8 +157,8 @@ def _enumerator(family: str, scheme: str) -> Callable[[int], Poly]:
     return lambda n: permstats.signed_enumerator(n, family, scheme)
 
 
-def _rho(scheme: str) -> Callable[[int], Poly]:
-    return lambda n: motzkin.rho(scheme, n)
+def _rho(scheme: str) -> _Series:
+    return _Series(partial(motzkin._sums, scheme))
 
 
 def _at_one(side: Callable[[int], Poly]) -> Callable[[int], int]:
@@ -466,7 +466,9 @@ def _involution_walk(scheme: str, n: int) -> dict[str, str]:
     slices "<scheme>1" (odd), "<scheme>2".  The boxes below a stop move
     alike, so the stop's box is the first to fail any claim below it, and
     for each slice that they leave, so is the first box below it of that
-    t-parity.  A witness is that box's `_first_failing` path."""
+    t-parity.  A witness is that box's `_first_failing` path.  The fixed
+    set's size and t-parities are read off `motzkin.rho`; only a wrong
+    parity walks its boxes, for the first box of that parity."""
     fixed_scheme = _INVOLUTIONS[scheme][1]
     involution, slices = partial(_involution_claim, scheme), partial(_slice_claim, scheme)
     parity = lambda box: sum(map(itemgetter(1), box)) % 2
@@ -485,14 +487,12 @@ def _involution_walk(scheme: str, n: int) -> dict[str, str]:
                 piece = f"{scheme}{2 - parity(box)}"
                 if piece not in found:
                     found[piece] = _first_failing(n, steps, box, slices)
-    size = 0
-    for steps, ranges in motzkin._boxes(fixed_scheme, n):
-        size += motzkin._size(ranges)
-        t_degree = sum(map(itemgetter(1), ranges))
-        if t_degree % 2 != n % 2:
-            path = _text((steps, motzkin._corner(ranges)))
-            found.setdefault("fixed-parity", f"n={n}: fixed path with t-degree {t_degree}: {path}")
-    if fixed != size:
+    if any((et - n) % 2 for _, et, _ in motzkin.rho(fixed_scheme, n).terms):
+        found["fixed-parity"] = next((
+            f"n={n}: fixed path with t-degree {sum(map(itemgetter(1), ranges))}: {_text((steps, motzkin._corner(ranges)))}"
+            for steps, ranges in motzkin._boxes(fixed_scheme, n) if parity(ranges) != n % 2),
+            f"n={n}: the fixed-set sum has t-degree of parity {1 - n % 2}")
+    if fixed != motzkin.path_count(fixed_scheme, n):
         found["fixed-set"] = f"n={n}: fixed set differs from the restricted path family"
     return found
 

@@ -43,8 +43,7 @@ path of the first failing box is the first failing path: the path maps'
 witnesses in `snakelab.checks` are found that way.  `_contains` tests a
 path against a frozenset per step, and an image box through its two
 corner paths (`checks._lands`).  `rho` is the J-fraction of `_schedule`,
-the menu sums per height, and `path_count` multiplies menu sizes per
-shape.
+the menu sums per height, and `path_count` is its coefficient sum.
 """
 
 from __future__ import annotations
@@ -365,23 +364,23 @@ def _schedule(scheme: str) -> CoefficientSchedule:
                            if not pair_rule or _pairs_ok((u, d), ((0, 1),))), ZERO))
 
 
-def rho(scheme: str, n: int) -> Poly:
-    """Total weight of the scheme's paths of length n, with no path built:
-    coefficient n of the J-fraction of `_schedule`, of which a parity slice
-    keeps the terms of its t-parity."""
+def _sums(scheme: str, n_max: int) -> list[Poly]:
+    """Total weights of the scheme's paths of lengths 0..n_max, with no path
+    built: the J-fraction of `_schedule`, of which a parity slice keeps the
+    terms of its t-parity."""
     parity = _scheme_info(scheme)[1]
-    if n < 0:
+    if n_max < 0:
         raise ValueError("n must be >= 0")
-    total = jfraction_series(_schedule(scheme), n)[n]
-    return total if parity is None else Poly({key: c for key, c in total.terms.items() if key[1] % 2 == parity})
+    sums = jfraction_series(_schedule(scheme), n_max)
+    return sums if parity is None else [Poly({k: c for k, c in p.terms.items() if k[1] % 2 == parity}) for p in sums]
+
+
+def rho(scheme: str, n: int) -> Poly:
+    """Total weight of the scheme's paths of length n: entry n of `_sums`."""
+    return _sums(scheme, n)[n]
 
 
 def path_count(scheme: str, n: int) -> int:
-    """Number of paths of length n of a scheme that its menus alone define
-    (M, MSTAR, H, T, TSTAR): the sum over shapes of the product of the menu
-    sizes, with no path built.  Schemes with a parity or pair rule raise."""
-    table, parity, pair_rule = _scheme_info(scheme)
-    if parity is not None or pair_rule:
-        raise ValueError(f"scheme {scheme} is not menu-defined: it has a parity or pair rule")
-    return sum(math.prod(map(len, _shape_sets(table, steps))) for steps in _shapes(table, n))
-
+    """Number of paths of length n of the scheme: the coefficient sum of
+    `rho`, as every menu weight is a monomial with coefficient 1."""
+    return sum(rho(scheme, n).terms.values())

@@ -72,24 +72,25 @@ class StatRecord(NamedTuple):
     fixed_count: int  # positions with sigma_i = i
 
 
+def _rules(family: str) -> tuple[bool, bool, bool]:
+    """A family as (signed, even neg only, fixed-point-free)."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    return family not in ("A", "A*"), family.startswith("D"), family.endswith("*")
+
+
 def generate(n: int, family: str) -> Iterator[tuple[int, ...]]:
     """All members of the family, each exactly once.
 
     Order is lexicographic on (absolute-value permutation, sign vector),
     with + preceding - in the sign vector; deterministic for golden tests.
     """
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
+    signed, even_neg, derangements = _rules(family)
     if n < 0:
         raise ValueError("n must be >= 0")
-    derangements = family.endswith("*")
-    even_neg = family.startswith("D")
     # D keeps the sign vectors with an even number of minus signs
-    sign_vectors = [
-        signs
-        for signs in itertools.product((1, -1), repeat=n)
-        if not (even_neg and signs.count(-1) % 2)
-    ] if family in ("B", "D", "B*", "D*") else [(1,) * n]
+    sign_vectors = [signs for signs in itertools.product((1, -1) if signed else (1,), repeat=n)
+                    if not (even_neg and signs.count(-1) % 2)]
     for absperm in itertools.permutations(range(1, n + 1)):
         for signs in sign_vectors:
             window = tuple(map(operator.mul, signs, absperm))
@@ -217,15 +218,8 @@ def family_table(n: int, family: str) -> dict[tuple[int, ...], int]:
     """The family's rows of `_table(n, signed)`, signed for all but A and
     A*, in the table's order: D keeps even neg, a starred family keeps
     fixed_count 0."""
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
-    derangements = family.endswith("*")
-    even_neg = family.startswith("D")
-    return {
-        k: c
-        for k, c in _table(n, family not in ("A", "A*")).items()
-        if not (derangements and k[4]) and not (even_neg and k[1] % 2)
-    }
+    signed, even_neg, derangements = _rules(family)
+    return {k: c for k, c in _table(n, signed).items() if not (derangements and k[4]) and not (even_neg and k[1] % 2)}
 
 
 def signed_enumerator(n: int, family: str, scheme: str) -> Poly:
@@ -235,7 +229,7 @@ def signed_enumerator(n: int, family: str, scheme: str) -> Poly:
     read there, and exc = wex - fixed."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
-    if (scheme in _TYPE_A_SCHEMES) != (family in ("A", "A*")):
+    if (scheme in _TYPE_A_SCHEMES) == _rules(family)[0]:
         raise ValueError(f"scheme {scheme} does not apply to family {family}")
     acc: dict[Key, int] = {}
 

@@ -238,10 +238,19 @@ def _psi1_slices_reference(n_max):
             for p in motzkin.gen_weighted(scheme, n):
                 if bijections.psi1(p) not in members:
                     return f"n={n}: psi1 leaves the {scheme} slice at {p.text()}"
-        for p in motzkin.gen_weighted("F", n):
-            t_degree = p.weight()[1]
-            if t_degree % 2 != n % 2:
-                return f"n={n}: fixed path with t-degree {t_degree}: {p.text()}"
+        witness = _fixed_parity_reference("F", n)
+        if witness:
+            return witness
+    return None
+
+
+def _fixed_parity_reference(scheme, n):
+    """The first path of the fixed set F or G at n, in `_paths` order, whose
+    t-degree is off the parity of n, as its witness, or None."""
+    for steps, weights in motzkin._paths(scheme, n):
+        t_degree = motzkin._weight(weights)[1]
+        if t_degree % 2 != n % 2:
+            return f"n={n}: fixed path with t-degree {t_degree}: {WeightedPath(steps, weights).text()}"
     return None
 
 
@@ -330,15 +339,32 @@ class TestSharedPsi1Walk:
             assert walk is not None and walk == reference
 
     def test_fixed_set_is_compared_by_count(self, monkeypatch):
-        # F_0 loses its one box, so one fixed point of psi1 is left uncounted
-        real = motzkin._boxes
-
-        def short_f(scheme, n):
-            boxes = list(real(scheme, n))
-            return iter(boxes[:-1] if scheme == "F" else boxes)
-
-        monkeypatch.setattr(motzkin, "_boxes", short_f)
+        # F_0 loses its one path from `rho`, and so from `path_count`: one
+        # fixed point of psi1 is left uncounted
+        real = motzkin.rho
+        monkeypatch.setattr(motzkin, "rho", lambda scheme, n: Poly() if (scheme, n) == ("F", 0) else real(scheme, n))
+        assert motzkin.path_count("F", 0) == 0
         assert _catalog("prop-3.6")(0) == "n=0: fixed set differs from the restricted path family"
+
+    def test_fixed_sets_walk_no_box_on_success(self, monkeypatch):
+        def no_boxes(scheme, n):
+            raise AssertionError(f"boxes of {scheme} walked")
+
+        monkeypatch.setattr(motzkin, "_boxes", no_boxes)
+        for check_id in ("prop-3.6", "lemma-3.8", "prop-4.4"):
+            assert _catalog(check_id)(4) is None
+
+    @pytest.mark.parametrize("scheme, fixed", [("H", "F"), ("MSTAR", "G")])
+    def test_fixed_parity_witness_is_the_first_wrong_parity_path(self, patch_menus, scheme, fixed):
+        # the fixed set keeps every level branch of its scheme, the et = 0
+        # ones too, so it holds paths of both t-parities
+        def wider(real, table, step, h):
+            return real(scheme if table == fixed and step in ("L", "W") else table, step, h)
+
+        patch_menus(wider)
+        witnesses = [checks._involution_walk(scheme, n).get("fixed-parity") for n in range(6)]
+        assert witnesses == [_fixed_parity_reference(fixed, n) for n in range(6)]
+        assert any(witnesses)
 
     def test_weight_law_is_checked(self, monkeypatch):
         # psi2's (y^2 q)^(+-1) law on H: the first moved path of psi1 breaks it
@@ -483,29 +509,40 @@ def _cover_reference(n_max):
 
 
 @pytest.fixture
-def widen_menu(monkeypatch):
+def patch_menus(monkeypatch):
+    """Replace `motzkin._menu_ranges(table, step, h)` by menus(real, table,
+    step, h), where real is the library's, and empty every cache filled from
+    the menu ranges before and after."""
+    real = motzkin._menu_ranges
+    caches = (real, motzkin._menu_set, motzkin._shape_menus, motzkin._shape_sets, checks._involution_walk)
+
+    def patch(menus):
+        monkeypatch.setattr(motzkin, "_menu_ranges", functools.partial(menus, real))
+        for cache in caches:
+            cache.cache_clear()
+
+    yield patch
+    for cache in caches:
+        cache.cache_clear()
+
+
+@pytest.fixture
+def widen_menu(patch_menus):
     """Widen the first range of one menu by one at the top, so that a box's
     image can overhang its target at the top only and the first failing
     path of the box is not its corner.  An empty menu stays empty."""
-    real = motzkin._menu_ranges
-    # every cache filled from the menu ranges
-    caches = (real, motzkin._menu_set, motzkin._shape_menus, motzkin._shape_sets, checks._involution_walk)
 
     def widen(table, step):
-        def widened(t, s, h):
+        def widened(real, t, s, h):
             out = real(t, s, h)
             if (t, s) == (table, step) and out:
                 (ey, et, lo, hi), *rest = out
                 out = ((ey, et, lo, hi + 1), *rest)
             return out
 
-        monkeypatch.setattr(motzkin, "_menu_ranges", widened)
-        for cache in caches:
-            cache.cache_clear()
+        patch_menus(widened)
 
-    yield widen
-    for cache in caches:
-        cache.cache_clear()
+    return widen
 
 
 _WIDENED = [(table, step) for table in ("M", "H", "MSTAR") for step in STEPS]

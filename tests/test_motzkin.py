@@ -254,7 +254,7 @@ def _inside(menus: tuple, ranges: tuple) -> bool:
 
 
 class TestBoxes:
-    @pytest.mark.parametrize("scheme", ["H", "M", "MSTAR"])
+    @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("n", range(7))
     def test_box_sizes_sum_to_path_count(self, scheme, n):
         assert sum(_size(ranges) for _, ranges in _boxes(scheme, n)) == path_count(scheme, n)
@@ -345,21 +345,18 @@ class TestPathCount:
     def test_product_count_equals_enumeration(self, scheme, n):
         assert path_count(scheme, n) == sum(1 for _ in _paths(scheme, n))
 
-    @pytest.mark.parametrize("n", range(5))
+    @pytest.mark.parametrize("n", range(21))
     def test_closed_forms(self, n):
         import math
 
-        from snakelab.eulerians import springer_number
+        from snakelab.eulerians import seidel_numbers, springer_numbers
 
+        euler, springer = seidel_numbers(n + 1), springer_numbers(n)
         assert path_count("M", n) == 2 ** n * math.factorial(n)
         assert path_count("H", n) == 2 ** n * math.factorial(n + 1)  # M_(n+1) covers H_n twice
-        assert path_count("T", n) == 2 ** n * euler_number(n + 1)
-        assert path_count("TSTAR", n) == springer_number(n)
-
-    @pytest.mark.parametrize("scheme", ["F", "G", "MPRIME", "MSTARPRIME", "H1", "H2"])
-    def test_rejects_rule_filtered_schemes(self, scheme):
-        with pytest.raises(ValueError, match="not menu-defined"):
-            path_count(scheme, 2)
+        assert path_count("T", n) == path_count("F", n) == 2 ** n * euler[n + 1]
+        assert path_count("TSTAR", n) == path_count("G", n) == springer[n]
+        assert path_count("MPRIME", n) == (2 ** (n - 1) * math.factorial(n) if n else 1)  # the type D group
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError, match="unknown scheme"):
