@@ -364,15 +364,17 @@ def _schedule(scheme: str) -> CoefficientSchedule:
                            if not pair_rule or _pairs_ok((u, d), ((0, 1),))), ZERO))
 
 
-def _sums(scheme: str, n_max: int) -> list[Poly]:
+@lru_cache(maxsize=None)
+def _sums(scheme: str, n_max: int) -> tuple[Poly, ...]:
     """Total weights of the scheme's paths of lengths 0..n_max, with no path
     built: the J-fraction of `_schedule`, of which a parity slice keeps the
-    terms of its t-parity."""
+    terms of its t-parity.  Cached, so each (scheme, n_max) is expanded
+    once per process."""
     parity = _scheme_info(scheme)[1]
     if n_max < 0:
         raise ValueError("n must be >= 0")
     sums = jfraction_series(_schedule(scheme), n_max)
-    return sums if parity is None else [Poly({k: c for k, c in p.terms.items() if k[1] % 2 == parity}) for p in sums]
+    return tuple(p if parity is None else Poly({k: c for k, c in p.terms.items() if k[1] % 2 == parity}) for p in sums)
 
 
 def rho(scheme: str, n: int) -> Poly:

@@ -28,7 +28,8 @@ des_b change in O(1) from the parent's values; appending adds no crossing,
 and one pass over the parent's position pairs (`_cro_steps_b`, or
 `_cro_steps_a` without the terms that vanish on positive windows) gives
 the crossing change of every other child.  No child is handed to `stats`
-or `cro_b`.  Only the Counters are cached; the walk streams its windows.
+or `cro_b`.  `_walk` streams the windows of size n-1; `_table` counts
+their children as packed int keys and builds no window of size n.
 
 `generate`, `stats` and `cro_b` are the independent route: one window at a
 time, straight from the definitions.  `cro_b` is the one crossing count;
@@ -141,22 +142,29 @@ def _cro_steps_b(w: tuple[int, ...]) -> tuple[list[int], list[int]]:
     through i (the arc at i now ends at +-(m+1)), adds the arc from m+1 to
     w_i against every other position, and adds the pair (i, m+1).  With
     m+1 above every |w_j|, each term is a comparison of w's entries, so one
-    pass over the position pairs of w gives every child's change."""
+    pass over the position pairs gives every child's change; the terms at
+    j are summed over the later entries c in the form that w_j > j allows."""
     up = [0] * (len(w) + 2)
     down = up.copy()
-    for (pj, b), (pk, c) in itertools.combinations(enumerate(w, start=1), 2):
-        ab = abs(b)
-        if ab >= pk:
-            if ab > c:
-                up[pk] += 1
-            elif ab < c:
-                down[pk] -= 1
-        dj = (c < b < pk) - (pk <= b < c) - (b < c < pj) - (pj <= -c < b)
-        up[pj] += (-c >= pj) + dj
-        down[pj] += (c < pj) + dj
+    later = list(enumerate(w, start=1))
     for pj, b in enumerate(w, start=1):
-        up[pj] += -b >= pj
-        down[pj] += b < pj
+        del later[0]
+        ab = abs(b)
+        u, d = (pj - b, pj - b) if b > pj else (-b >= pj, b < pj)
+        for pk, c in later:
+            if ab >= pk:
+                up[pk] += ab > c
+                down[pk] -= ab < c
+            if c >= b:
+                u -= -pj < c < pj
+            elif b > pj:
+                u += 1 + (c < -b)
+                d += 2 - (pj <= abs(c) < b)
+            else:
+                u += 1 + (c <= -pj)
+                d += 2
+        up[pj] += u
+        down[pj] += d
     return up, down
 
 
@@ -203,20 +211,44 @@ def _walk(n: int, signed: bool) -> Iterator[tuple]:
                 yield (*w[:i - 1], -n, *w[i:], a), x, neg + 1, f, d, cro + down[i]
 
 
+def _radix(n: int) -> int:
+    """The digit radix of `_table(n, ...)`'s keys: above neg, des_b, fixed_count <= n
+    and cro_b <= n(n-1)/2 (two positions cross at most once); fwex is the top digit."""
+    return n * n + 1
+
+
 @lru_cache(maxsize=None)
 def _table(n: int, signed: bool) -> Mapping[tuple[int, ...], int]:
     """Joint distribution over B_n (signed) or A_n: window counts keyed by
-    (fwex, neg, cro_b, des_b, fixed_count), from one `_walk`.  Cached and
-    shared, so read-only."""
-    return MappingProxyType(Counter(
-        (2 * wex + neg, neg, cro, des, fixed)
-        for _, wex, neg, fixed, des, cro in _walk(n, signed)
-    ))
+    (fwex, neg, cro_b, des_b, fixed_count), in unpacked-key order.  Each
+    child of a window of `_walk(n - 1, signed)` is counted as its key packed
+    in `_radix(n)`, and no child window is built.  Cached and shared, so read-only."""
+    r = _radix(n)
+    fix, des, neg, fwex = r, r ** 2, r ** 3, r ** 4  # cro_b is the unit digit
+    # fwex and fixed_count of w_i = a leaving position i, by i and a (a < 0 reads 0)
+    moved = [[-(a >= i) * 2 * fwex - (a == i) * fix for a in range(n)] + [0] * n for i in range(1, n)]
+
+    def keys() -> Iterator[int]:
+        for w, wex, ng, fx, ds, cro in _walk(n - 1, signed):
+            up, down = _cro_steps_b(w) if signed else _cro_steps_a(w)
+            base = (2 * wex + 2 + ng) * fwex + ng * neg + ds * des + fx * fix + cro  # +n at i, w_i in place
+            yield base + fix + up[-1]
+            if signed:
+                yield base + neg - fwex + des + down[-1]
+            padded = (0, *w, *w[-1:])
+            for i, row, b, a, c in zip(itertools.count(1), moved, padded, w, padded[2:]):
+                k = base + (1 + (padded[-1] > a) - (b > a) - (a > c)) * des + row[a]
+                yield k + up[i]
+                if signed:
+                    yield k + neg - fwex + down[i]
+
+    counts = Counter(keys() if n else [0])  # the empty window's key is 0
+    return MappingProxyType({(k // fwex, k // neg % r, k % r, k // des % r, k // fix % r): c for k, c in counts.items()})
 
 
 def family_table(n: int, family: str) -> dict[tuple[int, ...], int]:
     """The family's rows of `_table(n, signed)`, signed for all but A and
-    A*, in the table's order: D keeps even neg, a starred family keeps
+    A*, in unpacked-key order: D keeps even neg, a starred family keeps
     fixed_count 0."""
     signed, even_neg, derangements = _rules(family)
     return {k: c for k, c in _table(n, signed).items() if not (derangements and k[4]) and not (even_neg and k[1] % 2)}

@@ -310,12 +310,12 @@ def _catalog(check_id):
 
 @pytest.fixture
 def fresh_walk():
-    """Empty the cached walks before and after a test that patches what
-    fills them."""
-    for walk in (checks._involution_walk, checks._snake_walk):
+    """Empty the cached walks, and the path sums they read, before and
+    after a test that patches what fills them."""
+    for walk in (checks._involution_walk, checks._snake_walk, motzkin._sums):
         walk.cache_clear()
     yield
-    for walk in (checks._involution_walk, checks._snake_walk):
+    for walk in (checks._involution_walk, checks._snake_walk, motzkin._sums):
         walk.cache_clear()
 
 
@@ -514,7 +514,7 @@ def patch_menus(monkeypatch):
     step, h), where real is the library's, and empty every cache filled from
     the menu ranges before and after."""
     real = motzkin._menu_ranges
-    caches = (real, motzkin._menu_set, motzkin._shape_menus, motzkin._shape_sets, checks._involution_walk)
+    caches = (real, motzkin._menu_set, motzkin._shape_menus, motzkin._shape_sets, motzkin._sums, checks._involution_walk)
 
     def patch(menus):
         monkeypatch.setattr(motzkin, "_menu_ranges", functools.partial(menus, real))

@@ -55,7 +55,7 @@ def test_no_assert_statements(module):
 def fresh_caches():
     """Empty the shared per-n passes before and after a test that patches
     what fills them, so a pass filled elsewhere cannot hide the patch."""
-    caches = (permstats._table, checks._involution_walk, checks._snake_walk)
+    caches = (permstats._table, motzkin._sums, checks._involution_walk, checks._snake_walk)
     for cache in caches:
         cache.cache_clear()
     yield
@@ -121,6 +121,35 @@ def test_jv_check_catches_bad_type_a_crossings(monkeypatch, fresh_caches):
     def bad_steps(w):
         up, none = real(w)
         return [d + 1 for d in up], none
+
+    monkeypatch.setattr(permstats, "_cro_steps_a", bad_steps)
+    result = run_check("jv1")
+    assert result.status == "fail"
+    assert result.witness.startswith("n=1: lhs - rhs = "), result.witness
+
+
+def test_table_checks_catch_lowered_crossings(monkeypatch, fresh_caches):
+    # every child that takes -n gains one crossing too few: the (-1) of B_1
+    # gets cro_b = -1, which borrows from the packed digit above it
+    real = permstats._cro_steps_b
+
+    def bad_steps(w):
+        up, down = real(w)
+        return up, [d - 1 for d in down]
+
+    monkeypatch.setattr(permstats, "_cro_steps_b", bad_steps)
+    for check_id in ("thm-corteel", "thm-1.3-i"):
+        result = run_check(check_id)
+        assert result.status == "fail", check_id
+        assert result.witness.startswith("n=1: lhs - rhs = "), result.witness
+
+
+def test_jv_check_catches_lowered_type_a_crossings(monkeypatch, fresh_caches):
+    real = permstats._cro_steps_a
+
+    def bad_steps(w):
+        up, none = real(w)
+        return [d - 1 for d in up], none
 
     monkeypatch.setattr(permstats, "_cro_steps_a", bad_steps)
     result = run_check("jv1")

@@ -33,6 +33,15 @@ from snakelab.motzkin import (
 from snakelab.permstats import corteel_schedule, signed_enumerator
 
 
+@pytest.fixture
+def fresh_sums():
+    """Empty the cached path sums before and after a test that patches
+    what fills them."""
+    motzkin._sums.cache_clear()
+    yield
+    motzkin._sums.cache_clear()
+
+
 def mono(ey=0, et=0, eq=0):
     """The weight y^ey t^et q^eq as an exponent triple."""
     return ey, et, eq
@@ -425,7 +434,7 @@ class TestRho:
         assert rho(scheme, n) == _rho_by_boxes(scheme, n)
 
     @pytest.mark.parametrize("scheme", ["F", "G"])
-    def test_prefix_walk_reads_the_pair_rule(self, monkeypatch, scheme):
+    def test_prefix_walk_reads_the_pair_rule(self, monkeypatch, fresh_sums, scheme):
         # with every pair allowed, F and G are H and MSTAR on yt level steps
         monkeypatch.setattr(motzkin, "_pairs_ok", lambda weights, pairs: True)
         for n in range(6):
@@ -453,7 +462,7 @@ class TestRho:
             assert rho("MSTARPRIME", n) == even_t(rho("MSTAR", n))
 
     @pytest.mark.parametrize("check_id", ["lemma-3.5", "lemma-4.3"])
-    def test_pair_rule_is_needed(self, monkeypatch, check_id):
+    def test_pair_rule_is_needed(self, monkeypatch, fresh_sums, check_id):
         monkeypatch.setattr(motzkin, "_pairs_ok", lambda weights, pairs: True)
         result = run_check(check_id)
         assert result.status == "fail" and result.witness.startswith("n=2: lhs - rhs = "), result.witness

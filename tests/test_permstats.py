@@ -10,6 +10,7 @@ from snakelab.algebra import ONE, Poly, Q, T, Y, jfraction_series, q_int
 from snakelab.permstats import (
     FAMILIES,
     SCHEMES,
+    _radix,
     _walk,
     corteel_schedule,
     cro_b,
@@ -289,6 +290,18 @@ class TestTables:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             family_table(2, "C")
+
+    @pytest.mark.parametrize("family", ["A", "B"])
+    @pytest.mark.parametrize("n", range(7))
+    def test_fields_fit_below_the_radix(self, n, family):
+        # the packed keys of `_table` hold neg, cro_b, des_b and fixed_count
+        # as digits below fwex; the bounds are the ones `_radix` rests on
+        rows = [stats(w) for w in generate(n, family)]
+        bounds = {"neg": n, "cro_b": n * (n - 1) // 2, "des_b": n, "fixed_count": n}
+        for field, bound in bounds.items():
+            top = max(getattr(row, field) for row in rows)
+            assert top <= bound < _radix(n), (field, top)
+        assert max(row.fwex for row in rows) <= 2 * n
 
 
 class TestWalk:
