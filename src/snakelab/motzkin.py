@@ -197,6 +197,7 @@ class WeightedPath(namedtuple("WeightedPath", "steps weights")):
     __slots__ = ()
 
     def __new__(cls, steps: tuple[str, ...], weights: tuple[Weight, ...]):
+        steps, weights = tuple(steps), tuple(weights)
         if len(steps) != len(weights):
             raise ValueError("one weight per step required")
         if not all(isinstance(w, tuple) and len(w) == 3 for w in weights):

@@ -20,16 +20,16 @@ point.  The tables are cached per (n, signed) and shared: one loop of
 `signed_enumerator` projects all six schemes from them, and `family_table`
 hands the family's rows to the catalog.
 
-The tables come from one walk, `_walk`, that builds each size from the
-one below by insertion.  A window w of size n-1 has 2n children in B_n:
-w with +-n appended, and for each position i, w with +-n at i and w_i
-moved to position n (A_n takes + only, n children).  wex, neg, fixed and
-des_b change in O(1) from the parent's values; appending adds no crossing,
-and one pass over the parent's position pairs (`_cro_steps_b`, or
-`_cro_steps_a` without the terms that vanish on positive windows) gives
-the crossing change of every other child.  No child is handed to `stats`
-or `cro_b`.  `_walk` streams the windows of size n-1; `_table` counts
-their children as packed int keys and builds no window of size n.
+The tables come from one insertion rule, `_child_keys`.  A window w of
+size n-1 has 2n children in B_n: w with +-n appended, and for each position
+i, w with +-n at i and w_i moved to position n (A_n takes + only, n
+children).  The rule maps each w and its packed key (fwex, neg, cro_b, des_b,
+fixed_count) to its children's keys: wex, neg, fixed and des_b change in
+O(1), appending adds no crossing, and one pass over w's position pairs
+(`_cro_steps_b`, or `_cro_steps_a` without the terms that vanish on
+positive windows) gives the crossing change of every other child.  `_walk`
+pairs each child window with its key, level by level; `_table` counts the
+children's keys of the windows of size n-1 and builds no window of size n.
 
 `generate`, `stats` and `cro_b` are the independent route: one window at a
 time, straight from the definitions.  `cro_b` is the one crossing count;
@@ -43,7 +43,7 @@ import operator
 from collections import Counter
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterator, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from snakelab.algebra import ONE, T, Y, CoefficientSchedule, Key, Poly, q_int
 
@@ -183,34 +183,6 @@ def _cro_steps_a(w: tuple[int, ...]) -> tuple[list[int], None]:
     return up, None
 
 
-def _walk(n: int, signed: bool) -> Iterator[tuple]:
-    """Every window of B_n (signed) or A_n, each once, as (window, wex,
-    neg, fixed, des_b, cro_b), grown by insertion from the windows of size
-    n-1 as the module docstring describes."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        yield (), 0, 0, 0, 0, 0
-        return
-    steps = _cro_steps_b if signed else _cro_steps_a
-    for w, wex, neg, fixed, des, cro in _walk(n - 1, signed):
-        up, down = steps(w)
-        yield (*w, n), wex + 1, neg, fixed + 1, des, cro + up[-1]
-        if signed:
-            yield (*w, -n), wex, neg + 1, fixed, des + 1, cro + down[-1]
-        padded = (0, *w, *w[-1:])
-        last = padded[-1]
-        for i, a in enumerate(w, start=1):
-            # w_i leaves its neighbours to follow the last entry; +n at i
-            # descends to its right, -n at i is descended to from its left
-            d = des + 1 - (padded[i - 1] > a) - (a > padded[i + 1]) + (last > a)
-            f = fixed - (a == i)
-            x = wex - (a >= i)
-            yield (*w[:i - 1], n, *w[i:], a), x + 1, neg, f, d, cro + up[i]
-            if signed:
-                yield (*w[:i - 1], -n, *w[i:], a), x, neg + 1, f, d, cro + down[i]
-
-
 def _radix(n: int) -> int:
     """The digit radix of `_table(n, ...)`'s keys: above neg, des_b, fixed_count <= n
     and cro_b <= n(n-1)/2 (two positions cross at most once); fwex is the top digit."""
@@ -218,32 +190,59 @@ def _radix(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _table(n: int, signed: bool) -> Mapping[tuple[int, ...], int]:
-    """Joint distribution over B_n (signed) or A_n: window counts keyed by
-    (fwex, neg, cro_b, des_b, fixed_count), in unpacked-key order.  Each
-    child of a window of `_walk(n - 1, signed)` is counted as its key packed
-    in `_radix(n)`, and no child window is built.  Cached and shared, so read-only."""
+def _child_keys(n: int, signed: bool) -> Callable[[Iterable[tuple]], Iterator[int]]:
+    """The insertion rule: maps windows w of size m-1 < n with their keys,
+    packed in `_radix(n)`, to the keys of their children, window by window in
+    `_walk`'s order: +-m appended, then +-m at each position i with w_i moved
+    to the end."""
     r = _radix(n)
     fix, des, neg, fwex = r, r ** 2, r ** 3, r ** 4  # cro_b is the unit digit
     # fwex and fixed_count of w_i = a leaving position i, by i and a (a < 0 reads 0)
     moved = [[-(a >= i) * 2 * fwex - (a == i) * fix for a in range(n)] + [0] * n for i in range(1, n)]
 
-    def keys() -> Iterator[int]:
-        for w, wex, ng, fx, ds, cro in _walk(n - 1, signed):
+    def children(parents: Iterable[tuple]) -> Iterator[int]:
+        for w, key in parents:
             up, down = _cro_steps_b(w) if signed else _cro_steps_a(w)
-            base = (2 * wex + 2 + ng) * fwex + ng * neg + ds * des + fx * fix + cro  # +n at i, w_i in place
+            base = key + 2 * fwex  # +m at i, w_i in place
             yield base + fix + up[-1]
             if signed:
                 yield base + neg - fwex + des + down[-1]
             padded = (0, *w, *w[-1:])
             for i, row, b, a, c in zip(itertools.count(1), moved, padded, w, padded[2:]):
+                # w_i leaves its neighbours to follow the last entry; +m at i
+                # descends to its right, -m at i is descended to from its left
                 k = base + (1 + (padded[-1] > a) - (b > a) - (a > c)) * des + row[a]
                 yield k + up[i]
                 if signed:
                     yield k + neg - fwex + down[i]
+    return children
 
-    counts = Counter(keys() if n else [0])  # the empty window's key is 0
-    return MappingProxyType({(k // fwex, k // neg % r, k % r, k // des % r, k // fix % r): c for k, c in counts.items()})
+
+def _walk(m: int, n: int, signed: bool) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Every window of B_m (signed) or A_m, each once, with its key packed in
+    `_radix(n)`, n >= m: each window of size m-1 gives its children, paired
+    with the keys of `_child_keys(n, signed)`."""
+    if m < 0:
+        raise ValueError("n must be >= 0")
+    if m == 0:
+        return iter([((), 0)])
+    tops = (m, -m) if signed else (m,)
+    parents, again = itertools.tee(_walk(m - 1, n, signed))
+    windows = ([(*w, v) for v in tops] + [(*w[:i], v, *w[i + 1:], a) for i, a in enumerate(w) for v in tops]
+               for w, _ in parents)
+    return zip(itertools.chain.from_iterable(windows), _child_keys(n, signed)(again))
+
+
+@lru_cache(maxsize=None)
+def _table(n: int, signed: bool) -> Mapping[tuple[int, ...], int]:
+    """Joint distribution over B_n (signed) or A_n: window counts keyed by
+    (fwex, neg, cro_b, des_b, fixed_count), in unpacked-key order.  The keys
+    of `_child_keys(n, signed)` over the windows of `_walk(n - 1, n, signed)`
+    are counted and unpacked once; no window of size n is built.  Cached and
+    shared, so read-only."""
+    r = _radix(n)
+    counts = Counter(_child_keys(n, signed)(_walk(n - 1, n, signed)) if n else [0])  # the empty window's key is 0
+    return MappingProxyType({(k // r ** 4, k // r ** 3 % r, k % r, k // r ** 2 % r, k // r % r): c for k, c in counts.items()})
 
 
 def family_table(n: int, family: str) -> dict[tuple[int, ...], int]:

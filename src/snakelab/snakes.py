@@ -85,7 +85,7 @@ class Snake(namedtuple("Snake", "window variant")):
     def __new__(cls, window: tuple[int, ...], variant: str):
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}")
-        return super().__new__(cls, window, variant)
+        return super().__new__(cls, tuple(window), variant)
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so `_replace` validates too
 

@@ -544,6 +544,13 @@ class TestText:
         p = WeightedPath(("L",), ((2, 0, 0),))._replace(weights=((1, 1, 0),))
         assert p == WeightedPath(("L",), ((1, 1, 0),)) and type(p) is WeightedPath
 
+    def test_list_fields_are_stored_as_tuples(self):
+        want = WeightedPath(("U", "D"), ((2, 0, 0), (0, 0, 0)))
+        p = WeightedPath(["U", "D"], [(2, 0, 0), (0, 0, 0)])
+        assert p == want and type(p.steps) is tuple and type(p.weights) is tuple
+        assert {p: 1}[want] == 1 and hash(want._replace(steps=["U", "D"])) == hash(want)
+        assert p.text() == "U[y^2] D[1]" and p.weight() == (2, 0, 0)
+
     @pytest.mark.parametrize("fields, message", [
         ({"steps": ("D", "U")}, "dips below the axis"),
         ({"weights": ((1, 1, 1),)}, "one weight per step"),

@@ -11,6 +11,7 @@ from snakelab.permstats import (
     FAMILIES,
     SCHEMES,
     _radix,
+    _table,
     _walk,
     corteel_schedule,
     cro_b,
@@ -304,17 +305,32 @@ class TestTables:
         assert max(row.fwex for row in rows) <= 2 * n
 
 
+def _pack(fields, n):
+    """(fwex, neg, cro_b, des_b, fixed_count) as one int in `_radix(n)`, fwex
+    the top digit and cro_b the unit digit."""
+    fwex, neg, cro, des, fixed = fields
+    r = _radix(n)
+    return (((fwex * r + neg) * r + des) * r + fixed) * r + cro
+
+
 class TestWalk:
     @pytest.mark.parametrize("signed, family", [(True, "B"), (False, "A")])
-    @pytest.mark.parametrize("n", range(6))
-    def test_yields_each_window_once_with_its_stats(self, n, signed, family):
-        records = list(_walk(n, signed))
-        # the insertion order differs from generation order
-        assert sorted(w for w, *_ in records) == sorted(_generate_reference(n, family))
-        for w, wex, neg, fixed, des, cro in records:
-            s = stats(w)
-            assert (wex, neg, fixed, des, cro) == (
-                s.wex, s.neg, s.fixed_count, s.des_b, _cro_b_reference(w)), w
+    @pytest.mark.parametrize("m", range(6))
+    def test_yields_each_window_once_with_its_stats(self, m, signed, family):
+        # `_table(n)` reads the windows of size n - 1 with keys in the radix of n
+        for n in (m, m + 1, 7):
+            records = list(_walk(m, n, signed))
+            # the insertion order differs from generation order
+            assert sorted(w for w, _ in records) == sorted(_generate_reference(m, family))
+            for w, key in records:
+                s = stats(w)
+                assert key == _pack((s.fwex, s.neg, _cro_b_reference(w), s.des_b, s.fixed_count), n), (n, w)
+
+    @pytest.mark.parametrize("signed", [True, False])
+    @pytest.mark.parametrize("n", range(7))
+    def test_table_counts_the_keys_the_walk_yields(self, n, signed):
+        counted = Counter({_pack(fields, n): c for fields, c in _table(n, signed).items()})
+        assert counted == Counter(key for _, key in _walk(n, n, signed))
 
 
 class TestEquidistribution:

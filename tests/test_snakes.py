@@ -531,6 +531,15 @@ class TestLambda1:
         with pytest.raises(ValueError):
             lambda1_inv(WeightedPath(("L",), ((0, 1, 1),)))
 
+    @pytest.mark.parametrize("snake, forward, inverse", [
+        (SIGMA10, lambda1, lambda1_inv), (Snake((1,), "S0"), lambda1, lambda1_inv), (SIGMA11, lambda2, lambda2_inv),
+    ], ids=["S0-10", "S0-1", "S00-11"])
+    def test_list_window_is_stored_as_a_tuple(self, snake, forward, inverse):
+        s = Snake(list(snake.window), snake.variant)
+        assert s.window == snake.window and type(s.window) is tuple
+        assert inverse(forward(s)) == s == snake
+        assert {s: 1}[snake] == 1 and hash(s._replace(window=list(s.window))) == hash(snake)
+
 
 class TestLambda2:
     def test_worked_example_first_steps(self):

@@ -11,7 +11,10 @@ each side in a fresh interpreter (the side that goes first alternates):
   verify   `python -m snakelab.cli verify --all`, the child's CPU seconds.
 
 Each run also times `host_calib` of `perfbench/run.py`, the host-speed loop
-that the benchmark rescales by.  With --label the result is written to
+that the benchmark rescales by.  Next to the speedup of the medians, the
+result gives the median, min and max of the per-pair ratios parent/change:
+the two sides of a pair share the host's state, so that ratio is steadier
+than a ratio of medians taken apart.  With --label the result is written to
 BENCH_<label>.json at the repo root; it is always printed.
 """
 
@@ -51,6 +54,11 @@ def timed(src: str, name: str) -> float:
     return round(after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime, 4)
 
 
+def _spread(ratios: list[float]) -> dict[str, float]:
+    return {"median": round(statistics.median(ratios), 3), "min": round(min(ratios), 3),
+            "max": round(max(ratios), 3)}
+
+
 def main() -> None:
     parser = argparse.ArgumentParser()
     parser.add_argument("parent_src")
@@ -79,6 +87,8 @@ def main() -> None:
         "medians": medians,
         "speedup_of_medians": {name: round(medians["parent"][name] / medians["change"][name], 3)
                                for name in (*TIMED, "verify")},
+        "per_pair_ratio": {name: _spread([r["parent"][name] / r["change"][name] for r in runs])
+                           for name in (*TIMED, "verify")},
     }
     text = json.dumps(result, indent=1)
     if args.label:
